@@ -11,9 +11,9 @@ from .autodiff import Tape, Tensor, huber_loss
 from .bounds import BoundInstance, bound_direct, bound_leapts_optimal, bound_recursive
 from .controller import ScaleAnchors, scale_anchors
 from .data import Dataset, WindowBatch, load_csv, make_windows
-from .engine import cluster_variates, run_schedule
+from .engine import cluster_variates
 from .forward import forecast, predict_batch
-from .metrics import MetricReport, metrics
+from .metrics import MetricReport
 from .model import ForecastPair, LeapTS, ModelConfig
 from .optim import ParamStore, adam_step
 from .synth import ScenarioSpec, generate, integrate_ode, write_csv
@@ -36,11 +36,9 @@ __all__ = [
     "load_csv",
     "make_windows",
     "cluster_variates",
-    "run_schedule",
     "forecast",
     "predict_batch",
     "MetricReport",
-    "metrics",
     "ForecastPair",
     "LeapTS",
     "ModelConfig",

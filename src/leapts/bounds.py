@@ -32,8 +32,6 @@ __all__ = [
     "compositions",
 ]
 
-MAX_EXHAUSTIVE_P = 20
-
 
 @dataclass(frozen=True)
 class BoundInstance:
@@ -99,18 +97,30 @@ def _schedule_term(inst: BoundInstance, partition) -> float:
 
 
 def bound_leapts_optimal(inst: BoundInstance) -> BoundResult:
-    """Exhaustive search over all compositions of P (P <= 20)."""
-    if inst.P > MAX_EXHAUSTIVE_P:
-        raise ConfigError(
-            f"exhaustive enumeration limited to P <= {MAX_EXHAUSTIVE_P}, got {inst.P}"
-        )
+    """Best schedule by an O(P^2) dynamic program over the cursor.
+
+    rest[c] is the least term of the steps after the first c horizon
+    points; its first step is the shortest length that attains it, so the
+    walk from c = 0 yields the lexicographically first optimal partition,
+    the one an enumeration of ``compositions`` in order keeps. The value is
+    that partition's term summed in schedule order.
+    """
+    P = inst.P
+    rest = [0.0] * (P + 1)
+    step = [0] * (P + 1)
+    for c in range(P - 1, -1, -1):
+        rest[c] = np.inf
+        for length in range(1, P - c + 1):
+            term = inst.lam ** (P - c - length) * inst.eps(length) + rest[c + length]
+            if term < rest[c]:
+                rest[c], step[c] = term, length
+    best_partition, c = [], 0
+    while c < P:
+        best_partition.append(step[c])
+        c += step[c]
+    best_partition = tuple(best_partition)
+    best_sched = _schedule_term(inst, best_partition)
     direct = bound_direct(inst)
-    best_sched = np.inf
-    best_partition = (inst.P,)
-    for part in compositions(inst.P):
-        term = _schedule_term(inst, part)
-        if term < best_sched:
-            best_sched, best_partition = term, part
     if best_sched < direct:
         return BoundResult(best_sched, best_partition, best_alpha_endpoint=1.0, attained=False)
     if best_sched > direct:

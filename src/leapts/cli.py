@@ -4,9 +4,6 @@ Subcommands: gen, train, eval, trace, ablate, bounds, anchors. All
 outputs are machine-readable (JSON to stdout, CSV/JSONL to files); the
 resolved configuration of every run goes to stderr. Exit codes: 0
 success, 1 usage error, 2 data/config error, 3 numeric failure.
-
-Heavy imports are deferred into the command handlers so that --threads
-can cap BLAS workers before numpy loads.
 """
 
 from __future__ import annotations
@@ -15,6 +12,18 @@ import argparse
 import json
 import os
 import sys
+
+import numpy as np
+
+from .bounds import BoundInstance, bound_direct, bound_leapts_optimal, bound_recursive
+from .controller import scale_anchors
+from .data import WindowBatch, load_csv, make_windows
+from .diagnostics import bin_by_volatility, category_stats, ratio_summary, trace_override
+from .errors import ConfigError, DataError, NumericError
+from .model import LeapTS, ModelConfig
+from .synth import ScenarioSpec, generate, write_csv
+from .traces import write_trace_jsonl
+from .training import TrainConfig, ablate, apply_data_norm, evaluate, evaluate_full, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -32,8 +41,6 @@ def _emit(obj):
 
 
 def _load_config_file(path) -> dict:
-    from .errors import DataError
-
     if path is None:
         return {}
     try:
@@ -52,8 +59,6 @@ def _load_config_file(path) -> dict:
 
 
 def cmd_gen(args) -> int:
-    from .synth import ScenarioSpec, generate, write_csv
-
     spec = ScenarioSpec(
         scenario=args.scenario,
         total_steps=args.steps,
@@ -109,10 +114,6 @@ _TRAIN_KEYS = (
 
 
 def _build_configs(args, n_variates):
-    from .errors import DataError
-    from .model import ModelConfig
-    from .training import TrainConfig
-
     file_cfg = _load_config_file(args.config)
     for key in file_cfg:
         if key not in ("model", "train"):
@@ -151,10 +152,6 @@ def _build_configs(args, n_variates):
 
 
 def cmd_train(args) -> int:
-    from .data import load_csv
-    from .model import LeapTS
-    from .training import train
-
     dataset = load_csv(args.data, split_fractions=_parse_splits(args.splits))
     mcfg, tcfg = _build_configs(args, dataset.n_variates)
     model = LeapTS(mcfg, ablation=tcfg.ablation)
@@ -168,8 +165,6 @@ def cmd_train(args) -> int:
 
 
 def _parse_splits(text):
-    from .errors import DataError
-
     parts = [float(x) for x in text.split(",")]
     if len(parts) != 3:
         raise DataError(f"--splits needs three comma-separated fractions, got {text!r}")
@@ -177,12 +172,6 @@ def _parse_splits(text):
 
 
 def _load_for_eval(args):
-    import numpy as np
-
-    from .data import Dataset, load_csv, make_windows
-    from .errors import DataError
-    from .model import LeapTS
-
     model = LeapTS.load(args.ckpt)
     dataset = load_csv(args.data, split_fractions=_parse_splits(args.splits))
     cfg = model.config
@@ -191,20 +180,12 @@ def _load_for_eval(args):
             f"checkpoint expects {cfg.n_variates} variates, dataset has {dataset.n_variates}"
         )
     if model.data_norm is not None:
-        mu, sd = model.data_norm
-        dataset = Dataset(
-            values=(dataset.values - np.asarray(mu)) / np.asarray(sd),
-            name=dataset.name,
-            split_fractions=dataset.split_fractions,
-            columns=list(dataset.columns),
-        )
+        dataset = apply_data_norm(dataset, model.data_norm)
     windows = make_windows(dataset, cfg.look_back, cfg.horizon, args.split, args.stride)
     return model, dataset, windows
 
 
 def _parse_override(text):
-    from .errors import DataError
-
     kind, _, val = text.partition(":")
     if kind not in ("monte_carlo", "fixed") or not val:
         raise DataError(f"--override must be monte_carlo:N or fixed:K, got {text!r}")
@@ -215,12 +196,6 @@ def _parse_override(text):
 
 
 def cmd_eval(args) -> int:
-    import numpy as np
-
-    from .diagnostics import trace_override
-    from .traces import write_trace_jsonl
-    from .training import evaluate, evaluate_full
-
     model, _, windows = _load_for_eval(args)
     if args.override:
         kind, val = _parse_override(args.override)
@@ -246,14 +221,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    from .diagnostics import bin_by_volatility, category_stats, ratio_summary
-    from .traces import write_trace_jsonl
-    from .training import evaluate
-
     model, _, windows = _load_for_eval(args)
     if args.limit is not None and args.limit < windows.n_windows:
-        from .data import WindowBatch
-
         windows = WindowBatch(
             inputs=windows.inputs[: args.limit],
             targets=windows.targets[: args.limit],
@@ -290,10 +259,6 @@ def cmd_ablate(args) -> int:
     scheduling branch from the trained model (gate forced shut, shared
     weights kept); ``no_high_level`` is retrained from scratch because its
     single-level heads are new parameters."""
-    from .data import load_csv, make_windows
-    from .model import LeapTS
-    from .training import ablate, evaluate, train
-
     dataset = load_csv(args.data, split_fractions=_parse_splits(args.splits))
     flags = [args.flag] if args.flag != "all" else ["no_sched", "no_high_level"]
     mcfg, tcfg = _build_configs(args, dataset.n_variates)
@@ -306,10 +271,7 @@ def cmd_ablate(args) -> int:
 
     eval_ds = dataset
     if full.data_norm is not None:
-        from .data import Dataset
-
-        mu, sd = full.data_norm
-        eval_ds = Dataset(values=(dataset.values - mu) / sd, split_fractions=dataset.split_fractions)
+        eval_ds = apply_data_norm(dataset, full.data_norm)
     test_w = make_windows(eval_ds, mcfg.look_back, mcfg.horizon, "test", tcfg.stride)
 
     for flag in flags:
@@ -346,8 +308,6 @@ def _float_list(text):
 
 
 def cmd_bounds(args) -> int:
-    from .bounds import BoundInstance, bound_direct, bound_leapts_optimal, bound_recursive
-
     lams, eas, eps_, ps = (
         _float_list(args.lam),
         _float_list(args.eps_a),
@@ -385,16 +345,12 @@ def cmd_bounds(args) -> int:
             )
     else:
         if len(rows) != 1:
-            from .errors import DataError
-
             raise DataError("multiple parameter values require --sweep")
         _emit(rows[0])
     return EXIT_OK
 
 
 def cmd_anchors(args) -> int:
-    from .controller import scale_anchors
-
     a = scale_anchors(args.L, args.P)
     intervals = " ".join(f"[{lo},{hi}]" for lo, hi in zip(a.mins, a.maxs))
     print(f"degenerate: {intervals}" if a.degenerate else intervals)
@@ -413,7 +369,6 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="leapts", description=__doc__)
-    parser.add_argument("--threads", type=int, default=None, help="cap BLAS worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic scenario CSV")
@@ -506,12 +461,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     _print_config(args)
-    from .errors import ConfigError, DataError, NumericError
-
     try:
         return args.func(args)
     except (DataError, ConfigError) as exc:

@@ -19,12 +19,11 @@ from .errors import ConfigError
 __all__ = [
     "CATEGORY_NAMES",
     "ScaleAnchors",
-    "ScaleDecision",
     "scale_anchors",
     "gumbel_softmax_select",
-    "high_level_select",
-    "low_level_length",
-    "round_and_clip_length",
+    "length_candidates",
+    "route_lengths",
+    "round_and_clip_rows",
 ]
 
 CATEGORY_NAMES = ("short", "mid", "long")
@@ -84,24 +83,6 @@ def scale_anchors(L: int, P: int) -> ScaleAnchors:
     return ScaleAnchors(mins=mins, maxs=maxs, degenerate=False)
 
 
-@dataclass
-class ScaleDecision:
-    """One step's scale choice and continuous/integer lengths (single row)."""
-
-    soft: np.ndarray
-    hard: np.ndarray
-    chosen: int
-    lengths: np.ndarray
-    executed_len_cont: float
-    executed_len_int: int | None = None
-
-
-def _one_hot_rows(indices: np.ndarray, width: int) -> np.ndarray:
-    out = np.zeros((indices.size, width))
-    out[np.arange(indices.size), indices] = 1.0
-    return out
-
-
 def gumbel_softmax_select(
     logits: Tensor,
     tau: float,
@@ -117,33 +98,8 @@ def gumbel_softmax_select(
         raise ConfigError(f"gumbel temperature must be positive, got {tau}")
     scores = logits if noise is None else ad.add(logits, noise)
     soft = ad.softmax(ad.mul(scores, 1.0 / tau))
-    hard = _one_hot_rows(soft.data.argmax(axis=-1), soft.shape[-1])
+    hard = np.eye(soft.shape[-1])[soft.data.argmax(axis=-1)]
     return soft, hard
-
-
-def high_level_select(
-    h: Tensor,
-    category_proj: Tensor,
-    tau: float,
-    mode: str,
-    rng: np.random.Generator | None = None,
-    noise: np.ndarray | None = None,
-) -> tuple[Tensor, np.ndarray, np.ndarray | None]:
-    """Scale-selection distribution for controller states ``h`` [R x hidden].
-
-    In train mode fresh Gumbel noise perturbs the logits (pass ``rng``),
-    unless ``noise`` replays a recorded draw; eval mode is noiseless.
-    Returns (soft distribution, hard one-hot, noise used).
-    """
-    logits = ad.matmul(h, category_proj)
-    if mode == "train" and noise is None:
-        if rng is None:
-            raise ValueError("train-mode selection needs an rng for Gumbel noise")
-        noise = rng.gumbel(size=logits.shape)
-    elif mode not in ("train", "eval", "soft"):
-        raise ValueError(f"unknown mode {mode!r}")
-    soft, hard = gumbel_softmax_select(logits, tau, noise)
-    return soft, hard, noise
 
 
 def length_candidates(h: Tensor, anchors: ScaleAnchors, length_heads) -> Tensor:
@@ -157,47 +113,33 @@ def length_candidates(h: Tensor, anchors: ScaleAnchors, length_heads) -> Tensor:
     return cols[0] if len(cols) == 1 else ad.concat(cols)
 
 
-def low_level_length(
-    h: Tensor,
-    anchors: ScaleAnchors,
-    soft: Tensor,
-    hard: np.ndarray,
-    length_heads,
-) -> ScaleDecision:
-    """Single-row decision combining the hard scale choice with its length."""
-    lengths = length_candidates(h, anchors, length_heads)
-    if anchors.degenerate:
-        sel = lengths
-        chosen = 0
-    else:
-        routed = ad.straight_through(soft, hard)
-        sel = ad.tsum(ad.mul(lengths, routed), axis=-1, keepdims=True)
-        chosen = int(hard.reshape(-1).argmax())
-    return ScaleDecision(
-        soft=soft.data.reshape(-1).copy(),
-        hard=np.asarray(hard).reshape(-1).copy(),
-        chosen=chosen,
-        lengths=lengths.data.reshape(-1).copy(),
-        executed_len_cont=float(sel.data.reshape(-1)[0]),
-    )
+def route_lengths(
+    lengths: Tensor, soft: Tensor, hard: np.ndarray, mode: str
+) -> tuple[Tensor, Tensor, np.ndarray]:
+    """Executed continuous length [R x 1], segment routing [R x C] and the
+    chosen category per row, from the per-category lengths [R x C].
 
-
-def round_and_clip_length(length_cont: float, cursor: int, P: int) -> int:
-    """Integer execution length: clip to the remaining horizon, then round.
-
-    Rounding is half-up, so the result stays within [1, P - cursor + 1].
-    Gradients never pass through this (cursor arithmetic only); the soft
-    mask keeps the continuous length differentiable.
+    "soft" mode mixes the lengths by the scale distribution; the other
+    modes route through the hard choice with straight-through gradients to
+    ``soft``. A single category's length is taken as is.
     """
-    if not 1 <= cursor <= P:
-        raise ValueError(f"cursor {cursor} outside horizon 1..{P}")
-    clipped = min(max(float(length_cont), 1.0), float(P - cursor + 1))
-    return int(np.floor(clipped + 0.5))
+    if lengths.shape[1] == 1:
+        return lengths, soft, np.zeros(lengths.shape[0], dtype=np.int64)
+    if mode == "soft":
+        route, chosen = soft, soft.data.argmax(axis=-1)
+    else:
+        route, chosen = ad.straight_through(soft, hard), hard.argmax(axis=-1)
+    return ad.tsum(ad.mul(lengths, route), axis=-1, keepdims=True), route, chosen
 
 
 def round_and_clip_rows(length_cont: np.ndarray, cursor: np.ndarray, P: int) -> np.ndarray:
-    """Vectorized ``round_and_clip_length`` over rows (cursor may be P+1 for
-    finished rows, which yields 0)."""
+    """Integer execution length per row: clip to the remaining horizon, then
+    round half-up, so the result stays within [1, P - cursor + 1]. A
+    finished row (cursor P+1) gets 0.
+
+    Gradients never pass through this (cursor arithmetic only); the soft
+    mask keeps the continuous length differentiable.
+    """
     rem = np.maximum(P - cursor + 1, 0)
     clipped = np.clip(length_cont, 1.0, np.maximum(rem, 1.0))
     out = np.floor(clipped + 0.5).astype(np.int64)

@@ -14,7 +14,7 @@ from .errors import DataError
 from .forward import predict_batch
 from .metrics import MetricReport, mae, mse
 from .model import LeapTS
-from .traces import ScheduleTrace
+from .traces import ScheduleTrace, decompose_update
 
 __all__ = [
     "decompose_update",
@@ -27,20 +27,6 @@ __all__ = [
     "partition_to_steps",
     "trace_override",
 ]
-
-RATIO_EPS = 1e-12
-
-
-def decompose_update(ctrl_delta, time_delta, eps: float = RATIO_EPS) -> tuple[float, float]:
-    """Relative weight of the control-driven vs time-driven state change.
-
-    Magnitudes are summed absolute components, so opposite-signed entries
-    cannot cancel.
-    """
-    c = float(np.abs(np.asarray(ctrl_delta, dtype=np.float64)).sum())
-    t = float(np.abs(np.asarray(time_delta, dtype=np.float64)).sum())
-    total = c + t + eps
-    return c / total, t / total
 
 
 @dataclass
@@ -133,19 +119,6 @@ def partition_to_steps(partition, anchors: ScaleAnchors) -> list[tuple[int, floa
     return [(anchors.category_of_length(l), float(l), l) for l in partition]
 
 
-def _predict_forced(model, inputs, forced_per_window, chunk: int = 512):
-    """Forced-schedule predictions; forced sequences are shared by all
-    variates of a window."""
-    n = model.config.n_variates
-    preds = []
-    for lo in range(0, inputs.shape[0], chunk):
-        hi = min(lo + chunk, inputs.shape[0])
-        override = [forced_per_window[w] for w in range(lo, hi) for _ in range(n)]
-        p, _ = predict_batch(model, inputs[lo:hi], mode="eval", override=override)
-        preds.append(p)
-    return np.concatenate(preds, axis=0)
-
-
 def trace_override(
     model: LeapTS,
     windows: WindowBatch,
@@ -165,11 +138,11 @@ def trace_override(
     P = model.config.horizon
     if model.ablation == "no_sched":
         raise DataError("trace_override: the no_sched variant has no scheduling branch")
-    b = windows.n_windows
+    b, n = windows.n_windows, model.config.n_variates
 
     if mode == "fixed":
         steps = partition_to_steps(fixed_partition(P, int(value)), model.anchors)
-        preds = _predict_forced(model, windows.inputs, [steps] * b)
+        preds = _predict_forced_rows(model, windows.inputs, [steps] * (b * n))
         return MetricReport(mse=mse(preds, windows.targets), mae=mae(preds, windows.targets))
 
     if mode == "monte_carlo":
@@ -183,14 +156,14 @@ def trace_override(
             forced = [
                 partition_to_steps(sample_partition(P, rng), model.anchors) for _ in range(b)
             ]
-            preds = _predict_forced(model, windows.inputs, forced)
+            override = [steps for steps in forced for _ in range(n)]
+            preds = _predict_forced_rows(model, windows.inputs, override)
             mses.append(mse(preds, windows.targets))
             maes.append(mae(preds, windows.targets))
         return MetricReport(mse=float(np.mean(mses)), mae=float(np.mean(maes)))
 
     if mode == "replay":
         traces: list[ScheduleTrace] = value
-        n = model.config.n_variates
         if len(traces) != b * n:
             raise DataError(f"replay: expected {b * n} traces, got {len(traces)}")
         by_key = {(tr.window, tr.variate): tr for tr in traces}
@@ -208,6 +181,8 @@ def trace_override(
 
 
 def _predict_forced_rows(model, inputs, override_rows, chunk: int = 512):
+    """Predictions under forced schedules, one override sequence per row
+    (window-major, as in ``forward_rows``)."""
     n = model.config.n_variates
     preds = []
     for lo in range(0, inputs.shape[0], chunk):

@@ -4,7 +4,8 @@ controlled state evolution.
 
 The loop is batched over rows (one row = one variate of one window); all
 rows advance in lockstep with finished rows exactly gated out, which is
-equivalent to scheduling each variate independently.
+equivalent to scheduling each variate independently. Each step is built
+from the row-batched operations defined below, one call each.
 """
 
 from __future__ import annotations
@@ -19,15 +20,16 @@ from .controller import (
     gumbel_softmax_select,
     length_candidates,
     round_and_clip_rows,
+    route_lengths,
 )
 from .errors import DataError, ShapeError
-from .model import LeapTS
-from .traces import ScheduleTrace, TraceStep
+from .model import LeapTS, _mlp_apply
+from .traces import ScheduleTrace, TraceStep, decompose_update
 
 __all__ = [
     "soft_mask",
+    "routed_segment",
     "write_segment",
-    "segment_head",
     "summarize_segment",
     "build_control_signal",
     "increments",
@@ -35,29 +37,36 @@ __all__ = [
     "ClusterAssignment",
     "series_features",
     "cluster_variates",
-    "run_schedule",
     "run_schedule_rows",
 ]
 
-RATIO_EPS = 1e-12
+
+# -- the operations of one scheduling step, batched over rows ---------------
 
 
-# -- standalone operations (single decision / single row) -----------------
-
-
-def soft_mask(length_cont, cursor: int, P: int, gamma: float) -> Tensor:
-    """Sigmoid gate over the horizon: exactly 0 before the cursor, then a
-    smooth cutoff ``gamma`` wide centered ``length_cont`` past it."""
-    if gamma <= 0:
-        raise ValueError(f"soft_mask: gamma must be positive, got {gamma}")
-    if not 1 <= cursor <= P:
-        raise ValueError(f"soft_mask: cursor {cursor} outside 1..{P}")
-    length_cont = length_cont if isinstance(length_cont, Tensor) else Tensor([length_cont])
+def soft_mask(sel, cursor: np.ndarray, active: np.ndarray, P: int, gamma: float) -> Tensor:
+    """Sigmoid gate over the horizon per row [R x P]: exactly 0 before the
+    row's cursor and on finished rows, then a smooth cutoff ``gamma`` wide
+    centered ``sel`` [R x 1] past the cursor."""
     tau = np.arange(1, P + 1, dtype=np.float64)
-    offs = tau - cursor + 0.5
-    z = ad.mul(ad.sub(length_cont, offs), 1.0 / gamma)
-    indicator = (tau >= cursor).astype(np.float64)
+    indicator = ((tau[None, :] >= cursor[:, None]) & active[:, None]).astype(np.float64)
+    offs = tau[None, :] - cursor[:, None].astype(np.float64) + 0.5
+    z = ad.mul(ad.sub(sel, offs), 1.0 / gamma)
     return ad.mul(ad.sigmoid(z), indicator)
+
+
+def routed_segment(model: LeapTS, h: Tensor, route: Tensor) -> Tensor:
+    """Full-horizon segment [R x P]: the sum over categories c of
+    route[:, c] * seg_head_c(h). A single category's head is taken as is."""
+    store = model.store
+    names = model.anchors.category_names()
+    segment = None
+    for c, name in enumerate(names):
+        seg_c = ad.add(ad.matmul(h, store[f"seg_head_{name}_w"]), store[f"seg_head_{name}_b"])
+        if len(names) > 1:
+            seg_c = ad.mul(seg_c, route[:, c : c + 1])
+        segment = seg_c if segment is None else ad.add(segment, seg_c)
+    return segment
 
 
 def write_segment(segment: Tensor, mask: Tensor, accum: Tensor) -> tuple[Tensor, Tensor]:
@@ -68,13 +77,6 @@ def write_segment(segment: Tensor, mask: Tensor, accum: Tensor) -> tuple[Tensor,
         )
     masked = ad.mul(segment, mask)
     return ad.add(accum, masked), masked
-
-
-def segment_head(model: LeapTS, h: Tensor, category: int) -> Tensor:
-    """Full-horizon segment from the category-specific head."""
-    name = model.anchors.category_names()[category]
-    s = model.store
-    return ad.add(ad.matmul(h, s[f"seg_head_{name}_w"]), s[f"seg_head_{name}_b"])
 
 
 def summarize_segment(masked_segment: Tensor, summary_w: Tensor, summary_b: Tensor) -> Tensor:
@@ -114,28 +116,33 @@ def evolve_state(
     h: Tensor,
     u: Tensor,
     du: Tensor,
-    dtau,
-    cluster: int,
+    dtau: np.ndarray,
+    row_clusters: np.ndarray,
+    active: np.ndarray,
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """One controlled-Euler step for rows of a single cluster.
+    """One controlled-Euler step over rows: row r moves by its cluster's
+    control field times ``du`` plus its drift field times ``dtau``; finished
+    rows (``active`` false) get exact zero deltas.
 
     Returns (h_next, ctrl_delta, time_delta) with
-    h_next = h + ctrl_delta + time_delta.
+    h_next = h + (ctrl_delta + time_delta).
     """
-    d_ctrl, d_time = _field_deltas(model, h, u, du, np.atleast_2d(dtau), cluster)
+    n_clusters = model.config.n_clusters
+    d_ctrl, d_time = None, None
+    for g in range(n_clusters):
+        inp = ad.concat([h, u])
+        fields = _mlp_apply(model.store, f"ctrl_field_g{g}", inp, 2)
+        drift = _mlp_apply(model.store, f"time_field_g{g}", inp, 2)
+        dc, dt = ad.rowwise_matvec(fields, du), ad.mul(drift, dtau)
+        if n_clusters > 1:
+            member = (row_clusters == g).astype(np.float64)[:, None]
+            dc, dt = ad.mul(dc, member), ad.mul(dt, member)
+        d_ctrl = dc if d_ctrl is None else ad.add(d_ctrl, dc)
+        d_time = dt if d_time is None else ad.add(d_time, dt)
+    act_col = active.astype(np.float64)[:, None]
+    d_ctrl = ad.mul(d_ctrl, act_col)
+    d_time = ad.mul(d_time, act_col)
     return ad.add(h, ad.add(d_ctrl, d_time)), d_ctrl, d_time
-
-
-def _mlp2(store, prefix, x: Tensor) -> Tensor:
-    y = ad.tanh(ad.add(ad.matmul(x, store[f"{prefix}_w0"]), store[f"{prefix}_b0"]))
-    return ad.add(ad.matmul(y, store[f"{prefix}_w1"]), store[f"{prefix}_b1"])
-
-
-def _field_deltas(model, h, u, du, dtau, cluster) -> tuple[Tensor, Tensor]:
-    inp = ad.concat([h, u])
-    fields = _mlp2(model.store, f"ctrl_field_g{cluster}", inp)
-    drift = _mlp2(model.store, f"time_field_g{cluster}", inp)
-    return ad.rowwise_matvec(fields, du), ad.mul(drift, dtau)
 
 
 # -- variate clustering ----------------------------------------------------
@@ -221,9 +228,21 @@ class StepDebug:
     active: np.ndarray
 
 
-def _ratios(ctrl_mag: float, time_mag: float) -> tuple[float, float]:
-    total = ctrl_mag + time_mag + RATIO_EPS
-    return ctrl_mag / total, time_mag / total
+def _pack_override(override: list, R: int) -> tuple[np.ndarray, ...]:
+    """Per-row (category, len_cont, len_int) sequences as [R x S+1] arrays
+    plus the row lengths; the padding column keeps step S addressable."""
+    if len(override) != R:
+        raise DataError(f"override has {len(override)} rows, expected {R}")
+    n_steps = np.array([len(seq) for seq in override], dtype=np.int64)
+    width = int(n_steps.max(initial=0)) + 1
+    table = np.zeros((R, width, 3))
+    table[:, :, 1] = 1.0
+    flat = np.asarray([step for seq in override for step in seq], dtype=np.float64)
+    rows = np.repeat(np.arange(R), n_steps)
+    cols = np.arange(len(flat)) - np.repeat(np.cumsum(n_steps) - n_steps, n_steps)
+    table[rows, cols] = flat.reshape(-1, 3)
+    cats, lens = table[:, :, 0].astype(np.int64), table[:, :, 2].astype(np.int64)
+    return cats, table[:, :, 1], lens, n_steps
 
 
 def run_schedule_rows(
@@ -264,6 +283,8 @@ def run_schedule_rows(
     heads = [
         (store[f"len_head_{name}_w"], store[f"len_head_{name}_b"]) for name in cat_names
     ]
+    if override is not None:
+        o_cat, o_cont, o_int, o_steps = _pack_override(override, R)
 
     accum = Tensor(np.zeros((R, P)))
     cursor = np.ones(R, dtype=np.int64)
@@ -272,7 +293,6 @@ def run_schedule_rows(
     prev_soft = Tensor(np.full((R, C), 1.0 / C))
     prev_summary = Tensor(np.zeros((R, cfg.summary_dim)))
     prev_len_norm = np.zeros((R, 1))
-    tau = np.arange(1, P + 1, dtype=np.float64)
 
     traces = None
     if trace_meta is not None:
@@ -305,85 +325,46 @@ def run_schedule_rows(
 
         # low level: advancement length (continuous for the mask, integer
         # for the cursor) and routing vector for the segment heads
-        if override is not None:
-            cat_idx = np.zeros(R, dtype=np.int64)
-            len_cont_vals = np.ones((R, 1))
-            len_int = np.zeros(R, dtype=np.int64)
-            for r in np.flatnonzero(active):
-                seq = override[r]
-                if k >= len(seq):
-                    raise DataError(f"override for row {r} exhausted at step {k}")
-                c, lc, li = seq[k]
-                rem = P - cursor[r] + 1
-                if not 1 <= li <= rem:
-                    raise DataError(f"override length {li} outside 1..{rem} (row {r})")
-                cat_idx[r], len_cont_vals[r, 0], len_int[r] = c, lc, li
-            routing = np.zeros((R, C))
-            routing[np.arange(R), cat_idx] = 1.0
-            sel = Tensor(len_cont_vals)
-            route_t = Tensor(routing)
-        elif forced:
-            cat_idx = np.full(R, C - 1, dtype=np.int64)
-            rem = np.maximum(P - cursor + 1, 1)
-            len_cont_vals = rem.astype(np.float64)[:, None]
-            len_int = np.where(active, rem, 0)
-            routing = np.zeros((R, C))
-            routing[:, C - 1] = 1.0
-            sel = Tensor(len_cont_vals)
-            route_t = Tensor(routing)
+        if override is not None or forced:
+            if override is not None:
+                cat_idx = np.where(active, o_cat[:, k], 0)
+                len_cont = np.where(active, o_cont[:, k], 1.0)
+                len_int = np.where(active, o_int[:, k], 0)
+                rem = P - cursor + 1
+                bad = active & ((o_steps <= k) | (len_int < 1) | (len_int > rem))
+                if np.any(bad):
+                    r = int(np.argmax(bad))
+                    if o_steps[r] <= k:
+                        raise DataError(f"override for row {r} exhausted at step {k}")
+                    raise DataError(
+                        f"override length {len_int[r]} outside 1..{rem[r]} (row {r}, step {k})"
+                    )
+            else:
+                cat_idx = np.full(R, C - 1, dtype=np.int64)
+                rem = np.maximum(P - cursor + 1, 1)
+                len_cont = rem.astype(np.float64)
+                len_int = np.where(active, rem, 0)
+            sel = Tensor(len_cont[:, None])
+            route_t = Tensor(np.eye(C)[cat_idx])
         else:
             lengths = length_candidates(h, anchors, heads)
-            if C == 1:
-                sel = lengths
-                route_t = soft  # constant ones
-                cat_idx = np.zeros(R, dtype=np.int64)
-            elif mode == "soft":
-                route_t = soft
-                sel = ad.tsum(ad.mul(lengths, soft), axis=-1, keepdims=True)
-                cat_idx = soft.data.argmax(axis=-1)
-            else:
-                route_t = ad.straight_through(soft, hard)
-                sel = ad.tsum(ad.mul(lengths, route_t), axis=-1, keepdims=True)
-                cat_idx = hard.argmax(axis=-1)
+            sel, route_t, cat_idx = route_lengths(lengths, soft, hard, mode)
             len_int = round_and_clip_rows(sel.data[:, 0], cursor, P)
             len_int = np.where(active, len_int, 0)
 
         # segment for the selected category, soft-masked into the horizon
-        seg_cols = []
-        for c, name in enumerate(cat_names):
-            seg_c = ad.add(ad.matmul(h, store[f"seg_head_{name}_w"]), store[f"seg_head_{name}_b"])
-            seg_cols.append(ad.mul(seg_c, route_t[:, c : c + 1]) if C > 1 else seg_c)
-        segment = seg_cols[0]
-        for extra in seg_cols[1:]:
-            segment = ad.add(segment, extra)
-
-        indicator = ((tau[None, :] >= cursor[:, None]) & active[:, None]).astype(np.float64)
-        offs = tau[None, :] - cursor[:, None].astype(np.float64) + 0.5
-        z = ad.mul(ad.sub(sel, offs), 1.0 / cfg.mask_temp)
-        mask = ad.mul(ad.sigmoid(z), indicator)
-        masked_seg = ad.mul(segment, mask)
-        accum = ad.add(accum, masked_seg)
+        segment = routed_segment(model, h, route_t)
+        mask = soft_mask(sel, cursor, active, P, cfg.mask_temp)
+        accum, masked_seg = write_segment(segment, mask, accum)
 
         # feedback and state evolution (uses the previous step's outcomes)
-        summary = ad.tanh(ad.add(ad.matmul(masked_seg, store["summary_w"]), store["summary_b"]))
+        summary = summarize_segment(masked_seg, store["summary_w"], store["summary_b"])
         rho = ((P - cursor + 1).clip(min=0) / P)[:, None]
-        ctx = ad.concat([Tensor(rho), Tensor(prev_len_norm), prev_soft, prev_summary])
-        u = ad.tanh(ad.add(ad.matmul(ctx, store["control_w"]), store["control_b"]))
-        du = ad.sub(u, prev_u)
-        dtau = np.clip(prev_len_norm, cfg.dt_min, cfg.dt_max)
-
-        d_ctrl, d_time = None, None
-        for g in range(cfg.n_clusters):
-            dc, dt = _field_deltas(model, h, u, du, dtau, g)
-            if cfg.n_clusters > 1:
-                member = (row_clusters == g).astype(np.float64)[:, None]
-                dc, dt = ad.mul(dc, member), ad.mul(dt, member)
-            d_ctrl = dc if d_ctrl is None else ad.add(d_ctrl, dc)
-            d_time = dt if d_time is None else ad.add(d_time, dt)
-        act_col = active.astype(np.float64)[:, None]
-        d_ctrl = ad.mul(d_ctrl, act_col)
-        d_time = ad.mul(d_time, act_col)
-        h_next = ad.add(h, ad.add(d_ctrl, d_time))
+        u = build_control_signal(
+            rho, prev_len_norm, prev_soft, prev_summary, store["control_w"], store["control_b"]
+        )
+        du, dtau = increments(u, prev_u, prev_len_norm, cfg.dt_min, cfg.dt_max)
+        h_next, d_ctrl, d_time = evolve_state(model, h, u, du, dtau, row_clusters, active)
 
         if debug is not None:
             debug.append(
@@ -402,8 +383,8 @@ def run_schedule_rows(
         if traces is not None:
             ctrl_mags = np.abs(d_ctrl.data).sum(axis=1)
             time_mags = np.abs(d_time.data).sum(axis=1)
+            ctrl_ratios, time_ratios = decompose_update(d_ctrl.data, d_time.data)
             for r in np.flatnonzero(active):
-                rc, rt = _ratios(float(ctrl_mags[r]), float(time_mags[r]))
                 traces[r].steps.append(
                     TraceStep(
                         step=k,
@@ -416,8 +397,8 @@ def run_schedule_rows(
                         cursor_after=int(cursor[r] + len_int[r]),
                         ctrl_mag=float(ctrl_mags[r]),
                         time_mag=float(time_mags[r]),
-                        ctrl_ratio=rc,
-                        time_ratio=rt,
+                        ctrl_ratio=float(ctrl_ratios[r]),
+                        time_ratio=float(time_ratios[r]),
                         forced=bool(forced),
                     )
                 )
@@ -432,23 +413,3 @@ def run_schedule_rows(
         k += 1
 
     return accum, traces, noise_record
-
-
-def run_schedule(
-    model: LeapTS,
-    z,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-    collect_traces: bool = True,
-    window_id: int = 0,
-):
-    """Schedule one window's variates; returns ([P x N] rows, traces)."""
-    n = model.config.n_variates
-    h1 = model.init_state_rows(z.z0)
-    meta = None
-    if collect_traces:
-        meta = (np.full(n, window_id), np.arange(n), np.zeros(n))
-    accum, traces, _ = run_schedule_rows(
-        model, h1, model.cluster_of_variate, mode=mode, rng=rng, trace_meta=meta
-    )
-    return ad.transpose(accum), traces

@@ -84,7 +84,7 @@ def forward_rows(
             trace_meta=trace_meta,
             debug=debug,
         )
-        fused = ad.add(coarse, ad.mul(sched, ad.sigmoid(model.store["fuse_logit"])))
+        fused = model.fuse(coarse, sched)
 
     if cfg.window_norm:
         coarse = ad.add(ad.mul(coarse, sd), mu)

@@ -17,10 +17,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .controller import ScaleAnchors, scale_anchors
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .optim import ParamStore
 
-__all__ = ["ModelConfig", "LatentState", "ForecastPair", "LeapTS", "ABLATIONS"]
+__all__ = ["ModelConfig", "ForecastPair", "LeapTS", "ABLATIONS"]
 
 CHECKPOINT_MAGIC = "LEAPTS1"
 ABLATIONS = ("none", "no_sched", "no_high_level")
@@ -81,13 +81,6 @@ class ModelConfig:
         if "enc_hidden" in d:
             d["enc_hidden"] = tuple(d["enc_hidden"])
         return cls(**d)
-
-
-@dataclass
-class LatentState:
-    """Per-variate encoding of the look-back window: [N x latent_dim]."""
-
-    z0: Tensor
 
 
 @dataclass
@@ -188,36 +181,18 @@ class LeapTS:
                 (field_in, cfg.field_hidden, cfg.hidden_dim),
             )
 
-    # -- spec operations -------------------------------------------------
-
-    def encode(self, window: np.ndarray) -> LatentState:
-        """Variate-wise MLP over the look-back: [L x N] -> [N x latent_dim]."""
-        cfg = self.config
-        window = np.asarray(window, dtype=np.float64)
-        if window.shape != (cfg.look_back, cfg.n_variates):
-            raise ShapeError(
-                f"encode: expected ({cfg.look_back}, {cfg.n_variates}), got {window.shape}"
-            )
-        if not np.all(np.isfinite(window)):
-            raise NumericError("encode: non-finite values in input window")
-        return LatentState(z0=self.encode_rows(Tensor(window.T)))
+    # -- forward operations over rows ------------------------------------
 
     def encode_rows(self, histories: Tensor) -> Tensor:
         """Shared encoder over rows: [R x L] -> [R x latent_dim]."""
         return _mlp_apply(self.store, "enc", histories, len(self.config.enc_hidden) + 1)
 
-    def coarse_forecast(self, z: LatentState) -> Tensor:
-        """Linear projection per variate: [N x latent_dim] -> [P x N]."""
-        return ad.transpose(self.coarse_rows(z.z0))
-
     def coarse_rows(self, z_rows: Tensor) -> Tensor:
+        """Linear projection per row: [R x latent_dim] -> [R x P]."""
         return ad.add(ad.matmul(z_rows, self.store["coarse_w"]), self.store["coarse_b"])
 
-    def init_controller_state(self, z: LatentState) -> Tensor:
-        """Initial controller state: tanh of a learned projection of z0."""
-        return self.init_state_rows(z.z0)
-
     def init_state_rows(self, z_rows: Tensor) -> Tensor:
+        """Initial controller state: tanh of a learned projection of z."""
         s = self.store
         return ad.tanh(ad.add(ad.matmul(z_rows, s["state_init_w"]), s["state_init_b"]))
 

@@ -9,9 +9,31 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-__all__ = ["TraceStep", "ScheduleTrace", "write_trace_jsonl", "read_trace_jsonl"]
+import numpy as np
+
+__all__ = [
+    "TraceStep",
+    "ScheduleTrace",
+    "decompose_update",
+    "write_trace_jsonl",
+    "read_trace_jsonl",
+]
 
 TRACE_SCHEMA = "leapts-trace-v1"
+RATIO_EPS = 1e-12
+
+
+def decompose_update(ctrl_delta, time_delta):
+    """Relative weight of the control-driven vs time-driven state change,
+    over the last axis (one ratio pair per row of a batch).
+
+    Magnitudes are summed absolute components, so opposite-signed entries
+    cannot cancel.
+    """
+    c = np.abs(np.asarray(ctrl_delta, dtype=np.float64)).sum(axis=-1)
+    t = np.abs(np.asarray(time_delta, dtype=np.float64)).sum(axis=-1)
+    total = c + t + RATIO_EPS
+    return c / total, t / total
 
 
 @dataclass

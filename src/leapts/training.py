@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -18,7 +18,15 @@ from .metrics import MetricReport
 from .model import ABLATIONS, LeapTS
 from .optim import adam_step
 
-__all__ = ["TrainConfig", "TrainReport", "train", "ablate", "evaluate", "evaluate_full"]
+__all__ = [
+    "TrainConfig",
+    "TrainReport",
+    "train",
+    "ablate",
+    "apply_data_norm",
+    "evaluate",
+    "evaluate_full",
+]
 
 
 @dataclass
@@ -48,8 +56,6 @@ class TrainConfig:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
 
     def to_dict(self) -> dict:
-        from dataclasses import asdict
-
         return asdict(self)
 
 
@@ -94,20 +100,20 @@ def ablate(model: LeapTS, flag: str) -> LeapTS:
     return variant
 
 
+def apply_data_norm(dataset: Dataset, data_norm) -> Dataset:
+    """``dataset`` z-scored by ``data_norm`` = (mean, std) per variate; every
+    other field is kept."""
+    mu, sd = data_norm
+    return replace(dataset, values=(dataset.values - mu) / sd)
+
+
 def _normalized_dataset(dataset: Dataset):
     lo, hi = dataset.split_bounds("train")
     seg = dataset.values[lo:hi]
     mu = seg.mean(axis=0)
     sd = seg.std(axis=0)
     sd = np.where(sd > 1e-8, sd, 1.0)
-    ds = Dataset(
-        values=(dataset.values - mu) / sd,
-        name=dataset.name,
-        frequency=dataset.frequency,
-        split_fractions=dataset.split_fractions,
-        columns=list(dataset.columns),
-    )
-    return ds, (mu, sd)
+    return apply_data_norm(dataset, (mu, sd)), (mu, sd)
 
 
 def _epoch_loss(model, windows: WindowBatch, delta: float, batch: int = 256) -> float:
@@ -122,17 +128,9 @@ def _epoch_loss(model, windows: WindowBatch, delta: float, batch: int = 256) -> 
     return total / count
 
 
-def evaluate(
-    model: LeapTS,
-    windows: WindowBatch,
-    batch: int = 256,
-    collect_traces: bool = False,
-) -> tuple[MetricReport, list | None]:
-    """Pooled MSE/MAE (plus per-horizon curves) over a window batch."""
-    sq_sum = np.zeros(model.config.horizon)
-    abs_sum = np.zeros(model.config.horizon)
-    count = 0
-    traces = [] if collect_traces else None
+def _batched_predictions(model: LeapTS, windows: WindowBatch, batch: int, collect_traces: bool):
+    """Yield (window count, fused forecasts [b x P x N], traces or None) per
+    batch of windows, in order."""
     n = model.config.n_variates
     for lo in range(0, windows.n_windows, batch):
         hi = min(lo + batch, windows.n_windows)
@@ -144,10 +142,25 @@ def evaluate(
             variates = np.tile(np.arange(n), hi - lo)
             meta = (wins, variates, vols.reshape(-1))
         preds, tr = predict_batch(model, inputs, mode="eval", trace_meta=meta)
-        err = preds - windows.targets[lo:hi]
-        sq_sum += (err**2).mean(axis=(0, 2)) * (hi - lo)
-        abs_sum += np.abs(err).mean(axis=(0, 2)) * (hi - lo)
-        count += hi - lo
+        yield hi - lo, preds, tr
+
+
+def evaluate(
+    model: LeapTS,
+    windows: WindowBatch,
+    batch: int = 256,
+    collect_traces: bool = False,
+) -> tuple[MetricReport, list | None]:
+    """Pooled MSE/MAE (plus per-horizon curves) over a window batch."""
+    sq_sum = np.zeros(model.config.horizon)
+    abs_sum = np.zeros(model.config.horizon)
+    count = 0
+    traces = [] if collect_traces else None
+    for b, preds, tr in _batched_predictions(model, windows, batch, collect_traces):
+        err = preds - windows.targets[count : count + b]
+        sq_sum += (err**2).mean(axis=(0, 2)) * b
+        abs_sum += np.abs(err).mean(axis=(0, 2)) * b
+        count += b
         if collect_traces:
             traces.extend(tr)
     per_mse = sq_sum / count
@@ -174,12 +187,8 @@ def evaluate_full(
     scaling denominator; use ``evaluate`` for plain MSE/MAE."""
     from .metrics import metrics as full_metrics
 
-    preds = []
-    for lo in range(0, windows.n_windows, batch):
-        hi = min(lo + batch, windows.n_windows)
-        p, _ = predict_batch(model, windows.inputs[lo:hi], mode="eval")
-        preds.append(p)
-    preds = np.concatenate(preds, axis=0)
+    batches = _batched_predictions(model, windows, batch, collect_traces=False)
+    preds = np.concatenate([p for _, p, _ in batches], axis=0)
     reports = [
         full_metrics(
             preds[i], windows.targets[i], windows.inputs[i], s=s,

@@ -101,7 +101,8 @@ def test_criterion_2_soft_mask_hard_limit():
         P = 24
         for length in (1, 5, 12, 24):
             for cursor in (1, 7, 20):
-                m = soft_mask(float(length), cursor=cursor, P=P, gamma=1e-3).data
+                sel = Tensor([[float(length)]])
+                m = soft_mask(sel, np.array([cursor]), np.array([True]), P, 1e-3).data[0]
                 hard = np.zeros(P)
                 hard[cursor - 1 : min(cursor - 1 + length, P)] = 1.0
                 assert np.abs(m - hard).max() < 1e-6

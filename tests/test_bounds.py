@@ -49,8 +49,42 @@ def test_assumption_violations_rejected():
         BoundInstance(lam=2.0, eps_a=1.0, eps_p=1.0, P=4)
     with pytest.raises(ConfigError):
         BoundInstance(lam=2.0, eps_a=-1.0, eps_p=2.0, P=4)
-    with pytest.raises(ConfigError):
-        bound_leapts_optimal(BoundInstance(lam=2.0, eps_a=1.0, eps_p=2.0, P=21))
+
+
+def exhaustive_optimum(inst):
+    """Oracle: the first composition (in enumeration order) with the least
+    term, and min(direct, that term)."""
+    best_term, best_part = np.inf, None
+    for part in compositions(inst.P):
+        tau = np.cumsum(part)
+        term = 0.0
+        for length, t in zip(part, tau):
+            term += inst.lam ** (inst.P - t) * inst.eps(length)
+        if term < best_term:
+            best_term, best_part = term, part
+    return min(bound_direct(inst), best_term), best_part
+
+
+def test_dynamic_program_matches_exhaustive_search():
+    rng = np.random.default_rng(1)
+    for P in range(1, 17):
+        for _ in range(3 if P <= 12 else 1):
+            inst = BoundInstance(
+                lam=float(rng.uniform(1.0, 3.0)),
+                eps_a=float(rng.uniform(0.05, 2.0)),
+                eps_p=float(rng.uniform(1.01, 3.0)),
+                P=P,
+            )
+            value, partition = exhaustive_optimum(inst)
+            res = bound_leapts_optimal(inst)
+            assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
+            assert res.best_partition == partition
+
+
+def test_long_horizon_has_no_enumeration_cap():
+    res = bound_leapts_optimal(BoundInstance(lam=1.0, eps_a=1.0, eps_p=2.0, P=200))
+    assert res.best_partition == (1,) * 200  # unit steps win without amplification
+    assert res.value == 200.0
 
 
 def test_endpoint_recovery_and_theorem_direction():

@@ -9,10 +9,9 @@ import leapts.autodiff as ad
 from leapts.autodiff import Tape, Tensor
 from leapts.controller import (
     gumbel_softmax_select,
-    high_level_select,
     length_candidates,
-    low_level_length,
-    round_and_clip_length,
+    round_and_clip_rows,
+    route_lengths,
     scale_anchors,
 )
 from leapts.errors import ConfigError
@@ -109,8 +108,8 @@ def test_hard_matches_argmax_of_soft(rng):
 def test_eval_mode_deterministic(rng):
     h = Tensor(rng.normal(size=(4, 6)))
     w = Tensor(rng.normal(size=(6, 3)))
-    a = high_level_select(h, w, tau=1.0, mode="eval")
-    b = high_level_select(h, w, tau=1.0, mode="eval")
+    a = gumbel_softmax_select(ad.matmul(h, w), tau=1.0, noise=None)
+    b = gumbel_softmax_select(ad.matmul(h, w), tau=1.0, noise=None)
     assert np.array_equal(a[0].data, b[0].data)
     assert np.array_equal(a[1], b[1])
 
@@ -147,19 +146,42 @@ def test_length_mapping_hand_case():
     raw = math.log(0.7 / 0.3)  # sigmoid -> 0.7
     heads = heads_with_bias(anchors, [0.0, raw, 0.0])
     soft, hard = gumbel_softmax_select(Tensor([[0.0, 5.0, 0.0]]), tau=1.0, noise=None)
-    dec = low_level_length(Tensor(np.zeros((1, 4))), anchors, soft, hard, heads)
-    assert dec.chosen == 1
-    assert dec.executed_len_cont == pytest.approx(25 + 23 * 0.7, abs=1e-9)
-    assert anchors.mins[1] <= dec.executed_len_cont <= anchors.maxs[1]
-    assert dec.soft.argmax() == dec.chosen
+    lengths = length_candidates(Tensor(np.zeros((1, 4))), anchors, heads)
+    sel, _, chosen = route_lengths(lengths, soft, hard, mode="eval")
+    assert chosen[0] == 1
+    assert sel.data[0, 0] == pytest.approx(25 + 23 * 0.7, abs=1e-9)
+    assert anchors.mins[1] <= sel.data[0, 0] <= anchors.maxs[1]
+    assert soft.data[0].argmax() == chosen[0]
 
 
 def test_hard_routing_is_exact():
     anchors = scale_anchors(96, 60)
     heads = heads_with_bias(anchors, [0.3, -0.2, 0.9])
     soft, hard = gumbel_softmax_select(Tensor([[0.0, 0.0, 3.0]]), tau=1.0, noise=None)
-    dec = low_level_length(Tensor(np.zeros((1, 4))), anchors, soft, hard, heads)
-    assert dec.executed_len_cont == dec.lengths[2]
+    lengths = length_candidates(Tensor(np.zeros((1, 4))), anchors, heads)
+    sel, route, _ = route_lengths(lengths, soft, hard, mode="train")
+    assert sel.data[0, 0] == lengths.data[0, 2]
+    assert np.array_equal(route.data, hard)
+
+
+def test_soft_routing_mixes_lengths():
+    anchors = scale_anchors(96, 60)
+    heads = heads_with_bias(anchors, [0.3, -0.2, 0.9])
+    soft, hard = gumbel_softmax_select(Tensor([[0.5, 0.0, 1.0]]), tau=1.0, noise=None)
+    lengths = length_candidates(Tensor(np.zeros((1, 4))), anchors, heads)
+    sel, route, chosen = route_lengths(lengths, soft, hard, mode="soft")
+    assert sel.data[0, 0] == pytest.approx(float(lengths.data[0] @ soft.data[0]), abs=1e-12)
+    assert route is soft and chosen[0] == 2
+
+
+def test_single_category_length_taken_as_is():
+    anchors = scale_anchors(96, 18)
+    heads = heads_with_bias(anchors, [0.4])
+    lengths = length_candidates(Tensor(np.zeros((2, 4))), anchors, heads)
+    soft = Tensor(np.ones((2, 1)))
+    sel, route, chosen = route_lengths(lengths, soft, np.ones((2, 1)), mode="train")
+    assert sel is lengths and route is soft
+    assert np.array_equal(chosen, [0, 0])
 
 
 def test_straight_through_gradient_matches_soft_path_fd():
@@ -211,22 +233,23 @@ def test_straight_through_gradient_matches_soft_path_fd():
     [(41.1, 1, 60, 41), (55.0, 50, 60, 11), (0.2, 1, 60, 1), (12.5, 1, 60, 13)],
 )
 def test_round_and_clip(l, q, P, expected):
-    assert round_and_clip_length(l, q, P) == expected
+    assert round_and_clip_rows(np.array([l]), np.array([q]), P)[0] == expected
 
 
-def test_round_and_clip_rejects_bad_cursor():
-    with pytest.raises(ValueError):
-        round_and_clip_length(5.0, 61, 60)
-    with pytest.raises(ValueError):
-        round_and_clip_length(5.0, 0, 60)
+def test_round_and_clip_finished_rows_get_zero():
+    out = round_and_clip_rows(np.array([5.0, 5.0, 0.2]), np.array([61, 60, 61]), 60)
+    assert out.tolist() == [0, 1, 0]
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    l=st.floats(-5.0, 1000.0, allow_nan=False),
-    q=st.integers(1, 60),
+    l=st.lists(st.floats(-5.0, 1000.0, allow_nan=False), min_size=1, max_size=8),
+    q=st.lists(st.integers(1, 61), min_size=8, max_size=8),
 )
 def test_rounded_length_always_in_bounds(l, q):
     P = 60
-    out = round_and_clip_length(l, q, P)
-    assert 1 <= out <= P - q + 1
+    cursor = np.array(q[: len(l)])
+    out = round_and_clip_rows(np.array(l), cursor, P)
+    active = cursor <= P
+    assert np.all((1 <= out[active]) & (out[active] <= P - cursor[active] + 1))
+    assert np.all(out[~active] == 0)

@@ -5,7 +5,6 @@ from leapts.data import Dataset, make_windows
 from leapts.diagnostics import (
     bin_by_volatility,
     category_stats,
-    decompose_update,
     fixed_partition,
     partition_to_steps,
     ratio_summary,
@@ -15,7 +14,13 @@ from leapts.diagnostics import (
 from leapts.errors import DataError
 from leapts.model import LeapTS
 from leapts.synth import ScenarioSpec, gen_scenario3
-from leapts.traces import ScheduleTrace, TraceStep, read_trace_jsonl, write_trace_jsonl
+from leapts.traces import (
+    ScheduleTrace,
+    TraceStep,
+    decompose_update,
+    read_trace_jsonl,
+    write_trace_jsonl,
+)
 from leapts.training import evaluate
 
 from conftest import toy_config
@@ -68,6 +73,14 @@ def test_decompose_hand_ratio():
 def test_decompose_no_sign_cancellation():
     c, t = decompose_update(np.array([1.0, -1.0]), np.array([2.0]))
     assert c == pytest.approx(0.5, abs=1e-9)
+
+
+def test_decompose_rows_match_single_calls(rng):
+    ctrl, time = rng.normal(size=(5, 8)), rng.normal(size=(5, 8))
+    ctrl[2] = time[2] = 0.0
+    c, t = decompose_update(ctrl, time)
+    for r in range(5):
+        assert (c[r], t[r]) == decompose_update(ctrl[r], time[r])
 
 
 # -- volatility bins -------------------------------------------------------------

@@ -10,9 +10,8 @@ from leapts.engine import (
     cluster_variates,
     evolve_state,
     increments,
-    run_schedule,
+    routed_segment,
     run_schedule_rows,
-    segment_head,
     series_features,
     soft_mask,
     summarize_segment,
@@ -32,8 +31,14 @@ def sigmoid(x):
 # -- soft mask ---------------------------------------------------------------
 
 
+def mask_row(length, cursor, P, gamma, active=True):
+    """One-row call of the batched soft mask."""
+    sel = length if isinstance(length, Tensor) else Tensor([[float(length)]])
+    return soft_mask(sel, np.array([cursor]), np.array([active]), P, gamma)
+
+
 def test_soft_mask_hand_values():
-    m = soft_mask(2.0, cursor=1, P=4, gamma=0.1).data
+    m = mask_row(2.0, cursor=1, P=4, gamma=0.1).data[0]
     expected = [sigmoid(15.0), sigmoid(5.0), sigmoid(-5.0), sigmoid(-15.0)]
     assert np.allclose(m, expected, rtol=1e-12)
     assert m[0] == pytest.approx(0.99999969, abs=1e-8)
@@ -43,7 +48,7 @@ def test_soft_mask_hand_values():
 
 
 def test_soft_mask_zero_before_cursor():
-    m = soft_mask(2.0, cursor=3, P=4, gamma=0.1).data
+    m = mask_row(2.0, cursor=3, P=4, gamma=0.1).data[0]
     assert m[0] == 0.0 and m[1] == 0.0
     assert m[2] > 0.9
 
@@ -52,7 +57,7 @@ def test_soft_mask_sharp_limit_matches_hard_indicator():
     P = 20
     for length in (1, 3, 7, 20):
         for cursor in (1, 5, 14):
-            m = soft_mask(float(length), cursor=cursor, P=P, gamma=1e-3).data
+            m = mask_row(length, cursor=cursor, P=P, gamma=1e-3).data[0]
             hard = np.zeros(P)
             hard[cursor - 1 : min(cursor - 1 + length, P)] = 1.0
             assert np.abs(m - hard).max() < 1e-6
@@ -60,19 +65,22 @@ def test_soft_mask_sharp_limit_matches_hard_indicator():
             assert covered - 0.01 <= m.sum() <= covered + 0.01
 
 
-def test_soft_mask_validates_inputs():
-    with pytest.raises(ValueError):
-        soft_mask(2.0, cursor=1, P=4, gamma=0.0)
-    with pytest.raises(ValueError):
-        soft_mask(2.0, cursor=5, P=4, gamma=0.1)
+def test_soft_mask_zero_on_finished_rows():
+    """Rows past the horizon (cursor P+1) or gated out by ``active`` write
+    nothing, whatever their length; the other rows are unaffected."""
+    sel = Tensor(np.array([[2.0], [3.0], [2.0]]))
+    m = soft_mask(sel, np.array([1, 5, 2]), np.array([True, True, False]), 4, 0.1).data
+    assert np.array_equal(m[1], np.zeros(4))
+    assert np.array_equal(m[2], np.zeros(4))
+    assert np.array_equal(m[0], mask_row(2.0, cursor=1, P=4, gamma=0.1).data[0])
 
 
 def test_soft_mask_gradient_flows_to_length():
-    l = Tensor([2.0], requires_grad=True)
+    l = Tensor([[2.0]], requires_grad=True)
     with Tape() as tape:
-        m = soft_mask(l, cursor=1, P=4, gamma=0.5)
+        m = mask_row(l, cursor=1, P=4, gamma=0.5)
         tape.backward(m.sum())
-    assert l.grad[0] > 0.0
+    assert l.grad[0, 0] > 0.0
 
 
 # -- write / summarize / control / evolve -------------------------------------
@@ -103,19 +111,33 @@ def test_sequential_disjoint_writes_concatenate():
     assert np.array_equal(accum.data, [5.0, 6.0, 7.0, 8.0])
 
 
+def one_hot_route(category, n_rows=1):
+    route = np.zeros((n_rows, 3))
+    route[:, category] = 1.0
+    return Tensor(route)
+
+
 def test_segment_head_full_horizon_and_zero_case(toy_model):
     h = Tensor(np.zeros((1, 8)))
     for cat in range(3):
-        seg = segment_head(toy_model, h, cat)
+        seg = routed_segment(toy_model, h, one_hot_route(cat))
         assert seg.shape == (1, 8)  # full horizon regardless of length
         assert np.array_equal(seg.data, np.zeros((1, 8)))  # zero h, zero bias
 
 
 def test_segment_heads_differ_across_categories(toy_model, rng):
     h = Tensor(rng.normal(size=(1, 8)))
-    a = segment_head(toy_model, h, 0).data
-    b = segment_head(toy_model, h, 2).data
+    a = routed_segment(toy_model, h, one_hot_route(0)).data
+    b = routed_segment(toy_model, h, one_hot_route(2)).data
     assert not np.allclose(a, b)
+
+
+def test_routed_segment_mixes_heads_by_route(toy_model, rng):
+    h = Tensor(rng.normal(size=(2, 8)))
+    heads = [routed_segment(toy_model, h, one_hot_route(c, 2)).data for c in range(3)]
+    route = np.array([[0.2, 0.3, 0.5], [0.0, 1.0, 0.0]])
+    mixed = routed_segment(toy_model, h, Tensor(route)).data
+    assert np.allclose(mixed, sum(route[:, c : c + 1] * heads[c] for c in range(3)), atol=1e-12)
 
 
 def test_summarize_hand_case():
@@ -205,6 +227,11 @@ def stub_fields(model, cluster, f_const, g_const):
         s[f"{prefix}_b1"].data[:] = const
 
 
+def one_cluster(n_rows):
+    """(row_clusters, active) for rows that all belong to cluster 0."""
+    return np.zeros(n_rows, dtype=np.int64), np.ones(n_rows, dtype=bool)
+
+
 def test_evolve_hand_arithmetic():
     cfg = ModelConfig(look_back=8, horizon=2, n_variates=1, hidden_dim=1, control_dim=1,
                       summary_dim=2, enc_hidden=(4,), field_hidden=4)
@@ -213,7 +240,7 @@ def test_evolve_hand_arithmetic():
     h = Tensor(np.array([[1.0]]))
     u = Tensor(np.array([[0.2]]))
     du = Tensor(np.array([[0.5]]))
-    h_next, d_ctrl, d_time = evolve_state(model, h, u, du, np.array([[0.1]]), cluster=0)
+    h_next, d_ctrl, d_time = evolve_state(model, h, u, du, np.array([[0.1]]), *one_cluster(1))
     assert d_ctrl.data[0, 0] == pytest.approx(1.0, abs=1e-12)  # 2 * 0.5
     assert d_time.data[0, 0] == pytest.approx(0.3, abs=1e-12)  # 3 * 0.1
     assert h_next.data[0, 0] == pytest.approx(2.3, abs=1e-12)
@@ -224,7 +251,7 @@ def test_evolve_no_driving_signal_keeps_state(toy_model, rng):
     u = Tensor(rng.normal(size=(2, 4)))
     du = Tensor(np.zeros((2, 4)))
     stub_fields(toy_model, 0, f_const=1.7, g_const=0.0)
-    h_next, d_ctrl, d_time = evolve_state(toy_model, h, u, du, np.zeros((2, 1)), cluster=0)
+    h_next, d_ctrl, d_time = evolve_state(toy_model, h, u, du, np.zeros((2, 1)), *one_cluster(2))
     assert np.array_equal(h_next.data, h.data)
     assert np.array_equal(d_ctrl.data, np.zeros((2, 8)))
 
@@ -234,9 +261,24 @@ def test_evolve_pure_temporal_drift(toy_model, rng):
     h = Tensor(rng.normal(size=(1, 8)))
     u = Tensor(rng.normal(size=(1, 4)))
     du = Tensor(rng.normal(size=(1, 4)))
-    h_next, d_ctrl, d_time = evolve_state(toy_model, h, u, du, np.array([[0.2]]), cluster=0)
+    h_next, d_ctrl, d_time = evolve_state(toy_model, h, u, du, np.array([[0.2]]), *one_cluster(1))
     assert np.allclose(d_ctrl.data, 0.0)
     assert np.allclose(h_next.data, h.data + 0.5 * 0.2, atol=1e-12)
+
+
+def test_evolve_routes_rows_to_their_cluster_and_gates_finished(rng):
+    model = LeapTS(toy_config(n_clusters=2))
+    stub_fields(model, 0, f_const=0.0, g_const=1.0)
+    stub_fields(model, 1, f_const=0.0, g_const=2.0)
+    h = Tensor(rng.normal(size=(3, 8)))
+    u = Tensor(rng.normal(size=(3, 4)))
+    du = Tensor(rng.normal(size=(3, 4)))
+    dtau = np.array([[0.1], [0.2], [0.3]])
+    h_next, _, d_time = evolve_state(
+        model, h, u, du, dtau, np.array([0, 1, 1]), np.array([True, True, False])
+    )
+    assert np.allclose(d_time.data[:, 0], [0.1, 0.4, 0.0], atol=1e-15)
+    assert np.array_equal(h_next.data[2], h.data[2])
 
 
 # -- clustering ----------------------------------------------------------------
@@ -295,6 +337,16 @@ def test_forced_lengths_two_steps():
         assert tr.n_steps == 2
         assert [s.cursor_before for s in tr.steps] == [1, 3]
         assert tr.steps[-1].cursor_after == 5
+
+
+def test_override_errors_name_row_and_step():
+    model = LeapTS(toy_config(horizon=4, look_back=8))
+    with pytest.raises(DataError, match=r"override for row 1 exhausted at step 1$"):
+        run_rows(model, override=[[(0, 4.0, 4)], [(0, 2.0, 2)]])
+    with pytest.raises(DataError, match=r"override length 5 outside 1\.\.3 \(row 0, step 1\)$"):
+        run_rows(model, override=[[(0, 1.0, 1), (0, 5.0, 5)], [(0, 4.0, 4)]])
+    with pytest.raises(DataError, match=r"override length 0 outside 1\.\.4 \(row 1, step 0\)$"):
+        run_rows(model, override=[[(0, 4.0, 4)], [(0, 0.0, 0)]])
 
 
 def test_horizon_one_single_step():
@@ -435,8 +487,12 @@ def test_end_to_end_gradient_through_loop(rng):
 
 
 def test_run_schedule_public_surface(toy_model):
-    z = toy_model.encode(np.random.default_rng(1).normal(size=(24, 2)))
-    y, traces = run_schedule(toy_model, z, mode="eval")
-    assert y.shape == (8, 2)
+    z = toy_model.encode_rows(Tensor(np.random.default_rng(1).normal(size=(2, 24))))
+    h = toy_model.init_state_rows(z)
+    meta = (np.zeros(2), np.arange(2), np.zeros(2))
+    clusters = np.zeros(2, dtype=np.int64)
+    y, traces, noise = run_schedule_rows(toy_model, h, clusters, trace_meta=meta)
+    assert y.shape == (2, 8)
     assert len(traces) == 2
     assert all(tr.steps[-1].cursor_after > 8 for tr in traces)
+    assert len(noise) == max(tr.n_steps for tr in traces)

@@ -143,3 +143,9 @@ def test_smape_range(seed):
     truth = rng.normal(size=(6, 3))
     val = smape(pred, truth)
     assert 0.0 <= val <= 200.0
+
+
+def test_metrics_submodule_not_shadowed_by_package():
+    import leapts.metrics as m
+
+    assert callable(m.metrics) and m.mse is mse

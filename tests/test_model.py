@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from leapts.autodiff import Tensor
 from leapts.errors import ConfigError, DataError, NumericError, ShapeError
 from leapts.forward import forecast, predict_batch
 from leapts.model import LeapTS, ModelConfig
@@ -19,64 +20,61 @@ def test_config_validation():
         ModelConfig(look_back=8, horizon=8, n_variates=1, dt_min=2.0, dt_max=1.0)
 
 
+def encode(model, window):
+    """Latents [N x latent_dim] of one window [L x N], one row per variate."""
+    return model.encode_rows(Tensor(window.T)).data
+
+
 def test_encode_shape_contract():
     model = LeapTS(ModelConfig(look_back=96, horizon=60, n_variates=7, hidden_dim=12))
-    z = model.encode(np.random.default_rng(0).normal(size=(96, 7)))
-    assert z.z0.shape == (7, 12)
+    z = encode(model, np.random.default_rng(0).normal(size=(96, 7)))
+    assert z.shape == (7, 12)
 
 
 def test_encode_rejects_bad_input(toy_model):
     with pytest.raises(ShapeError):
-        toy_model.encode(np.zeros((5, 2)))
-    bad = np.zeros((24, 2))
-    bad[3, 1] = np.nan
+        predict_batch(toy_model, np.zeros((1, 5, 2)))
+    bad = np.zeros((1, 24, 2))
+    bad[0, 3, 1] = np.nan
     with pytest.raises(NumericError):
-        toy_model.encode(bad)
+        predict_batch(toy_model, bad)
 
 
 def test_zero_window_gives_equal_rows(toy_model):
-    z = toy_model.encode(np.zeros((24, 2)))
-    assert np.array_equal(z.z0.data[0], z.z0.data[1])
+    z = encode(toy_model, np.zeros((24, 2)))
+    assert np.array_equal(z[0], z[1])
 
 
 def test_identical_histories_identical_latents(toy_model, rng):
     col = rng.normal(size=24)
-    z = toy_model.encode(np.stack([col, col], axis=1))
-    assert np.array_equal(z.z0.data[0], z.z0.data[1])
+    z = encode(toy_model, np.stack([col, col], axis=1))
+    assert np.array_equal(z[0], z[1])
 
 
 def test_variate_permutation_permutes_latents(rng):
     model = LeapTS(toy_config(n_variates=4))
     window = rng.normal(size=(24, 4))
     perm = [2, 0, 3, 1]
-    z = model.encode(window)
-    zp = model.encode(window[:, perm])
-    assert np.array_equal(zp.z0.data, z.z0.data[perm])
+    z = encode(model, window)
+    zp = encode(model, window[:, perm])
+    assert np.array_equal(zp, z[perm])
 
 
 def test_coarse_zero_latent_zero_forecast(toy_model):
-    from leapts.autodiff import Tensor
-    from leapts.model import LatentState
-
-    out = toy_model.coarse_forecast(LatentState(z0=Tensor(np.zeros((2, 8)))))
-    assert np.array_equal(out.data, np.zeros((8, 2)))
+    out = toy_model.coarse_rows(Tensor(np.zeros((2, 8))))
+    assert np.array_equal(out.data, np.zeros((2, 8)))
 
 
 def test_coarse_shape_and_linearity(rng):
-    from leapts.autodiff import Tensor
-    from leapts.model import LatentState
-
     model = LeapTS(ModelConfig(look_back=96, horizon=60, n_variates=7, hidden_dim=16))
     z = rng.normal(size=(7, 16))
-    one = model.coarse_forecast(LatentState(z0=Tensor(z)))
-    two = model.coarse_forecast(LatentState(z0=Tensor(2.0 * z)))
-    assert one.shape == (60, 7)
+    one = model.coarse_rows(Tensor(z))
+    two = model.coarse_rows(Tensor(2.0 * z))
+    assert one.shape == (7, 60)
     assert np.allclose(two.data, 2.0 * one.data, atol=1e-12)  # biases init to zero
 
 
 def test_fuse_identity_and_gate(toy_model, rng):
-    from leapts.autodiff import Tensor
-
     coarse = Tensor(np.array([[1.0, 1.0]]))
     sched = Tensor(np.array([[2.0, 2.0]]))
     assert toy_model.alpha == 0.5  # logit initialized at zero
@@ -96,17 +94,12 @@ def test_fusion_identity_full_forward(rng):
 
 
 def test_init_state_zero_and_bounded(toy_model, rng):
-    from leapts.autodiff import Tensor
-    from leapts.model import LatentState
-
-    h0 = toy_model.init_controller_state(LatentState(z0=Tensor(np.zeros((2, 8)))))
+    h0 = toy_model.init_state_rows(Tensor(np.zeros((2, 8))))
     assert np.array_equal(h0.data, np.zeros((2, 8)))
-    h = toy_model.init_controller_state(LatentState(z0=Tensor(rng.normal(size=(2, 8)))))
+    h = toy_model.init_state_rows(Tensor(rng.normal(size=(2, 8))))
     assert np.abs(h.data).max() < 1.0
     # float64 tanh saturates to exactly 1 for huge inputs; still bounded
-    h = toy_model.init_controller_state(
-        LatentState(z0=Tensor(rng.normal(scale=1e6, size=(2, 8))))
-    )
+    h = toy_model.init_state_rows(Tensor(rng.normal(scale=1e6, size=(2, 8))))
     assert np.abs(h.data).max() <= 1.0
 
 

@@ -8,7 +8,14 @@ from leapts.errors import ConfigError
 from leapts.forward import predict_batch
 from leapts.model import LeapTS, ModelConfig
 from leapts.synth import ScenarioSpec, generate
-from leapts.training import TrainConfig, ablate, evaluate, train
+from leapts.training import (
+    TrainConfig,
+    ablate,
+    apply_data_norm,
+    evaluate,
+    evaluate_full,
+    train,
+)
 
 from conftest import toy_config
 
@@ -229,6 +236,34 @@ def test_ablate_builder_and_validation(toy_model):
         assert np.array_equal(variant.store[name].data, toy_model.store[name].data)
     with pytest.raises(ConfigError):
         ablate(toy_model, "bogus")
+
+
+def test_apply_data_norm_keeps_every_field():
+    ds = Dataset(
+        values=np.array([[1.0, 10.0], [3.0, 30.0], [5.0, 50.0]]),
+        name="demo",
+        frequency="h",
+        split_fractions=(0.5, 0.25, 0.25),
+        columns=["a", "b"],
+    )
+    out = apply_data_norm(ds, (np.array([1.0, 10.0]), np.array([2.0, 20.0])))
+    assert np.array_equal(out.values, [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    assert (out.name, out.frequency, out.split_fractions, out.columns) == (
+        "demo", "h", (0.5, 0.25, 0.25), ["a", "b"]
+    )
+
+
+def test_evaluate_and_evaluate_full_agree_across_batch_sizes(rng):
+    model = LeapTS(toy_config(n_variates=1, seed=5))
+    values = 5.0 + rng.normal(size=(200, 1)).cumsum(axis=0)
+    ds = Dataset(values=values, split_fractions=(1.0, 0.0, 0.0))
+    w = make_windows(ds, 24, 8, "train", stride=7)
+    one, _ = evaluate(model, w, batch=w.n_windows)
+    split, _ = evaluate(model, w, batch=3)
+    assert split.mse == pytest.approx(one.mse, rel=1e-12)
+    full = evaluate_full(model, w, batch=3)
+    assert full.mse == pytest.approx(one.mse, rel=1e-12)
+    assert full.mae == pytest.approx(one.mae, rel=1e-12)
 
 
 def test_train_config_validation():
