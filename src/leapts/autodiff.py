@@ -20,7 +20,6 @@ from .errors import NumericError, ShapeError, TapeError
 __all__ = [
     "Tensor",
     "Tape",
-    "constant",
     "matmul",
     "tanh",
     "sigmoid",
@@ -59,7 +58,7 @@ class Tape:
         """Accumulate d(loss)/d(leaf) into ``.grad`` of every reachable leaf."""
         if self._consumed:
             raise TapeError("tape already consumed by a previous backward pass")
-        if not isinstance(loss, Tensor) or loss.tape is not self:
+        if not any(node.out is loss for node in reversed(self.nodes)):
             raise TapeError("loss was not recorded on this tape")
         if loss.data.size != 1:
             raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -89,13 +88,12 @@ class _Node:
 class Tensor:
     """Dense float64 array, optionally tracked on the active tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "tape")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.tape = None
 
     @property
     def shape(self):
@@ -156,10 +154,6 @@ class Tensor:
         return tclip(self, lo, hi)
 
 
-def constant(data) -> Tensor:
-    return Tensor(data)
-
-
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -171,7 +165,6 @@ def _record(op: str, out_data: np.ndarray, parents, fn) -> Tensor:
     tape = _active_tape()
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out.tape = tape
         tape.nodes.append(_Node(out, tuple(parents), fn))
     return out
 
@@ -361,13 +354,6 @@ def tclip(a, lo: float, hi: float) -> Tensor:
     out = np.clip(a.data, lo, hi)
     inside = (a.data >= lo) & (a.data <= hi)
     return _record("clip", out, (a,), lambda g: (g * inside,))
-
-
-def transpose(a) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-D, got {a.shape}")
-    return _record("transpose", a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
 def straight_through(soft: Tensor, hard: np.ndarray) -> Tensor:

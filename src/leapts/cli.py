@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -82,48 +83,22 @@ def cmd_gen(args) -> int:
 
 # -- train -------------------------------------------------------------------
 
-_MODEL_KEYS = (
-    "hidden_dim",
-    "latent_dim",
-    "summary_dim",
-    "control_dim",
-    "enc_hidden",
-    "field_hidden",
-    "n_clusters",
-    "mask_temp",
-    "gumbel_temp",
-    "dt_min",
-    "dt_max",
-    "max_steps",
-    "window_norm",
-    "seed",
-)
-_TRAIN_KEYS = (
-    "lr",
-    "batch_size",
-    "max_epochs",
-    "patience",
-    "huber_delta",
-    "seed",
-    "ablation",
-    "normalize",
-    "stride",
-    "gumbel_tau_end",
-    "max_batches_per_epoch",
-)
-
 
 def _build_configs(args, n_variates):
     file_cfg = _load_config_file(args.config)
-    for key in file_cfg:
+    for key, section in file_cfg.items():
         if key not in ("model", "train"):
             raise DataError(f"config file: unknown section {key!r} (expected 'model'/'train')")
+        if not isinstance(section, dict):
+            raise DataError(f"config file: section {key!r} must be a JSON object")
     model_kw = dict(file_cfg.get("model", {}))
     train_kw = dict(file_cfg.get("train", {}))
-    bad = set(model_kw) - set(_MODEL_KEYS)
+    # set by --L, --P and the data, never by the file
+    flag_fields = {"look_back", "horizon", "n_variates"}
+    bad = set(model_kw) - ({f.name for f in fields(ModelConfig)} - flag_fields)
     if bad:
         raise DataError(f"config file: unknown model keys {sorted(bad)}")
-    bad = set(train_kw) - set(_TRAIN_KEYS)
+    bad = set(train_kw) - {f.name for f in fields(TrainConfig)}
     if bad:
         raise DataError(f"config file: unknown train keys {sorted(bad)}")
 
@@ -147,8 +122,11 @@ def _build_configs(args, n_variates):
     train_kw.update({k: v for k, v in train_overrides.items() if v is not None})
     if args.no_normalize:
         train_kw["normalize"] = False
-    mcfg = ModelConfig(look_back=args.L, horizon=args.P, n_variates=n_variates, **model_kw)
-    return mcfg, TrainConfig(**train_kw)
+    try:
+        mcfg = ModelConfig(look_back=args.L, horizon=args.P, n_variates=n_variates, **model_kw)
+        return mcfg, TrainConfig(**train_kw)
+    except (TypeError, ValueError) as exc:  # a value of the wrong type met a check
+        raise DataError(f"config file: value of the wrong type ({exc})") from None
 
 
 def cmd_train(args) -> int:
@@ -157,7 +135,7 @@ def cmd_train(args) -> int:
     model = LeapTS(mcfg, ablation=tcfg.ablation)
     model, report = train(model, dataset, tcfg, log_path=args.log)
     model.save(args.out)
-    _emit({"checkpoint": str(args.out), "report": report.to_dict()})
+    _emit({"checkpoint": str(args.out), "report": asdict(report)})
     return EXIT_NUMERIC if report.diverged else EXIT_OK
 
 
@@ -200,20 +178,19 @@ def cmd_eval(args) -> int:
     if args.override:
         kind, val = _parse_override(args.override)
         report = trace_override(model, windows, kind, val, rng=np.random.default_rng(args.seed))
-        _emit({"override": args.override, "report": report.to_dict()})
+        _emit({"override": args.override, "report": asdict(report)})
         return EXIT_OK
+    traces = [] if args.trace else None
     if args.full_metrics:
         report = evaluate_full(
-            model, windows, s=args.s, smape_ref=args.smape_ref, mase_ref=args.mase_ref
+            model, windows, s=args.s, smape_ref=args.smape_ref, mase_ref=args.mase_ref,
+            traces=traces,
         )
-        traces = None
-        if args.trace:
-            _, traces = evaluate(model, windows, collect_traces=True)
     else:
-        report, traces = evaluate(model, windows, collect_traces=args.trace is not None)
+        report, traces = evaluate(model, windows, collect_traces=traces is not None)
     if args.trace:
         write_trace_jsonl(traces, args.trace)
-    out = {"report": report.to_dict()}
+    out = {"report": asdict(report)}
     if args.trace:
         out["trace"] = str(args.trace)
     _emit(out)
@@ -232,7 +209,7 @@ def cmd_trace(args) -> int:
     write_trace_jsonl(traces, args.out)
     summary = {
         "trace": str(args.out),
-        "report": report.to_dict(),
+        "report": asdict(report),
         "categories": category_stats(traces),
         "decomposition": ratio_summary(traces),
     }
@@ -264,7 +241,7 @@ def cmd_ablate(args) -> int:
     mcfg, tcfg = _build_configs(args, dataset.n_variates)
     full, report = train(LeapTS(mcfg), dataset, tcfg)
     diverged = report.diverged
-    results = {"none": {"test_mse": report.test.mse, "report": report.to_dict()}}
+    results = {"none": {"test_mse": report.test.mse, "report": asdict(report)}}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         full.save(os.path.join(args.out, "none.ckpt"))
@@ -287,7 +264,7 @@ def cmd_ablate(args) -> int:
             results[flag] = {
                 "test_mse": rep_v.test.mse,
                 "mode": "retrained variant",
-                "report": rep_v.to_dict(),
+                "report": asdict(rep_v),
             }
         if args.out:
             variant.save(os.path.join(args.out, f"{flag}.ckpt"))

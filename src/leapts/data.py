@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DataError
 
-__all__ = ["Dataset", "WindowBatch", "load_csv", "make_windows", "standardize", "destandardize"]
+__all__ = ["Dataset", "WindowBatch", "load_csv", "make_windows", "zscore_stats"]
 
 SPLITS = ("train", "val", "test")
 TIME_COLUMN_NAMES = {"t", "time", "date", "timestamp"}
@@ -128,18 +128,11 @@ def make_windows(dataset: Dataset, L: int, P: int, split: str, stride: int = 1) 
     return WindowBatch(inputs=inputs, targets=targets, starts=starts)
 
 
-def standardize(window: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-variate z-scoring of a [T x N] window (population std).
-
-    Variates with vanishing spread pass through with unit scale. Returns
-    (standardized, mean, std) so the transform can be inverted exactly.
-    """
-    window = np.asarray(window, dtype=np.float64)
-    mean = window.mean(axis=0, keepdims=True)
-    std = window.std(axis=0, keepdims=True)
-    std = np.where(std > 1e-8, std, 1.0)
-    return (window - mean) / std, mean, std
-
-
-def destandardize(window: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    return np.asarray(window, dtype=np.float64) * std + mean
+def zscore_stats(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population std of ``values`` along ``axis``, both kept with
+    size 1 there: ``(values - mean) / std`` standardizes and ``z * std +
+    mean`` inverts. A spread at or below 1e-8 becomes 1, so a constant
+    series passes through with unit scale."""
+    mean = values.mean(axis=axis, keepdims=True)
+    std = values.std(axis=axis, keepdims=True)
+    return mean, np.where(std > 1e-8, std, 1.0)

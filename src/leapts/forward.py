@@ -12,6 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import zscore_stats
 from .engine import run_schedule_rows
 from .errors import NumericError, ShapeError
 from .model import ForecastPair, LeapTS
@@ -56,9 +57,7 @@ def forward_rows(
     hist = _rows_from_batch(inputs)
 
     if cfg.window_norm:
-        mu = hist.mean(axis=1, keepdims=True)
-        sd = hist.std(axis=1, keepdims=True)
-        sd = np.where(sd > 1e-8, sd, 1.0)
+        mu, sd = zscore_stats(hist, axis=1)
         hist = (hist - mu) / sd
     else:
         mu = sd = None

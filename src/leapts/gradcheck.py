@@ -11,7 +11,7 @@ import numpy as np
 
 from .optim import ParamStore
 
-__all__ = ["finite_difference_grads", "max_relative_error", "check_gradients"]
+__all__ = ["finite_difference_grads", "max_relative_error"]
 
 
 def finite_difference_grads(
@@ -58,16 +58,3 @@ def max_relative_error(
         if m > worst:
             worst, worst_name = m, name
     return worst, worst_name
-
-
-def check_gradients(loss_fn, store, analytic, h=1e-5, rtol=1e-4, floor=1e-6, names=None):
-    """Assert-style check; returns (max_rel, name) and raises on failure."""
-    numeric = finite_difference_grads(loss_fn, store, h=h, names=names)
-    if names is not None:
-        analytic = {k: analytic[k] for k in names}
-    worst, name = max_relative_error(analytic, numeric, floor=floor)
-    if worst >= rtol:
-        raise AssertionError(
-            f"gradient mismatch: max relative error {worst:.3e} at {name!r} (rtol {rtol})"
-        )
-    return worst, name

@@ -31,18 +31,6 @@ class MetricReport:
     per_horizon_mse: list[float] = field(default_factory=list)
     per_horizon_mae: list[float] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "mse": self.mse,
-            "mae": self.mae,
-            "smape": self.smape,
-            "mape": self.mape,
-            "mase": self.mase,
-            "owa": self.owa,
-            "per_horizon_mse": self.per_horizon_mse,
-            "per_horizon_mae": self.per_horizon_mae,
-        }
-
 
 def _check_pair(pred, truth):
     pred = np.asarray(pred, dtype=np.float64)

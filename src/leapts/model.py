@@ -10,7 +10,7 @@ parameter data. See docs/formats.md.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,18 +69,6 @@ class ModelConfig:
         for ok, msg in checks:
             if not ok:
                 raise ConfigError(f"invalid ModelConfig: requires {msg}")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["enc_hidden"] = list(self.enc_hidden)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        if "enc_hidden" in d:
-            d["enc_hidden"] = tuple(d["enc_hidden"])
-        return cls(**d)
 
 
 @dataclass
@@ -214,7 +202,7 @@ class LeapTS:
     def save(self, path):
         header = {
             "magic": CHECKPOINT_MAGIC,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "ablation": self.ablation,
             "clusters": self.cluster_of_variate.tolist(),
             "data_norm": None
@@ -231,28 +219,54 @@ class LeapTS:
 
     @classmethod
     def load(cls, path) -> "LeapTS":
+        """Read a checkpoint written by ``save``. A file that departs from
+        the format in docs/formats.md raises ``DataError`` naming it."""
         with open(path, "rb") as fh:
-            header_line = fh.readline()
             try:
-                header = json.loads(header_line.decode("utf-8"))
+                header = json.loads(fh.readline().decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise DataError(f"{path}: not a readable checkpoint header") from exc
-            if header.get("magic") != CHECKPOINT_MAGIC:
-                raise DataError(f"{path}: bad checkpoint magic {header.get('magic')!r}")
-            model = cls(ModelConfig.from_dict(header["config"]), ablation=header["ablation"])
-            model.cluster_of_variate = np.asarray(header["clusters"], dtype=np.int64)
-            norm = header.get("data_norm")
-            if norm is not None:
-                model.data_norm = (np.asarray(norm["mean"]), np.asarray(norm["std"]))
-            for entry in header["params"]:
-                name, shape = entry["name"], tuple(entry["shape"])
-                if name not in model.store:
-                    raise DataError(f"{path}: unexpected parameter {name!r}")
-                n = int(np.prod(shape)) if shape else 1
-                buf = fh.read(8 * n)
-                if len(buf) != 8 * n:
+            magic = header.get("magic") if isinstance(header, dict) else None
+            if magic != CHECKPOINT_MAGIC:
+                raise DataError(f"{path}: bad checkpoint magic {magic!r}")
+            missing = [k for k in ("config", "ablation", "clusters", "params") if k not in header]
+            if missing:
+                raise DataError(f"{path}: checkpoint header lacks {missing}")
+            try:
+                model = cls(ModelConfig(**header["config"]), ablation=header["ablation"])
+                clusters = np.asarray(header["clusters"], dtype=np.int64)
+                norm = header.get("data_norm")
+                if norm is not None:
+                    norm = (np.asarray(norm["mean"], dtype=np.float64),
+                            np.asarray(norm["std"], dtype=np.float64))
+                manifest = {e["name"]: tuple(e["shape"]) for e in header["params"]}
+            except (ConfigError, KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}: malformed checkpoint header: {exc!r}") from None
+            n, g = model.config.n_variates, model.config.n_clusters
+            if clusters.shape != (n,) or np.any((clusters < 0) | (clusters >= g)):
+                raise DataError(f"{path}: clusters must map {n} variates into 0..{g - 1}")
+            if norm is not None and any(a.shape != (n,) for a in norm):
+                raise DataError(f"{path}: data_norm must hold {n} means and {n} stds")
+            expected = {k: t.data.shape for k, t in model.store.params.items()}
+            problems = [f"unexpected parameter {k!r}" for k in manifest if k not in expected]
+            problems += [f"missing parameter {k!r}" for k in expected if k not in manifest]
+            problems += [
+                f"parameter {k!r} has shape {manifest[k]}, model needs {shape}"
+                for k, shape in expected.items()
+                if manifest.get(k, shape) != shape
+            ]
+            if len(manifest) != len(header["params"]):
+                problems.append("a parameter is listed twice")
+            if problems:
+                raise DataError(f"{path}: manifest does not match the model: {'; '.join(problems)}")
+            model.cluster_of_variate = clusters
+            model.data_norm = norm
+            for name in manifest:
+                t = model.store.params[name]
+                buf = fh.read(8 * t.data.size)
+                if len(buf) != 8 * t.data.size:
                     raise DataError(f"{path}: truncated data for parameter {name!r}")
-                model.store.params[name].data = (
-                    np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
-                )
+                t.data = np.frombuffer(buf, dtype="<f8").reshape(t.data.shape).astype(np.float64)
+            if fh.read(1):
+                raise DataError(f"{path}: trailing bytes after the parameter data")
         return model

@@ -19,7 +19,7 @@ All generators are pure functions of their spec (bit-reproducible).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -56,16 +56,6 @@ class ScenarioSpec:
             self.dt = SCENARIO_DT[self.scenario]
         if self.total_steps < 1 or self.dt <= 0:
             raise ConfigError("need total_steps >= 1 and dt > 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "total_steps": self.total_steps,
-            "dt": self.dt,
-            "seed": self.seed,
-            "observation_noise": self.observation_noise,
-            "hide_driver": self.hide_driver,
-        }
 
 
 @dataclass
@@ -237,7 +227,7 @@ def write_csv(batch: TrajectoryBatch, path):
     sidecar = path[: path.rfind(".")] + ".json" if "." in path else path + ".json"
     with open(sidecar, "w", encoding="utf-8") as fh:
         json.dump(
-            {"spec": batch.spec.to_dict(), "columns": batch.columns, "metadata": batch.metadata},
+            {"spec": asdict(batch.spec), "columns": batch.columns, "metadata": batch.metadata},
             fh,
             indent=2,
             sort_keys=True,

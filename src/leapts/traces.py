@@ -67,9 +67,6 @@ class ScheduleTrace:
     def total_int_length(self) -> int:
         return sum(s.len_int for s in self.steps)
 
-    def categories(self) -> list[int]:
-        return [s.category for s in self.steps]
-
 
 def write_trace_jsonl(traces, path):
     with open(path, "w", encoding="utf-8") as fh:

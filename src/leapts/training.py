@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .autodiff import Tape
-from .data import Dataset, WindowBatch, make_windows
+from .data import Dataset, WindowBatch, make_windows, zscore_stats
 from .engine import cluster_variates
 from .errors import ConfigError, NumericError
 from .forward import forward_loss, predict_batch
@@ -55,9 +55,6 @@ class TrainConfig:
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class TrainReport:
@@ -68,17 +65,6 @@ class TrainReport:
     wall_clock_s: float = 0.0
     diverged: bool = False
     early_stopped: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "best_epoch": self.best_epoch,
-            "best_val_loss": self.best_val_loss,
-            "test": None if self.test is None else self.test.to_dict(),
-            "wall_clock_s": self.wall_clock_s,
-            "diverged": self.diverged,
-            "early_stopped": self.early_stopped,
-        }
 
 
 def ablate(model: LeapTS, flag: str) -> LeapTS:
@@ -109,11 +95,9 @@ def apply_data_norm(dataset: Dataset, data_norm) -> Dataset:
 
 def _normalized_dataset(dataset: Dataset):
     lo, hi = dataset.split_bounds("train")
-    seg = dataset.values[lo:hi]
-    mu = seg.mean(axis=0)
-    sd = seg.std(axis=0)
-    sd = np.where(sd > 1e-8, sd, 1.0)
-    return apply_data_norm(dataset, (mu, sd)), (mu, sd)
+    mu, sd = zscore_stats(dataset.values[lo:hi], axis=0)
+    norm = (mu[0], sd[0])  # one mean and std per variate
+    return apply_data_norm(dataset, norm), norm
 
 
 def _epoch_loss(model, windows: WindowBatch, delta: float, batch: int = 256) -> float:
@@ -181,14 +165,19 @@ def evaluate_full(
     smape_ref: float | None = None,
     mase_ref: float | None = None,
     batch: int = 256,
+    traces: list | None = None,
 ) -> MetricReport:
     """Window-averaged full metric report (SMAPE/MAPE/MASE and, given
     reference values, OWA). Raises if any window has a degenerate MASE
-    scaling denominator; use ``evaluate`` for plain MSE/MAE."""
+    scaling denominator; use ``evaluate`` for plain MSE/MAE. When
+    ``traces`` is a list, the schedule traces of the same forecast pass
+    are appended to it."""
     from .metrics import metrics as full_metrics
 
-    batches = _batched_predictions(model, windows, batch, collect_traces=False)
+    batches = list(_batched_predictions(model, windows, batch, traces is not None))
     preds = np.concatenate([p for _, p, _ in batches], axis=0)
+    if traces is not None:
+        traces.extend(t for _, _, tr in batches for t in tr)
     reports = [
         full_metrics(
             preds[i], windows.targets[i], windows.inputs[i], s=s,

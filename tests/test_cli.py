@@ -2,11 +2,15 @@
 well under 30 seconds)."""
 
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
+import leapts.training as training
 from leapts.cli import main
+from leapts.model import ModelConfig
+from leapts.training import TrainConfig
 
 
 def run_cli(capsys, *argv):
@@ -260,3 +264,82 @@ def test_config_file_unknown_key_rejected(tiny_csv, capsys, tmp_path):
     )
     assert code == 2
     assert "wat" in err
+
+
+@pytest.mark.parametrize(
+    "cfg, fragment",
+    [
+        ({"model": {"look_back": 4}}, "look_back"),
+        ({"model": {"horizon": 4}}, "horizon"),
+        ({"model": {"n_variates": 4}}, "n_variates"),
+        ({"model": {"hidden_dim": "8"}}, "wrong type"),
+        ({"model": {"enc_hidden": ["wide"]}}, "wrong type"),
+        ({"train": {"lr": "fast"}}, "wrong type"),
+        ({"model": 3}, "JSON object"),
+    ],
+    ids=["look_back", "horizon", "n_variates", "model_value_type", "encoder_width_type",
+         "train_value_type", "section_not_object"],
+)
+def test_config_file_rejected(tiny_csv, capsys, tmp_path, cfg, fragment):
+    """Flags and the data set look_back, horizon and n_variates; a file
+    that sets them, or gives a value of the wrong type, exits with 2."""
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(
+        capsys,
+        "train", "--data", str(tiny_csv), "--L", "24", "--P", "6",
+        "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg_path),
+    )
+    assert code == 2
+    assert fragment in err and "Traceback" not in err
+
+
+def test_config_file_accepts_every_field_at_its_default(tiny_csv, capsys, tmp_path):
+    flag_fields = {"look_back", "horizon", "n_variates"}
+    model = {f.name: f.default for f in fields(ModelConfig) if f.name not in flag_fields}
+    cfg = {"model": model, "train": asdict(TrainConfig())}
+    cfg_path = tmp_path / "defaults.json"
+    cfg_path.write_text(json.dumps(cfg))
+    ckpt = tmp_path / "m.ckpt"
+    code, _, _ = run_cli(
+        capsys,
+        "train", "--data", str(tiny_csv), "--L", "24", "--P", "6", "--out", str(ckpt),
+        "--config", str(cfg_path), "--epochs", "1", "--max-batches", "1",
+    )
+    assert code == 0
+    header = json.loads(ckpt.read_bytes().split(b"\n", 1)[0])
+    assert header["config"]["enc_hidden"] == list(ModelConfig.enc_hidden)
+
+
+def test_eval_rejects_malformed_checkpoint(tiny_csv, tiny_ckpt, capsys, tmp_path):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(tiny_ckpt.read_bytes() + b"extra")
+    code, _, err = run_cli(capsys, "eval", "--ckpt", str(bad), "--data", str(tiny_csv))
+    assert code == 2
+    assert str(bad) in err and "Traceback" not in err
+
+
+def test_eval_full_metrics_trace_forecasts_once(tiny_csv, tiny_ckpt, capsys, tmp_path, monkeypatch):
+    batches = []
+    predict = training.predict_batch
+
+    def counting(model, inputs, **kw):
+        batches.append(len(inputs))
+        return predict(model, inputs, **kw)
+
+    monkeypatch.setattr(training, "predict_batch", counting)
+    both, alone = tmp_path / "both.jsonl", tmp_path / "alone.jsonl"
+    code, _, _ = run_cli(
+        capsys, "eval", "--ckpt", str(tiny_ckpt), "--data", str(tiny_csv),
+        "--full-metrics", "--trace", str(both),
+    )
+    assert code == 0
+    n_windows = len({json.loads(line)["window"] for line in both.read_text().splitlines()})
+    assert sum(batches) == n_windows
+    assert len(batches) == -(-n_windows // 256)
+    monkeypatch.undo()
+    code, _, _ = run_cli(
+        capsys, "eval", "--ckpt", str(tiny_ckpt), "--data", str(tiny_csv), "--trace", str(alone),
+    )
+    assert code == 0
+    assert both.read_bytes() == alone.read_bytes()

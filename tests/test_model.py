@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,41 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     path.write_bytes(b"\x00\x01binarygarbage\n")
     with pytest.raises(DataError):
         LeapTS.load(path)
+
+
+def _drop_last_param(header, body):
+    last = header["params"].pop()
+    return header, body[: -8 * int(np.prod(last["shape"]))]
+
+
+def _transpose_enc_w0(header, body):
+    header["params"][0]["shape"] = header["params"][0]["shape"][::-1]
+    return header, body
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (lambda h, b: ({k: v for k, v in h.items() if k != "config"}, b), "lacks"),
+        (lambda h, b: ({**h, "config": {**h["config"], "wat": 1}}, b), "wat"),
+        (_drop_last_param, "missing parameter"),
+        (_transpose_enc_w0, "has shape"),
+        (lambda h, b: (h, b + b"\0"), "trailing bytes"),
+        (lambda h, b: ({**h, "clusters": [0, 1]}, b), "clusters"),
+        (lambda h, b: ({**h, "data_norm": {"mean": [0.0], "std": [1.0]}}, b), "data_norm"),
+    ],
+    ids=["no_config", "unknown_config_key", "missing_param", "shape_mismatch",
+         "trailing_bytes", "cluster_out_of_range", "data_norm_width"],
+)
+def test_checkpoint_rejects_malformed_file(tmp_path, corrupt, match):
+    path = tmp_path / "model.ckpt"
+    LeapTS(toy_config()).save(path)
+    line, body = path.read_bytes().split(b"\n", 1)
+    header, body = corrupt(json.loads(line), body)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    with pytest.raises(DataError, match=match) as info:
+        LeapTS.load(path)
+    assert str(path) in str(info.value)
 
 
 def test_ablation_param_counts():
