@@ -2,10 +2,11 @@
 summary feedback, control-signal construction, and cluster-specific
 controlled state evolution.
 
-The loop is batched over rows (one row = one variate of one window); all
-rows advance in lockstep with finished rows exactly gated out, which is
-equivalent to scheduling each variate independently. Each step is built
-from the row-batched operations defined below, one call each.
+The loop is batched over rows (one row = one variate of one window). Under
+a tape all rows advance in lockstep with finished rows exactly gated out,
+which is equivalent to scheduling each variate independently; without one,
+finished rows leave the batch once at most half of its rows are running.
+Each step is built from the row-batched operations below, one call each.
 """
 
 from __future__ import annotations
@@ -256,7 +257,9 @@ def run_schedule_rows(
     trace_meta: tuple | None = None,
     debug: list | None = None,
 ):
-    """Run the scheduling loop for R rows in lockstep.
+    """Run the scheduling loop for R rows: in lockstep under a tape; without
+    one, the finished rows leave the batch whenever at most half of its rows
+    are still active. Outputs are in the original row order either way.
 
     ``mode``: "train" (Gumbel noise + hard routing), "eval" (noiseless,
     hard routing), "soft" (noiseless or frozen-noise, fully differentiable
@@ -265,10 +268,11 @@ def run_schedule_rows(
     ``override`` forces decisions: per row, a list of
     (category, len_cont, len_int) tuples consumed one per step.
     ``trace_meta`` = (window_ids, variate_ids, volatilities) enables trace
-    collection. ``debug``: a list that receives `StepDebug` records.
+    collection. ``debug``: a list that receives `StepDebug` records [R x ...];
+    a row that has left the batch reads as finished, with its final state.
 
     Returns (accumulated forecast rows [R x P], traces or None,
-    recorded noise list usable as ``frozen_noise``).
+    recorded noise list usable as ``frozen_noise``: one [R x C] draw per step).
     """
     if mode not in ("train", "eval", "soft"):
         raise ValueError(f"unknown schedule mode {mode!r}")
@@ -302,9 +306,26 @@ def run_schedule_rows(
             for r in range(R)
         ]
     noise_record: list = []
+    live = np.arange(R)  # original row of each row still in the batch
+    out = np.zeros((R, P))  # forecasts of the rows that have left
+    h_out = np.zeros(h.shape)  # their final states
+
+    def spread(x, left):  # [R x ...] in original row order, `left` on rows that left
+        full = np.array(np.broadcast_to(left, (R,) + x.shape[1:]), dtype=x.dtype)
+        full[live] = x
+        return full
 
     k = 0
     while np.any(active):
+        if not h.requires_grad and 2 * np.count_nonzero(active) <= len(live):
+            # no tape: drop the finished rows (plain indexing, nothing to record)
+            out[live[~active]], h_out[live[~active]] = accum.data[~active], h.data[~active]
+            h, accum, prev_u, prev_soft, prev_summary = (
+                Tensor(t.data[active]) for t in (h, accum, prev_u, prev_soft, prev_summary)
+            )
+            prev_len_norm, cursor, row_clusters, live, active = (
+                a[active] for a in (prev_len_norm, cursor, row_clusters, live, active)
+            )
         forced = k >= cfg.max_steps and override is None
         noise = None
 
@@ -317,30 +338,33 @@ def run_schedule_rows(
                 )
             elif mode == "soft" and frozen_noise is not None:
                 noise = frozen_noise[k]
-            soft, hard = gumbel_softmax_select(logits, cfg.gumbel_temp, noise)
+            soft, hard = gumbel_softmax_select(
+                logits, cfg.gumbel_temp, None if noise is None else noise[live]
+            )
         else:
-            soft = Tensor(np.ones((R, 1)))
-            hard = np.ones((R, 1))
+            soft = Tensor(np.ones((len(live), 1)))
+            hard = np.ones((len(live), 1))
         noise_record.append(noise)
 
         # low level: advancement length (continuous for the mask, integer
         # for the cursor) and routing vector for the segment heads
         if override is not None or forced:
             if override is not None:
-                cat_idx = np.where(active, o_cat[:, k], 0)
-                len_cont = np.where(active, o_cont[:, k], 1.0)
-                len_int = np.where(active, o_int[:, k], 0)
+                cat_idx = np.where(active, o_cat[live, k], 0)
+                len_cont = np.where(active, o_cont[live, k], 1.0)
+                len_int = np.where(active, o_int[live, k], 0)
                 rem = P - cursor + 1
-                bad = active & ((o_steps <= k) | (len_int < 1) | (len_int > rem))
+                bad = active & ((o_steps[live] <= k) | (len_int < 1) | (len_int > rem))
                 if np.any(bad):
                     r = int(np.argmax(bad))
-                    if o_steps[r] <= k:
-                        raise DataError(f"override for row {r} exhausted at step {k}")
+                    if o_steps[live[r]] <= k:
+                        raise DataError(f"override for row {live[r]} exhausted at step {k}")
                     raise DataError(
-                        f"override length {len_int[r]} outside 1..{rem[r]} (row {r}, step {k})"
+                        f"override length {len_int[r]} outside 1..{rem[r]}"
+                        f" (row {live[r]}, step {k})"
                     )
             else:
-                cat_idx = np.full(R, C - 1, dtype=np.int64)
+                cat_idx = np.full(len(live), C - 1, dtype=np.int64)
                 rem = np.maximum(P - cursor + 1, 1)
                 len_cont = rem.astype(np.float64)
                 len_int = np.where(active, rem, 0)
@@ -369,15 +393,15 @@ def run_schedule_rows(
         if debug is not None:
             debug.append(
                 StepDebug(
-                    mask=mask.data.copy(),
-                    segment=segment.data.copy(),
-                    len_int=len_int.copy(),
-                    cursor_before=cursor.copy(),
-                    h_before=h.data.copy(),
-                    h_after=h_next.data.copy(),
-                    ctrl_delta=d_ctrl.data.copy(),
-                    time_delta=d_time.data.copy(),
-                    active=active.copy(),
+                    mask=spread(mask.data, 0.0),
+                    segment=spread(segment.data, 0.0),
+                    len_int=spread(len_int, 0),
+                    cursor_before=spread(cursor, P + 1),
+                    h_before=spread(h.data, h_out),
+                    h_after=spread(h_next.data, h_out),
+                    ctrl_delta=spread(d_ctrl.data, 0.0),
+                    time_delta=spread(d_time.data, 0.0),
+                    active=spread(active, False),
                 )
             )
         if traces is not None:
@@ -385,7 +409,7 @@ def run_schedule_rows(
             time_mags = np.abs(d_time.data).sum(axis=1)
             ctrl_ratios, time_ratios = decompose_update(d_ctrl.data, d_time.data)
             for r in np.flatnonzero(active):
-                traces[r].steps.append(
+                traces[live[r]].steps.append(
                     TraceStep(
                         step=k,
                         category=int(cat_idx[r]),
@@ -412,4 +436,7 @@ def run_schedule_rows(
         active = active & (cursor <= P)
         k += 1
 
+    if len(live) < R:  # rows have left: put the forecasts back in row order
+        out[live] = accum.data
+        accum = Tensor(out)
     return accum, traces, noise_record

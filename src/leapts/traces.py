@@ -11,6 +11,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .errors import DataError
+
 __all__ = [
     "TraceStep",
     "ScheduleTrace",
@@ -83,20 +85,26 @@ def write_trace_jsonl(traces, path):
 
 
 def read_trace_jsonl(path) -> list[ScheduleTrace]:
+    """Traces of a JSONL file; a malformed record is a `DataError` naming the
+    file and the line."""
     traces: dict[tuple[int, int], ScheduleTrace] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            if rec.pop("schema", TRACE_SCHEMA) != TRACE_SCHEMA:
-                raise ValueError(f"unsupported trace schema in {path}")
-            key = (rec.pop("window"), rec.pop("variate"))
-            vol = rec.pop("volatility", 0.0)
-            if key not in traces:
-                traces[key] = ScheduleTrace(window=key[0], variate=key[1], volatility=vol)
-            traces[key].steps.append(TraceStep(**rec))
+            try:
+                rec = json.loads(line)
+                schema = rec.pop("schema", TRACE_SCHEMA)
+                if schema != TRACE_SCHEMA:
+                    raise ValueError(f"unsupported trace schema {schema!r}")
+                key = (rec.pop("window"), rec.pop("variate"))
+                vol = rec.pop("volatility", 0.0)
+                if key not in traces:
+                    traces[key] = ScheduleTrace(window=key[0], variate=key[1], volatility=vol)
+                traces[key].steps.append(TraceStep(**rec))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise DataError(f"{path}, line {lineno}: bad trace record: {exc!r}") from None
     out = list(traces.values())
     for tr in out:
         tr.steps.sort(key=lambda s: s.step)

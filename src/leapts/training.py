@@ -64,6 +64,7 @@ class TrainReport:
     test: MetricReport | None = None
     wall_clock_s: float = 0.0
     diverged: bool = False
+    divergence: str | None = None  # where and why: epoch, batch or validation, failing op
     early_stopped: bool = False
 
 
@@ -238,6 +239,7 @@ def train(
             losses = []
             try:
                 for lo in range(0, len(order), tcfg.batch_size):
+                    stage = f"batch {lo // tcfg.batch_size}"
                     idx = order[lo : lo + tcfg.batch_size]
                     with Tape() as tape:
                         loss, _ = forward_loss(
@@ -252,9 +254,11 @@ def train(
                         tape.backward(loss)
                     adam_step(model.store, model.store.grads(), tcfg.lr)
                     losses.append(loss.item())
+                stage = "validation"
                 val_loss = _epoch_loss(model, val_w, tcfg.huber_delta)
-            except NumericError:
+            except NumericError as exc:
                 report.diverged = True
+                report.divergence = f"epoch {epoch}, {stage}: {exc}"
                 break
             if not np.isfinite(val_loss):
                 report.diverged = True

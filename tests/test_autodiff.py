@@ -50,6 +50,18 @@ def test_sigmoid_at_zero():
     assert ad.sigmoid(Tensor([0.0])).data[0] == 0.5
 
 
+def test_sigmoid_bits_match_the_two_branch_formula():
+    """1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, computed on the
+    selected entries, is the reference the sigmoid must match bit for bit."""
+    x = np.array([0.0, -0.0, 1e-3, -1e-3, 50.0, -50.0, 800.0, -800.0])
+    ref = np.empty_like(x)
+    pos = x >= 0
+    ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ref[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+    assert np.array_equal(ad.sigmoid(Tensor(x)).data, ref)
+    assert ref[1] == 0.5 and ref[6] == 1.0 and ref[7] == 0.0
+
+
 def test_matmul_hand_product():
     out = ad.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
     assert np.array_equal(out.data, [[3.0], [7.0]])

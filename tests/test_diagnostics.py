@@ -253,6 +253,28 @@ def test_replay_after_jsonl_roundtrip(tmp_path, small_model, small_windows):
     assert np.array_equal(natural, replayed)
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("{not json", "JSONDecodeError"),
+        ('{"schema": "leapts-trace-v1", "window": 0}', "KeyError\\('variate'\\)"),
+        ("UNKNOWN_FIELD", "unexpected keyword argument 'bogus'"),
+        ('{"schema": "leapts-trace-v0", "window": 0, "variate": 0}', "unsupported trace schema"),
+    ],
+    ids=["invalid-json", "missing-key", "unknown-field", "wrong-schema"],
+)
+def test_read_trace_rejects_malformed_record(tmp_path, line, reason):
+    """A bad record after a good one is a DataError naming file and line."""
+    path = tmp_path / "trace.jsonl"
+    write_trace_jsonl([make_trace(0, 0.5, [(0, 0.5)])], path)
+    good = path.read_text().strip()
+    if line == "UNKNOWN_FIELD":
+        line = good[:-1] + ', "bogus": 1}'
+    path.write_text(f"{good}\n\n{line}\n")
+    with pytest.raises(DataError, match=rf"trace\.jsonl, line 3: bad trace record: .*{reason}"):
+        read_trace_jsonl(path)
+
+
 def test_override_rejects_no_sched(small_windows):
     model = LeapTS(toy_config(n_variates=1, look_back=24, horizon=8), ablation="no_sched")
     with pytest.raises(DataError):

@@ -1,10 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leapts.autodiff as ad
+import leapts.engine as engine
 from leapts.autodiff import Tape, Tensor
+from leapts.diagnostics import fixed_partition, partition_to_steps, sample_partition
 from leapts.engine import (
     build_control_signal,
     cluster_variates,
@@ -496,3 +501,138 @@ def test_run_schedule_public_surface(toy_model):
     assert len(traces) == 2
     assert all(tr.steps[-1].cursor_after > 8 for tr in traces)
     assert len(noise) == max(tr.n_steps for tr in traces)
+
+
+# -- tape-free runs drop finished rows ----------------------------------------
+
+
+def _debug_fields(step):
+    return [getattr(step, f.name) for f in dataclasses.fields(step)]
+
+
+def _schedule(traces):
+    return [
+        (tr.window, tr.variate, [(s.step, s.category, s.len_int, s.cursor_before, s.cursor_after,
+                                  s.forced) for s in tr.steps])
+        for tr in traces
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_clusters=st.sampled_from([1, 3]),
+    degenerate=st.booleans(),
+    case=st.sampled_from(["eval", "train", "soft", "fixed", "monte_carlo", "capped"]),
+    window_norm=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_tape_free_run_matches_lockstep_run_under_a_tape(
+    n_clusters, degenerate, case, window_norm, seed
+):
+    """Dropping finished rows changes no output: the same call inside a
+    `Tape` (where the loop runs in lockstep) is the oracle."""
+    horizon = 4 if degenerate else 12  # L=16: single level iff P <= 5
+    cfg = toy_config(look_back=16, horizon=horizon, n_variates=3, n_clusters=n_clusters,
+                     window_norm=window_norm, seed=seed, max_steps=2 if case == "capped" else None)
+    model = LeapTS(cfg)
+    model.cluster_of_variate = np.arange(3) % n_clusters
+    assert model.anchors.degenerate == degenerate
+    data_rng = np.random.default_rng(seed + 1)
+    n_windows = 4
+    rows = n_windows * 3
+    kw = {"mode": "eval"}
+    if case == "train":
+        kw = {"mode": "train"}
+    elif case == "soft":
+        c = model.anchors.n_categories
+        kw = {"mode": "soft", "frozen_noise": [data_rng.gumbel(size=(rows, c))
+                                               for _ in range(horizon + 1)]}
+    elif case == "fixed":
+        steps = partition_to_steps(fixed_partition(horizon, int(data_rng.integers(1, 5))),
+                                   model.anchors)
+        kw["override"] = [steps] * rows
+    elif case == "monte_carlo":
+        kw["override"] = [partition_to_steps(sample_partition(horizon, data_rng), model.anchors)
+                          for _ in range(rows)]
+
+    def run():
+        debug = []
+        out = run_rows(model, n_windows=n_windows, rng=np.random.default_rng(seed), seed=seed,
+                       debug=debug, **kw)
+        return out, debug
+
+    with Tape():
+        lock, lock_debug = run()
+    free, free_debug = run()
+    assert lock["fused"].data.shape == free["fused"].data.shape == (rows, horizon)
+    for name in ("sched", "fused"):
+        np.testing.assert_allclose(free[name].data, lock[name].data, rtol=1e-12, atol=1e-300)
+    assert _schedule(free["traces"]) == _schedule(lock["traces"])
+    assert [None if n is None else n.shape for n in free["noise"]] == [
+        None if n is None else n.shape for n in lock["noise"]
+    ]
+    assert len(free_debug) == len(lock_debug)
+    for f_step, l_step in zip(free_debug, lock_debug):
+        assert [a.shape for a in _debug_fields(f_step)] == [a.shape for a in _debug_fields(l_step)]
+        for name in ("active", "len_int", "cursor_before"):
+            assert np.array_equal(getattr(f_step, name), getattr(l_step, name))
+        # a row that has left reads as finished: zero mask and deltas, its
+        # final state before and after; its segment is no longer computed
+        for name in ("mask", "h_before", "h_after", "ctrl_delta", "time_delta"):
+            np.testing.assert_allclose(
+                getattr(f_step, name), getattr(l_step, name), rtol=1e-12, atol=1e-14
+            )
+        same = np.isclose(f_step.segment, l_step.segment, rtol=1e-12, atol=1e-14).all(axis=1)
+        left = ~l_step.active & ~f_step.segment.any(axis=1)
+        assert np.all(same | left)
+
+
+def _count_rows(monkeypatch) -> list:
+    """Rows in each loop step, counted at ``evolve_state``."""
+    rows = []
+
+    def counting(model, h, *args):
+        rows.append(h.shape[0])
+        return evolve_state(model, h, *args)
+
+    monkeypatch.setattr(engine, "evolve_state", counting)
+    return rows
+
+
+def _staggered_run(override, tape):
+    """A 4-window single-level run with per-row lengths ``override``."""
+    model = LeapTS(toy_config(look_back=48, horizon=12, n_variates=1))
+    assert model.anchors.degenerate
+    override = [[(0, float(n), n) for n in seq] for seq in override]
+    if not tape:
+        return run_rows(model, n_windows=4, override=override)
+    with Tape():
+        return run_rows(model, n_windows=4, override=override)
+
+
+def test_tape_free_loop_drops_finished_rows(monkeypatch):
+    """Rows finish after 1, 2, 3 and 4 steps: without a tape the batch halves
+    once two rows are done and again once three are; under a tape it keeps
+    all four. Forecasts and traces stay in row order."""
+    staggered = [[12], [6, 6], [4, 4, 4], [3, 3, 3, 3]]
+    rows = _count_rows(monkeypatch)
+    free = _staggered_run(staggered, tape=False)
+    assert rows == [4, 4, 2, 1]
+    rows.clear()
+    lock = _staggered_run(staggered, tape=True)
+    assert rows == [4, 4, 4, 4]
+    np.testing.assert_allclose(free["fused"].data, lock["fused"].data, rtol=1e-12)
+    assert [tr.window for tr in free["traces"]] == [0, 1, 2, 3]
+    assert [[s.len_int for s in tr.steps] for tr in free["traces"]] == staggered
+
+
+def test_override_errors_name_the_original_row_after_rows_have_left(monkeypatch):
+    """Row 3 fails at step 3, when it is the only row left in the batch."""
+    rows = _count_rows(monkeypatch)
+    with pytest.raises(DataError, match=r"override for row 3 exhausted at step 3$"):
+        _staggered_run([[12], [6, 6], [4, 4, 4], [2, 2, 2]], tape=False)
+    assert rows == [4, 4, 2]
+    rows.clear()
+    with pytest.raises(DataError, match=r"override length 9 outside 1\.\.6 \(row 3, step 3\)$"):
+        _staggered_run([[12], [6, 6], [4, 4, 4], [2, 2, 2, 9]], tape=False)
+    assert rows == [4, 4, 2]
