@@ -21,6 +21,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "matmul",
+    "linear",
     "tanh",
     "sigmoid",
     "softmax",
@@ -113,45 +114,11 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, grad={'yes' if self.requires_grad else 'no'})"
 
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return tslice(self, idx)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def abs(self):
-        return tabs(self)
-
-    def clip(self, lo, hi):
-        return tclip(self, lo, hi)
 
 
 def _as_tensor(x) -> Tensor:
@@ -218,11 +185,6 @@ def sub(a, b) -> Tensor:
     )
 
 
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    return _record("neg", -a.data, (a,), lambda g: (-g,))
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     try:
@@ -248,6 +210,33 @@ def matmul(a, b) -> Tensor:
         (a, b),
         lambda g: (g @ b.data.T, a.data.T @ g),
     )
+
+
+def linear(x, w, b, act=None) -> Tensor:
+    """Dense layer ``act(x @ w + b)`` as one node; ``act`` is None or "tanh".
+
+    ``x`` is [R x n], ``w`` [n x m] and ``b`` [m]. The backward makes the
+    numpy calls of ``tanh(add(matmul(x, w), b))`` in the same order, so its
+    gradients equal the composition's bit for bit. The pre-activation is
+    scanned before tanh, which would saturate an overflow to a finite value.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if act not in (None, "tanh"):
+        raise ValueError(f"linear: act must be None or 'tanh', got {act!r}")
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} not aligned")
+    y = x.data @ w.data + b.data
+    if act == "tanh":
+        if not np.all(np.isfinite(y)):
+            raise NumericError("linear: non-finite values in pre-activation")
+        y = np.tanh(y)
+
+    def fn(g):
+        if act == "tanh":
+            g = g * (1.0 - y * y)
+        return (g @ w.data.T, x.data.T @ g, g.sum(axis=0))
+
+    return _record("linear", y, (x, w, b), fn)
 
 
 def tanh(a) -> Tensor:

@@ -198,6 +198,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise DataError(f"--limit must be at least 1, got {args.limit}")
     model, _, windows = _load_for_eval(args)
     if args.limit is not None and args.limit < windows.n_windows:
         windows = WindowBatch(

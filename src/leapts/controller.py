@@ -107,7 +107,7 @@ def length_candidates(h: Tensor, anchors: ScaleAnchors, length_heads) -> Tensor:
     cols = []
     for c in range(anchors.n_categories):
         w, b = length_heads[c]
-        raw = ad.add(ad.matmul(h, w), b)
+        raw = ad.linear(h, w, b)
         lo, hi = float(anchors.mins[c]), float(anchors.maxs[c])
         cols.append(ad.add(ad.mul(ad.sigmoid(raw), hi - lo), lo))
     return cols[0] if len(cols) == 1 else ad.concat(cols)

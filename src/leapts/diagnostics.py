@@ -1,6 +1,6 @@
 """Scheduling analysis: control/temporal decomposition ratios, volatility
 binning, category statistics, and externally imposed scheduling traces
-(random partitions, fixed steps, or replay of a recorded trace)."""
+(random partitions or fixed steps)."""
 
 from __future__ import annotations
 
@@ -131,9 +131,7 @@ def trace_override(
 
     mode "fixed": constant step of ``value`` (final step takes the
     remainder). mode "monte_carlo": ``value`` random partitions per
-    window, errors averaged across draws. mode "replay": ``value`` is a
-    list of recorded ScheduleTrace (one per window-variate); decisions are
-    replayed verbatim.
+    window, errors averaged across draws.
     """
     P = model.config.horizon
     if model.ablation == "no_sched":
@@ -161,21 +159,6 @@ def trace_override(
             mses.append(mse(preds, windows.targets))
             maes.append(mae(preds, windows.targets))
         return MetricReport(mse=float(np.mean(mses)), mae=float(np.mean(maes)))
-
-    if mode == "replay":
-        traces: list[ScheduleTrace] = value
-        if len(traces) != b * n:
-            raise DataError(f"replay: expected {b * n} traces, got {len(traces)}")
-        by_key = {(tr.window, tr.variate): tr for tr in traces}
-        override = []
-        for w in range(b):
-            for v in range(n):
-                tr = by_key.get((w, v))
-                if tr is None:
-                    raise DataError(f"replay: missing trace for window {w}, variate {v}")
-                override.append([(s.category, s.len_cont, s.len_int) for s in tr.steps])
-        preds = _predict_forced_rows(model, windows.inputs, override)
-        return MetricReport(mse=mse(preds, windows.targets), mae=mae(preds, windows.targets))
 
     raise DataError(f"unknown override mode {mode!r}")
 

@@ -63,7 +63,7 @@ def routed_segment(model: LeapTS, h: Tensor, route: Tensor) -> Tensor:
     names = model.anchors.category_names()
     segment = None
     for c, name in enumerate(names):
-        seg_c = ad.add(ad.matmul(h, store[f"seg_head_{name}_w"]), store[f"seg_head_{name}_b"])
+        seg_c = ad.linear(h, store[f"seg_head_{name}_w"], store[f"seg_head_{name}_b"])
         if len(names) > 1:
             seg_c = ad.mul(seg_c, route[:, c : c + 1])
         segment = seg_c if segment is None else ad.add(segment, seg_c)
@@ -82,7 +82,7 @@ def write_segment(segment: Tensor, mask: Tensor, accum: Tensor) -> tuple[Tensor,
 
 def summarize_segment(masked_segment: Tensor, summary_w: Tensor, summary_b: Tensor) -> Tensor:
     """Compress a written segment into a bounded feedback vector."""
-    return ad.tanh(ad.add(ad.matmul(masked_segment, summary_w), summary_b))
+    return ad.linear(masked_segment, summary_w, summary_b, "tanh")
 
 
 def build_control_signal(
@@ -100,7 +100,7 @@ def build_control_signal(
         t = p if isinstance(p, Tensor) else Tensor(np.atleast_2d(p))
         parts.append(t)
     ctx = ad.concat(parts)
-    return ad.tanh(ad.add(ad.matmul(ctx, control_w), control_b))
+    return ad.linear(ctx, control_w, control_b, "tanh")
 
 
 def increments(u: Tensor, u_prev: Tensor, prev_len_norm, dt_min: float, dt_max: float):

@@ -92,9 +92,8 @@ def _mlp_params(store, rng, prefix, dims):
 
 def _mlp_apply(store, prefix, x: Tensor, n_layers: int) -> Tensor:
     for i in range(n_layers):
-        x = ad.add(ad.matmul(x, store[f"{prefix}_w{i}"]), store[f"{prefix}_b{i}"])
-        if i < n_layers - 1:
-            x = ad.tanh(x)
+        act = "tanh" if i < n_layers - 1 else None
+        x = ad.linear(x, store[f"{prefix}_w{i}"], store[f"{prefix}_b{i}"], act)
     return x
 
 
@@ -177,12 +176,12 @@ class LeapTS:
 
     def coarse_rows(self, z_rows: Tensor) -> Tensor:
         """Linear projection per row: [R x latent_dim] -> [R x P]."""
-        return ad.add(ad.matmul(z_rows, self.store["coarse_w"]), self.store["coarse_b"])
+        return ad.linear(z_rows, self.store["coarse_w"], self.store["coarse_b"])
 
     def init_state_rows(self, z_rows: Tensor) -> Tensor:
         """Initial controller state: tanh of a learned projection of z."""
         s = self.store
-        return ad.tanh(ad.add(ad.matmul(z_rows, s["state_init_w"]), s["state_init_b"]))
+        return ad.linear(z_rows, s["state_init_w"], s["state_init_b"], "tanh")
 
     @property
     def alpha(self) -> float:

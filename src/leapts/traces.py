@@ -7,7 +7,7 @@ Lines, one record per scheduling step, schema ``leapts-trace-v1``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -70,6 +70,23 @@ class ScheduleTrace:
         return sum(s.len_int for s in self.steps)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# JSON value tests by field annotation; a float field also takes a JSON integer.
+_IS_TYPE = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": _is_number,
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "list[float]": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+}
+_FIELD_TYPES = {
+    f.name: f.type for cls in (ScheduleTrace, TraceStep) for f in fields(cls) if f.name != "steps"
+}
+
+
 def write_trace_jsonl(traces, path):
     with open(path, "w", encoding="utf-8") as fh:
         for tr in traces:
@@ -85,8 +102,8 @@ def write_trace_jsonl(traces, path):
 
 
 def read_trace_jsonl(path) -> list[ScheduleTrace]:
-    """Traces of a JSONL file; a malformed record is a `DataError` naming the
-    file and the line."""
+    """Traces of a JSONL file; a malformed record, or a field value of another
+    type than its annotation, is a `DataError` naming the file and the line."""
     traces: dict[tuple[int, int], ScheduleTrace] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -98,6 +115,10 @@ def read_trace_jsonl(path) -> list[ScheduleTrace]:
                 schema = rec.pop("schema", TRACE_SCHEMA)
                 if schema != TRACE_SCHEMA:
                     raise ValueError(f"unsupported trace schema {schema!r}")
+                for name, value in rec.items():
+                    kind = _FIELD_TYPES.get(name)
+                    if kind is not None and not _IS_TYPE[kind](value):
+                        raise ValueError(f"{name} must be {kind}, got {value!r}")
                 key = (rec.pop("window"), rec.pop("variate"))
                 vol = rec.pop("volatility", 0.0)
                 if key not in traces:

@@ -122,22 +122,25 @@ def test_primitive_gradients_match_finite_differences(rng):
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4))
     m = rng.normal(size=(4, 2))
+    bias = rng.normal(size=2)
+    c = rng.normal(size=(3, 2))
     cases = [
         ("add", lambda x, y: ad.add(x, y).sum(), [a, b]),
-        ("sub", lambda x, y: ad.sub(x, y).mean(), [a, b]),
+        ("sub", lambda x, y: ad.tmean(ad.sub(x, y)), [a, b]),
         ("mul", lambda x, y: ad.mul(x, y).sum(), [a, b]),
         ("mul_broadcast", lambda x, y: ad.mul(x, y).sum(), [a, rng.normal(size=(3, 1))]),
         ("matmul", lambda x, y: ad.matmul(x, y).sum(), [a, m]),
+        ("linear", lambda x, y, z: ad.mul(ad.linear(x, y, z), c).sum(), [a, m, bias]),
+        ("linear_tanh", lambda x, y, z: ad.mul(ad.linear(x, y, z, "tanh"), c).sum(), [a, m, bias]),
         ("tanh", lambda x: ad.tanh(x).sum(), [a]),
         ("sigmoid", lambda x: ad.sigmoid(x).sum(), [a]),
         ("softmax", lambda x: ad.mul(ad.softmax(x), b).sum(), [a]),
         ("concat", lambda x, y: ad.mul(ad.concat([x, y]), 1.5).sum(), [a, b]),
         ("slice", lambda x: x[1:, :2].sum(), [a]),
         ("sum_axis", lambda x: ad.mul(x.sum(axis=1, keepdims=True), 2.0).sum(), [a]),
-        ("mean_axis", lambda x: ad.mul(x.mean(axis=0), 3.0).sum(), [a]),
-        ("abs", lambda x: x.abs().sum(), [a + 0.3]),
-        ("clip", lambda x: x.clip(-0.5, 0.7).sum(), [a]),
-        ("neg", lambda x: ad.neg(x).sum(), [a]),
+        ("mean_axis", lambda x: ad.mul(ad.tmean(x, axis=0), 3.0).sum(), [a]),
+        ("abs", lambda x: ad.tabs(x).sum(), [a + 0.3]),
+        ("clip", lambda x: ad.tclip(x, -0.5, 0.7).sum(), [a]),
         (
             "rowwise_matvec",
             lambda x, y: ad.rowwise_matvec(x, y).sum(),
@@ -152,6 +155,30 @@ def test_primitive_gradients_match_finite_differences(rng):
         for ga, gn in zip(analytic, numeric):
             err = np.abs(ga - gn).max()
             assert err < 1e-6, f"{name}: max abs grad error {err}"
+
+
+@pytest.mark.parametrize("act", [None, "tanh"])
+def test_linear_matches_the_composition_bit_for_bit(rng, act):
+    """One linear node gives the forward values and gradients of
+    add(matmul) (+ tanh), also when its input has a second consumer."""
+    arrays = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+    weight = rng.normal(size=(5, 3))
+
+    def run(layer):
+        x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+        with Tape() as tape:
+            y = layer(x, w, b)
+            loss = ad.add(ad.mul(y, weight).sum(), ad.tsum(ad.mul(x, x)))
+            tape.backward(loss)
+        return y.data, x.grad, w.grad, b.grad
+
+    def chain(x, w, b):
+        y = ad.add(ad.matmul(x, w), b)
+        return y if act is None else ad.tanh(y)
+
+    fused = run(lambda x, w, b: ad.linear(x, w, b, act))
+    for got, want in zip(fused, run(chain)):
+        assert np.array_equal(got, want)
 
 
 def test_softmax_rows_sum_to_one(rng):
@@ -221,6 +248,15 @@ def test_nonfinite_forward_raises():
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError, match="mul"):
             ad.mul(big, big)
+
+
+def test_linear_tanh_overflow_raises():
+    """tanh would saturate an overflowing pre-activation to a finite value;
+    the layer scans before it."""
+    x, w = Tensor([[1e308, 1e308]]), Tensor([[1.0], [1.0]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="linear"):
+            ad.linear(x, w, Tensor([0.0]), "tanh")
 
 
 def test_gradients_accumulate_across_reuse():

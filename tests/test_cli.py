@@ -225,6 +225,18 @@ def test_trace_subcommand_summary(tiny_csv, tiny_ckpt, capsys, tmp_path):
     assert out_path.exists()
 
 
+@pytest.mark.parametrize("limit", ["-1", "0"])
+def test_trace_rejects_limit_below_one(tiny_csv, tiny_ckpt, capsys, tmp_path, limit):
+    out_path = tmp_path / "trace.jsonl"
+    code, out, err = run_cli(
+        capsys, "trace", "--ckpt", str(tiny_ckpt), "--data", str(tiny_csv),
+        "--out", str(out_path), "--limit", limit,
+    )
+    assert code == 2
+    assert f"--limit must be at least 1, got {limit}" in err
+    assert out == "" and not out_path.exists()
+
+
 def test_ablate_subcommand(tiny_csv, capsys, tmp_path):
     code, out, _ = run_cli(
         capsys,

@@ -236,11 +236,9 @@ def natural_and_replay_preds(model, windows, traces):
 
 
 def test_replay_reproduces_eval_bit_exactly(small_model, small_windows):
-    report, traces = evaluate(small_model, small_windows, collect_traces=True)
+    _, traces = evaluate(small_model, small_windows, collect_traces=True)
     natural, replayed = natural_and_replay_preds(small_model, small_windows, traces)
     assert np.array_equal(natural, replayed)
-    replay_report = trace_override(small_model, small_windows, "replay", traces)
-    assert replay_report.mse == pytest.approx(report.mse, rel=1e-12)
 
 
 def test_replay_after_jsonl_roundtrip(tmp_path, small_model, small_windows):
@@ -258,18 +256,24 @@ def test_replay_after_jsonl_roundtrip(tmp_path, small_model, small_windows):
     [
         ("{not json", "JSONDecodeError"),
         ('{"schema": "leapts-trace-v1", "window": 0}', "KeyError\\('variate'\\)"),
-        ("UNKNOWN_FIELD", "unexpected keyword argument 'bogus'"),
+        (lambda good: good[:-1] + ', "bogus": 1}', "unexpected keyword argument 'bogus'"),
         ('{"schema": "leapts-trace-v0", "window": 0, "variate": 0}', "unsupported trace schema"),
+        (
+            lambda good: good.replace('"len_int": 2', '"len_int": "two"')
+            .replace('"cursor_before": 1', '"cursor_before": null'),
+            "len_int must be int, got 'two'",
+        ),
+        (lambda good: good.replace('"step": 0', '"step": "1"'), "step must be int, got '1'"),
     ],
-    ids=["invalid-json", "missing-key", "unknown-field", "wrong-schema"],
+    ids=["invalid-json", "missing-key", "unknown-field", "wrong-schema", "wrong-type", "str-step"],
 )
 def test_read_trace_rejects_malformed_record(tmp_path, line, reason):
     """A bad record after a good one is a DataError naming file and line."""
     path = tmp_path / "trace.jsonl"
     write_trace_jsonl([make_trace(0, 0.5, [(0, 0.5)])], path)
     good = path.read_text().strip()
-    if line == "UNKNOWN_FIELD":
-        line = good[:-1] + ', "bogus": 1}'
+    if callable(line):
+        line = line(good)
     path.write_text(f"{good}\n\n{line}\n")
     with pytest.raises(DataError, match=rf"trace\.jsonl, line 3: bad trace record: .*{reason}"):
         read_trace_jsonl(path)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from leapts.autodiff import Tensor
+from leapts.autodiff import Tape, Tensor
 from leapts.errors import ConfigError, DataError, NumericError, ShapeError
 from leapts.forward import forecast, predict_batch
 from leapts.model import LeapTS, ModelConfig
@@ -40,6 +40,13 @@ def test_encode_rejects_bad_input(toy_model):
     bad[0, 3, 1] = np.nan
     with pytest.raises(NumericError):
         predict_batch(toy_model, bad)
+
+
+def test_dense_layer_is_one_tape_node(toy_model, rng):
+    """The two-layer encoder records two nodes: bias and tanh ride in `linear`."""
+    with Tape() as tape:
+        toy_model.encode_rows(Tensor(rng.normal(size=(3, 24))))
+    assert len(tape.nodes) == 2
 
 
 def test_zero_window_gives_equal_rows(toy_model):
