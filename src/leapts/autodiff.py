@@ -24,6 +24,7 @@ __all__ = [
     "linear",
     "tanh",
     "sigmoid",
+    "gated_sigmoid",
     "softmax",
     "concat",
     "straight_through",
@@ -150,8 +151,15 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))  # exp(-x) where x >= 0, exp(x) elsewhere: never overflows
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    if x.ndim == 0:  # ufuncs return scalars on 0-d input; the in-place steps need an array
+        return _stable_sigmoid(x.reshape(1)).reshape(())
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)  # exp(-x) where x >= 0, exp(x) elsewhere: never overflows
+    d = 1.0 + e
+    y = 1.0 / d
+    np.copyto(y, e / d, where=x < 0)  # -0.0 keeps 1/d; NaN gives NaN on either branch
+    return y
 
 
 # -- primitives ----------------------------------------------------------
@@ -249,6 +257,32 @@ def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     y = _stable_sigmoid(a.data)
     return _record("sigmoid", y, (a,), lambda g: (g * y * (1.0 - y),))
+
+
+def gated_sigmoid(sel, offs, scale: float, gate) -> Tensor:
+    """``gate * sigmoid((sel - offs) * scale)`` as one node.
+
+    ``sel`` is the only differentiable input; ``offs`` and ``gate`` are
+    constant arrays that broadcast with it. The forward and backward make
+    the numpy calls of ``mul(sigmoid(mul(sub(sel, offs), scale)), gate)`` in
+    the same order, so values and gradients equal the composition's bit for
+    bit. The pre-activation is scanned, as each op of the composition was.
+    """
+    sel = _as_tensor(sel)
+    try:
+        z = (sel.data - offs) * scale
+    except ValueError:
+        raise ShapeError(
+            f"gated_sigmoid: cannot broadcast {sel.shape} with {np.shape(offs)}"
+        ) from None
+    if not np.all(np.isfinite(z)):
+        raise NumericError("gated_sigmoid: non-finite values in pre-activation")
+    y = _stable_sigmoid(z)
+
+    def fn(g):
+        return (_unbroadcast(g * gate * y * (1.0 - y) * scale, sel.shape),)
+
+    return _record("gated_sigmoid", y * gate, (sel,), fn)
 
 
 def softmax(a) -> Tensor:

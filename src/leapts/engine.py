@@ -4,9 +4,13 @@ controlled state evolution.
 
 The loop is batched over rows (one row = one variate of one window). Under
 a tape all rows advance in lockstep with finished rows exactly gated out,
-which is equivalent to scheduling each variate independently; without one,
-finished rows leave the batch once at most half of its rows are running.
-Each step is built from the row-batched operations below, one call each.
+which is equivalent to scheduling each variate independently, and every
+row runs every segment head and every cluster's field MLPs so that the
+masked sums carry their gradients. Without one, finished rows leave the
+batch once at most half of its rows are running, and each running row
+runs only the segment head its routing chose (under hard routing) and its
+own cluster's fields. Each step is built from the row-batched operations
+below, one call each.
 """
 
 from __future__ import annotations
@@ -52,15 +56,32 @@ def soft_mask(sel, cursor: np.ndarray, active: np.ndarray, P: int, gamma: float)
     tau = np.arange(1, P + 1, dtype=np.float64)
     indicator = ((tau[None, :] >= cursor[:, None]) & active[:, None]).astype(np.float64)
     offs = tau[None, :] - cursor[:, None].astype(np.float64) + 0.5
-    z = ad.mul(ad.sub(sel, offs), 1.0 / gamma)
-    return ad.mul(ad.sigmoid(z), indicator)
+    return ad.gated_sigmoid(sel, offs, 1.0 / gamma, indicator)
 
 
-def routed_segment(model: LeapTS, h: Tensor, route: Tensor) -> Tensor:
+def routed_segment(
+    model: LeapTS, h: Tensor, route: Tensor, chosen: np.ndarray | None = None
+) -> Tensor:
     """Full-horizon segment [R x P]: the sum over categories c of
-    route[:, c] * seg_head_c(h). A single category's head is taken as is."""
+    route[:, c] * seg_head_c(h). A single category's head is taken as is.
+
+    ``chosen`` [R] gives each row's category when routing is hard (``route``
+    one-hot), or -1 for a row that needs no segment (it gets zeros).
+    Without a tape (``h`` carries no gradient) each category's head then
+    runs on its own rows only. Under a tape the sum stays: the
+    straight-through route gradient of row r and category c is
+    seg_head_c(h[r]), so every head's output is needed on every row.
+    """
     store = model.store
     names = model.anchors.category_names()
+    if chosen is not None and not h.requires_grad:
+        segment = np.zeros((h.shape[0], model.config.horizon))
+        for c, name in enumerate(names):
+            rows = np.flatnonzero(chosen == c)
+            if len(rows):
+                w, b = store[f"seg_head_{name}_w"], store[f"seg_head_{name}_b"]
+                segment[rows] = ad.linear(Tensor(h.data[rows]), w, b).data
+        return Tensor(segment)
     segment = None
     for c, name in enumerate(names):
         seg_c = ad.linear(h, store[f"seg_head_{name}_w"], store[f"seg_head_{name}_b"])
@@ -125,10 +146,27 @@ def evolve_state(
     control field times ``du`` plus its drift field times ``dtau``; finished
     rows (``active`` false) get exact zero deltas.
 
+    Without a tape (``h`` carries no gradient) each cluster's field MLPs run
+    only on its active rows. Under a tape every cluster's fields run on
+    every row and the deltas are masked sums.
+
     Returns (h_next, ctrl_delta, time_delta) with
     h_next = h + (ctrl_delta + time_delta).
     """
     n_clusters = model.config.n_clusters
+    if not h.requires_grad:
+        inp = np.concatenate([h.data, u.data], axis=1)
+        d_ctrl, d_time = np.zeros(h.shape), np.zeros(h.shape)
+        for g in range(n_clusters):
+            rows = np.flatnonzero((row_clusters == g) & active)
+            if len(rows):
+                x = Tensor(inp[rows])
+                fields = _mlp_apply(model.store, f"ctrl_field_g{g}", x, 2)
+                drift = _mlp_apply(model.store, f"time_field_g{g}", x, 2)
+                d_ctrl[rows] = ad.rowwise_matvec(fields, Tensor(du.data[rows])).data
+                d_time[rows] = ad.mul(drift, dtau[rows]).data
+        d_ctrl, d_time = Tensor(d_ctrl), Tensor(d_time)
+        return ad.add(h, ad.add(d_ctrl, d_time)), d_ctrl, d_time
     d_ctrl, d_time = None, None
     for g in range(n_clusters):
         inp = ad.concat([h, u])
@@ -377,7 +415,10 @@ def run_schedule_rows(
             len_int = np.where(active, len_int, 0)
 
         # segment for the selected category, soft-masked into the horizon
-        segment = routed_segment(model, h, route_t)
+        # hard routing: route_t is one-hot and cat_idx names its category
+        hard_route = C == 1 or mode != "soft" or override is not None or forced
+        chosen = np.where(active, cat_idx, -1) if hard_route else None
+        segment = routed_segment(model, h, route_t, chosen)
         mask = soft_mask(sel, cursor, active, P, cfg.mask_temp)
         accum, masked_seg = write_segment(segment, mask, accum)
 

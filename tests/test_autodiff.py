@@ -48,6 +48,7 @@ def test_tanh_at_zero():
 
 def test_sigmoid_at_zero():
     assert ad.sigmoid(Tensor([0.0])).data[0] == 0.5
+    assert ad.sigmoid(Tensor(0.0)).data == 0.5  # a 0-d input keeps its shape
 
 
 def test_sigmoid_bits_match_the_two_branch_formula():
@@ -134,6 +135,11 @@ def test_primitive_gradients_match_finite_differences(rng):
         ("linear_tanh", lambda x, y, z: ad.mul(ad.linear(x, y, z, "tanh"), c).sum(), [a, m, bias]),
         ("tanh", lambda x: ad.tanh(x).sum(), [a]),
         ("sigmoid", lambda x: ad.sigmoid(x).sum(), [a]),
+        (
+            "gated_sigmoid",
+            lambda x: ad.mul(ad.gated_sigmoid(x, b, 1.7, (a > 0).astype(float)), c[:, :1]).sum(),
+            [rng.normal(size=(3, 1))],
+        ),
         ("softmax", lambda x: ad.mul(ad.softmax(x), b).sum(), [a]),
         ("concat", lambda x, y: ad.mul(ad.concat([x, y]), 1.5).sum(), [a, b]),
         ("slice", lambda x: x[1:, :2].sum(), [a]),
@@ -257,6 +263,15 @@ def test_linear_tanh_overflow_raises():
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError, match="linear"):
             ad.linear(x, w, Tensor([0.0]), "tanh")
+
+
+def test_gated_sigmoid_overflow_raises():
+    """The sigmoid would saturate an overflowing pre-activation to 0 or 1;
+    the primitive scans before it."""
+    sel = Tensor([[1e308]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="gated_sigmoid"):
+            ad.gated_sigmoid(sel, np.zeros((1, 2)), 10.0, np.ones((1, 2)))
 
 
 def test_gradients_accumulate_across_reuse():

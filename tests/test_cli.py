@@ -306,6 +306,33 @@ def test_config_file_rejected(tiny_csv, capsys, tmp_path, cfg, fragment):
     assert fragment in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, cfg, fragment",
+    [
+        (["--max-batches", "-1"], None, "max_batches_per_epoch must be >= 1, got -1"),
+        (["--max-batches", "0"], None, "max_batches_per_epoch must be >= 1, got 0"),
+        ([], {"train": {"gumbel_tau_end": -0.5}}, "gumbel_tau_end must be positive, got -0.5"),
+    ],
+    ids=["max_batches_negative", "max_batches_zero", "gumbel_tau_end_negative"],
+)
+def test_train_rejects_invalid_train_config(tiny_csv, capsys, tmp_path, argv, cfg, fragment):
+    """An invalid training setting exits with 2 before training starts, and
+    no checkpoint is written."""
+    if cfg is not None:
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = [*argv, "--config", str(cfg_path)]
+    ckpt = tmp_path / "m.ckpt"
+    code, out, err = run_cli(
+        capsys,
+        "train", "--data", str(tiny_csv), "--L", "24", "--P", "6", "--out", str(ckpt),
+        "--epochs", "2", *argv,
+    )
+    assert code == 2
+    assert fragment in err and "Traceback" not in err
+    assert out == "" and not ckpt.exists()
+
+
 def test_config_file_accepts_every_field_at_its_default(tiny_csv, capsys, tmp_path):
     flag_fields = {"look_back", "horizon", "n_variates"}
     model = {f.name: f.default for f in fields(ModelConfig) if f.name not in flag_fields}

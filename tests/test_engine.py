@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -86,6 +87,37 @@ def test_soft_mask_gradient_flows_to_length():
         m = mask_row(l, cursor=1, P=4, gamma=0.5)
         tape.backward(m.sum())
     assert l.grad[0, 0] > 0.0
+
+
+def _four_op_mask(sel, cursor, active, P, gamma):
+    """The soft mask as sub, mul, sigmoid and mul nodes."""
+    tau = np.arange(1, P + 1, dtype=np.float64)
+    indicator = ((tau[None, :] >= cursor[:, None]) & active[:, None]).astype(np.float64)
+    offs = tau[None, :] - cursor[:, None].astype(np.float64) + 0.5
+    return ad.mul(ad.sigmoid(ad.mul(ad.sub(sel, offs), 1.0 / gamma)), indicator)
+
+
+def test_soft_mask_matches_the_four_op_composition_bit_for_bit(rng):
+    """Values and length gradients equal the four-op chain's on a row at the
+    start, one partway along the horizon and a finished one; the mask is one
+    tape node."""
+    P, gamma = 12, 0.1
+    cursor, active = np.array([1, 5, P + 1]), np.array([True, True, False])
+    lengths, weight = rng.uniform(1.0, 8.0, size=(3, 1)), rng.normal(size=(3, P))
+
+    def run(mask_fn):
+        sel = Tensor(lengths, requires_grad=True)
+        with Tape() as tape:
+            mask = mask_fn(sel, cursor, active, P, gamma)
+            n_nodes = len(tape.nodes)
+            tape.backward(ad.tsum(ad.mul(mask, weight)))
+        return mask.data, sel.grad, n_nodes
+
+    fused, chain = run(soft_mask), run(_four_op_mask)
+    assert np.array_equal(fused[0], chain[0]) and np.array_equal(fused[1], chain[1])
+    assert (fused[2], chain[2]) == (1, 4)
+    assert np.all(fused[0][1, :4] == 0.0) and np.all(fused[0][2] == 0.0)
+    assert fused[1][2, 0] == 0.0 and fused[1][1, 0] > 0.0
 
 
 # -- write / summarize / control / evolve -------------------------------------
@@ -636,3 +668,57 @@ def test_override_errors_name_the_original_row_after_rows_have_left(monkeypatch)
     with pytest.raises(DataError, match=r"override length 9 outside 1\.\.6 \(row 3, step 3\)$"):
         _staggered_run([[12], [6, 6], [4, 4, 4], [2, 2, 2, 9]], tape=False)
     assert rows == [4, 4, 2]
+
+
+def test_tape_free_step_runs_only_the_routed_head_and_own_cluster_fields(monkeypatch):
+    """Rows seen by each dense layer, per weight name: without a tape each
+    segment head sees only the active rows routed to it and each cluster's
+    field MLPs only that cluster's active rows; under a tape every one of
+    them sees every row at every step."""
+    model = LeapTS(toy_config(look_back=16, horizon=12, n_variates=3, n_clusters=3))
+    model.cluster_of_variate = np.arange(3)
+    n_windows, rows = 4, 12
+    clusters = np.tile(model.cluster_of_variate, n_windows)
+    names = {id(t): name.rsplit("_", 1)[0] for name, t in model.store.params.items()}
+    layers = [f"seg_head_{c}" for c in model.anchors.category_names()] + [
+        f"{kind}_g{g}" for kind in ("ctrl_field", "time_field") for g in range(3)
+    ]
+    seen = collections.defaultdict(list)
+    linear = ad.linear
+
+    def counting(x, w, *args):
+        seen[names[id(w)]].append(x.shape[0])
+        return linear(x, w, *args)
+
+    monkeypatch.setattr(ad, "linear", counting)
+
+    def run(tape):
+        seen.clear()
+        kw = dict(n_windows=n_windows, mode="train", rng=np.random.default_rng(4))
+        if not tape:
+            return run_rows(model, **kw)
+        with Tape():
+            return run_rows(model, **kw)
+
+    out = run(tape=False)
+    want = collections.defaultdict(list)
+    traces = out["traces"]
+    for k in range(max(tr.n_steps for tr in traces)):
+        running = [(r, tr.steps[k]) for r, tr in enumerate(traces) if tr.n_steps > k]
+        for c, name in enumerate(model.anchors.category_names()):
+            n = sum(step.category == c for _, step in running)
+            want[f"seg_head_{name}"] += [n] if n else []
+        for g in range(3):
+            n = sum(clusters[r] == g for r, _ in running)
+            for kind in ("ctrl_field", "time_field"):
+                want[f"{kind}_g{g}"] += [n, n] if n else []  # two layers each
+    assert {name: seen[name] for name in layers} == {name: want[name] for name in layers}
+    heads = layers[:3]
+    assert sum(1 for name in heads if want[name]) >= 2  # rows took different heads
+    assert sum(sum(want[name]) for name in heads) < rows * len(out["noise"])  # some finished early
+
+    out = run(tape=True)
+    n_steps = len(out["noise"])
+    assert {name: seen[name] for name in layers} == {
+        name: [rows] * (n_steps * (1 if name.startswith("seg") else 2)) for name in layers
+    }
