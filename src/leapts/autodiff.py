@@ -27,6 +27,7 @@ __all__ = [
     "gated_sigmoid",
     "softmax",
     "concat",
+    "rows_to",
     "straight_through",
     "rowwise_matvec",
     "huber_loss",
@@ -126,9 +127,12 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(op: str, out_data: np.ndarray, parents, fn) -> Tensor:
-    if not np.all(np.isfinite(out_data)):
-        raise NumericError(f"{op}: non-finite values in result")
+def _record(op: str, out_data: np.ndarray, parents, fn, pre=None, scan=True) -> Tensor:
+    """Scan one array for non-finite values (the pre-activation ``pre`` if
+    given, else the result; none for ops that only copy), then record."""
+    if scan and not np.all(np.isfinite(out_data if pre is None else pre)):
+        what = "result" if pre is None else "pre-activation"
+        raise NumericError(f"{op}: non-finite values in {what}")
     out = Tensor(out_data)
     tape = _active_tape()
     if tape is not None and any(p.requires_grad for p in parents):
@@ -225,26 +229,23 @@ def linear(x, w, b, act=None) -> Tensor:
 
     ``x`` is [R x n], ``w`` [n x m] and ``b`` [m]. The backward makes the
     numpy calls of ``tanh(add(matmul(x, w), b))`` in the same order, so its
-    gradients equal the composition's bit for bit. The pre-activation is
-    scanned before tanh, which would saturate an overflow to a finite value.
+    gradients equal the composition's bit for bit. With tanh the pre-activation
+    is scanned, as tanh would saturate an overflow to a finite value.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if act not in (None, "tanh"):
         raise ValueError(f"linear: act must be None or 'tanh', got {act!r}")
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} not aligned")
-    y = x.data @ w.data + b.data
-    if act == "tanh":
-        if not np.all(np.isfinite(y)):
-            raise NumericError("linear: non-finite values in pre-activation")
-        y = np.tanh(y)
+    pre = x.data @ w.data + b.data
+    y = np.tanh(pre) if act == "tanh" else pre
 
     def fn(g):
         if act == "tanh":
             g = g * (1.0 - y * y)
         return (g @ w.data.T, x.data.T @ g, g.sum(axis=0))
 
-    return _record("linear", y, (x, w, b), fn)
+    return _record("linear", y, (x, w, b), fn, pre=pre if act == "tanh" else None)
 
 
 def tanh(a) -> Tensor:
@@ -275,14 +276,12 @@ def gated_sigmoid(sel, offs, scale: float, gate) -> Tensor:
         raise ShapeError(
             f"gated_sigmoid: cannot broadcast {sel.shape} with {np.shape(offs)}"
         ) from None
-    if not np.all(np.isfinite(z)):
-        raise NumericError("gated_sigmoid: non-finite values in pre-activation")
     y = _stable_sigmoid(z)
 
     def fn(g):
         return (_unbroadcast(g * gate * y * (1.0 - y) * scale, sel.shape),)
 
-    return _record("gated_sigmoid", y * gate, (sel,), fn)
+    return _record("gated_sigmoid", y * gate, (sel,), fn, pre=z)
 
 
 def softmax(a) -> Tensor:
@@ -316,11 +315,24 @@ def concat(tensors) -> Tensor:
             start += w
         return tuple(grads)
 
-    return _record("concat", out, tuple(ts), fn)
+    return _record("concat", out, tuple(ts), fn, scan=False)
+
+
+def rows_to(parts, n: int, width: int) -> Tensor:
+    """[n x width] zeros with each ``(rows, tensor)`` part put at its (disjoint)
+    ``rows``; backward hands each part its rows of the gradient. A single
+    part that covers all n rows is returned as is."""
+    if len(parts) == 1 and len(parts[0][0]) == n:
+        return parts[0][1]
+    out = np.zeros((n, width))
+    for rows, t in parts:
+        out[rows] = t.data
+    parents = tuple(t for _, t in parts)
+    return _record("rows_to", out, parents, lambda g: tuple(g[r] for r, _ in parts), scan=False)
 
 
 def tslice(a, idx) -> Tensor:
-    """Basic (non-repeating) indexing; backward scatters into zeros."""
+    """Basic or non-repeating integer indexing; backward scatters into zeros."""
     a = _as_tensor(a)
     out = a.data[idx]
     shape = a.shape
@@ -330,7 +342,7 @@ def tslice(a, idx) -> Tensor:
         buf[idx] = g
         return (buf,)
 
-    return _record("slice", np.array(out, copy=True), (a,), fn)
+    return _record("slice", np.array(out, copy=True), (a,), fn, scan=False)
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
@@ -386,7 +398,7 @@ def straight_through(soft: Tensor, hard: np.ndarray) -> Tensor:
     hard = np.asarray(hard, dtype=np.float64)
     if hard.shape != soft.shape:
         raise ShapeError(f"straight_through: {hard.shape} vs {soft.shape}")
-    return _record("straight_through", hard.copy(), (soft,), lambda g: (g,))
+    return _record("straight_through", hard.copy(), (soft,), lambda g: (g,), scan=False)
 
 
 def rowwise_matvec(fields: Tensor, vec: Tensor) -> Tensor:

@@ -452,6 +452,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError:
+        print("error: out of memory; try a smaller --batch", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -2,15 +2,14 @@
 summary feedback, control-signal construction, and cluster-specific
 controlled state evolution.
 
-The loop is batched over rows (one row = one variate of one window). Under
-a tape all rows advance in lockstep with finished rows exactly gated out,
-which is equivalent to scheduling each variate independently, and every
-row runs every segment head and every cluster's field MLPs so that the
-masked sums carry their gradients. Without one, finished rows leave the
-batch once at most half of its rows are running, and each running row
-runs only the segment head its routing chose (under hard routing) and its
-own cluster's fields. Each step is built from the row-batched operations
-below, one call each.
+The loop is batched over rows (one row = one variate of one window). Each
+row runs only its own cluster's field MLPs. Under a tape all rows advance
+in lockstep with finished rows exactly gated out, which is equivalent to
+scheduling each variate independently, and every row runs every segment
+head so that the masked sum carries the route gradient. Without one,
+finished rows leave the batch at the top of every step, and each running
+row runs only the segment head its routing chose (under hard routing).
+Each step is built from the row-batched operations below, one call each.
 """
 
 from __future__ import annotations
@@ -59,6 +58,11 @@ def soft_mask(sel, cursor: np.ndarray, active: np.ndarray, P: int, gamma: float)
     return ad.gated_sigmoid(sel, offs, 1.0 / gamma, indicator)
 
 
+def _take_rows(x, rows: np.ndarray):
+    """``x[rows]`` (recorded on the tape for a Tensor), or ``x`` if ``rows`` is every row."""
+    return x if len(rows) == x.shape[0] else x[rows]
+
+
 def routed_segment(
     model: LeapTS, h: Tensor, route: Tensor, chosen: np.ndarray | None = None
 ) -> Tensor:
@@ -66,26 +70,24 @@ def routed_segment(
     route[:, c] * seg_head_c(h). A single category's head is taken as is.
 
     ``chosen`` [R] gives each row's category when routing is hard (``route``
-    one-hot), or -1 for a row that needs no segment (it gets zeros).
-    Without a tape (``h`` carries no gradient) each category's head then
-    runs on its own rows only. Under a tape the sum stays: the
+    one-hot). Without a tape (``h`` carries no gradient) each category's
+    head then runs on its own rows only. Under a tape the sum stays: the
     straight-through route gradient of row r and category c is
     seg_head_c(h[r]), so every head's output is needed on every row.
     """
-    store = model.store
-    names = model.anchors.category_names()
+    heads = [(model.store[f"seg_head_{n}_w"], model.store[f"seg_head_{n}_b"])
+             for n in model.anchors.category_names()]
     if chosen is not None and not h.requires_grad:
-        segment = np.zeros((h.shape[0], model.config.horizon))
-        for c, name in enumerate(names):
+        parts = []
+        for c, (w, b) in enumerate(heads):
             rows = np.flatnonzero(chosen == c)
             if len(rows):
-                w, b = store[f"seg_head_{name}_w"], store[f"seg_head_{name}_b"]
-                segment[rows] = ad.linear(Tensor(h.data[rows]), w, b).data
-        return Tensor(segment)
+                parts.append((rows, ad.linear(_take_rows(h, rows), w, b)))
+        return ad.rows_to(parts, h.shape[0], model.config.horizon)
     segment = None
-    for c, name in enumerate(names):
-        seg_c = ad.linear(h, store[f"seg_head_{name}_w"], store[f"seg_head_{name}_b"])
-        if len(names) > 1:
+    for c, (w, b) in enumerate(heads):
+        seg_c = ad.linear(h, w, b)
+        if len(heads) > 1:
             seg_c = ad.mul(seg_c, route[:, c : c + 1])
         segment = seg_c if segment is None else ad.add(segment, seg_c)
     return segment
@@ -146,41 +148,24 @@ def evolve_state(
     control field times ``du`` plus its drift field times ``dtau``; finished
     rows (``active`` false) get exact zero deltas.
 
-    Without a tape (``h`` carries no gradient) each cluster's field MLPs run
-    only on its active rows. Under a tape every cluster's fields run on
-    every row and the deltas are masked sums.
+    Each cluster's field MLPs run on that cluster's rows only, on and off
+    the tape; ``autodiff.rows_to`` puts their deltas back in row order.
 
     Returns (h_next, ctrl_delta, time_delta) with
     h_next = h + (ctrl_delta + time_delta).
     """
-    n_clusters = model.config.n_clusters
-    if not h.requires_grad:
-        inp = np.concatenate([h.data, u.data], axis=1)
-        d_ctrl, d_time = np.zeros(h.shape), np.zeros(h.shape)
-        for g in range(n_clusters):
-            rows = np.flatnonzero((row_clusters == g) & active)
-            if len(rows):
-                x = Tensor(inp[rows])
-                fields = _mlp_apply(model.store, f"ctrl_field_g{g}", x, 2)
-                drift = _mlp_apply(model.store, f"time_field_g{g}", x, 2)
-                d_ctrl[rows] = ad.rowwise_matvec(fields, Tensor(du.data[rows])).data
-                d_time[rows] = ad.mul(drift, dtau[rows]).data
-        d_ctrl, d_time = Tensor(d_ctrl), Tensor(d_time)
-        return ad.add(h, ad.add(d_ctrl, d_time)), d_ctrl, d_time
-    d_ctrl, d_time = None, None
-    for g in range(n_clusters):
-        inp = ad.concat([h, u])
-        fields = _mlp_apply(model.store, f"ctrl_field_g{g}", inp, 2)
-        drift = _mlp_apply(model.store, f"time_field_g{g}", inp, 2)
-        dc, dt = ad.rowwise_matvec(fields, du), ad.mul(drift, dtau)
-        if n_clusters > 1:
-            member = (row_clusters == g).astype(np.float64)[:, None]
-            dc, dt = ad.mul(dc, member), ad.mul(dt, member)
-        d_ctrl = dc if d_ctrl is None else ad.add(d_ctrl, dc)
-        d_time = dt if d_time is None else ad.add(d_time, dt)
+    inp = ad.concat([h, u])
+    ctrl_parts, time_parts = [], []
+    for g in range(model.config.n_clusters):
+        rows = np.flatnonzero(row_clusters == g)
+        if len(rows):
+            x = _take_rows(inp, rows)
+            fields = _mlp_apply(model.store, f"ctrl_field_g{g}", x, 2)
+            drift = _mlp_apply(model.store, f"time_field_g{g}", x, 2)
+            ctrl_parts.append((rows, ad.rowwise_matvec(fields, _take_rows(du, rows))))
+            time_parts.append((rows, ad.mul(drift, _take_rows(dtau, rows))))
     act_col = active.astype(np.float64)[:, None]
-    d_ctrl = ad.mul(d_ctrl, act_col)
-    d_time = ad.mul(d_time, act_col)
+    d_ctrl, d_time = (ad.mul(ad.rows_to(p, *h.shape), act_col) for p in (ctrl_parts, time_parts))
     return ad.add(h, ad.add(d_ctrl, d_time)), d_ctrl, d_time
 
 
@@ -296,8 +281,8 @@ def run_schedule_rows(
     debug: list | None = None,
 ):
     """Run the scheduling loop for R rows: in lockstep under a tape; without
-    one, the finished rows leave the batch whenever at most half of its rows
-    are still active. Outputs are in the original row order either way.
+    one, the finished rows leave the batch at the top of every step.
+    Outputs are in the original row order either way.
 
     ``mode``: "train" (Gumbel noise + hard routing), "eval" (noiseless,
     hard routing), "soft" (noiseless or frozen-noise, fully differentiable
@@ -322,9 +307,7 @@ def run_schedule_rows(
         raise ValueError("train mode needs an rng (or frozen noise) for category selection")
     R = h.shape[0]
     cat_names = anchors.category_names()
-    heads = [
-        (store[f"len_head_{name}_w"], store[f"len_head_{name}_b"]) for name in cat_names
-    ]
+    heads = [(store[f"len_head_{n}_w"], store[f"len_head_{n}_b"]) for n in cat_names]
     if override is not None:
         o_cat, o_cont, o_int, o_steps = _pack_override(override, R)
 
@@ -355,7 +338,7 @@ def run_schedule_rows(
 
     k = 0
     while np.any(active):
-        if not h.requires_grad and 2 * np.count_nonzero(active) <= len(live):
+        if not h.requires_grad and not np.all(active):
             # no tape: drop the finished rows (plain indexing, nothing to record)
             out[live[~active]], h_out[live[~active]] = accum.data[~active], h.data[~active]
             h, accum, prev_u, prev_soft, prev_summary = (
@@ -417,8 +400,7 @@ def run_schedule_rows(
         # segment for the selected category, soft-masked into the horizon
         # hard routing: route_t is one-hot and cat_idx names its category
         hard_route = C == 1 or mode != "soft" or override is not None or forced
-        chosen = np.where(active, cat_idx, -1) if hard_route else None
-        segment = routed_segment(model, h, route_t, chosen)
+        segment = routed_segment(model, h, route_t, cat_idx if hard_route else None)
         mask = soft_mask(sel, cursor, active, P, cfg.mask_temp)
         accum, masked_seg = write_segment(segment, mask, accum)
 

@@ -187,7 +187,7 @@ class LeapTS:
     def alpha(self) -> float:
         if "fuse_logit" not in self.store:
             return 0.0
-        return float(1.0 / (1.0 + np.exp(-self.store["fuse_logit"].data[0])))
+        return float(ad._stable_sigmoid(self.store["fuse_logit"].data)[0])
 
     def fuse(self, coarse: Tensor, sched: Tensor) -> Tensor:
         """fused = coarse + sigmoid(fuse_logit) * sched, elementwise."""

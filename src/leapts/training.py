@@ -213,6 +213,8 @@ def train(
     """Optimize the model on the dataset's train split, early-stopping on
     validation Huber loss; the best-epoch parameters are restored before
     the final test evaluation. Deterministic given the seed."""
+    if tcfg.ablation != model.ablation:
+        raise ConfigError(f"train config ablation {tcfg.ablation!r} != model's {model.ablation!r}")
     t0 = time.monotonic()
     cfg = model.config
     shuffle_rng, gumbel_rng = np.random.default_rng(tcfg.seed).spawn(2)

@@ -143,6 +143,12 @@ def test_primitive_gradients_match_finite_differences(rng):
         ("softmax", lambda x: ad.mul(ad.softmax(x), b).sum(), [a]),
         ("concat", lambda x, y: ad.mul(ad.concat([x, y]), 1.5).sum(), [a, b]),
         ("slice", lambda x: x[1:, :2].sum(), [a]),
+        (
+            "rows_to",
+            lambda x, y: ad.mul(ad.rows_to([(np.array([0, 2]), x), (np.array([3]), y)], 4, 4),
+                                np.arange(16.0).reshape(4, 4)).sum(),
+            [rng.normal(size=(2, 4)), rng.normal(size=(1, 4))],
+        ),
         ("sum_axis", lambda x: ad.mul(x.sum(axis=1, keepdims=True), 2.0).sum(), [a]),
         ("mean_axis", lambda x: ad.mul(ad.tmean(x, axis=0), 3.0).sum(), [a]),
         ("abs", lambda x: ad.tabs(x).sum(), [a + 0.3]),
@@ -254,6 +260,22 @@ def test_nonfinite_forward_raises():
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError, match="mul"):
             ad.mul(big, big)
+
+
+def test_nonfinite_leaf_through_concat_raises_at_the_next_arithmetic_op():
+    """Copying ops scan nothing; the first op that computes on the value
+    names itself."""
+    joined = ad.concat([Tensor([[np.nan]]), Tensor([[1.0]])])
+    with pytest.raises(NumericError, match="^add: non-finite values in result$"):
+        ad.add(joined, 1.0)
+
+
+def test_rows_to_puts_parts_back_and_passes_a_full_part_through():
+    x, y = Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0, 6.0]])
+    out = ad.rows_to([(np.array([0, 3]), x), (np.array([1]), y)], 4, 2)
+    assert np.array_equal(out.data, [[1.0, 2.0], [5.0, 6.0], [0.0, 0.0], [3.0, 4.0]])
+    assert ad.rows_to([(np.arange(2), x)], 2, 2) is x
+    assert np.array_equal(ad.rows_to([], 2, 3).data, np.zeros((2, 3)))
 
 
 def test_linear_tanh_overflow_raises():

@@ -7,6 +7,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
+import leapts.cli as cli
 import leapts.training as training
 from leapts.cli import main
 from leapts.model import ModelConfig
@@ -248,6 +249,33 @@ def test_ablate_subcommand(tiny_csv, capsys, tmp_path):
     result = json.loads(out)
     assert set(result["results"]) == {"none", "no_sched"}
     assert (tmp_path / "ckpts" / "no_sched.ckpt").exists()
+
+
+def test_ablate_rejects_a_config_file_ablation(tiny_csv, capsys, tmp_path):
+    """The full model of `ablate` has no ablation; a file that sets one
+    would have been ignored."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"train": {"ablation": "no_high_level"}}))
+    code, out, err = run_cli(
+        capsys, "ablate", "--data", str(tiny_csv), "--L", "24", "--P", "6",
+        "--config", str(cfg_path),
+    )
+    assert code == 2
+    assert "no_high_level" in err and "Traceback" not in err and out == ""
+
+
+def test_out_of_memory_exits_2_with_a_hint(tiny_csv, capsys, tmp_path, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "train", no_memory)
+    code, out, err = run_cli(
+        capsys, "train", "--data", str(tiny_csv), "--L", "24", "--P", "6",
+        "--out", str(tmp_path / "m.ckpt"),
+    )
+    assert code == 2
+    assert err.splitlines()[-1].startswith("error: out of memory") and "--batch" in err
+    assert out == "" and not (tmp_path / "m.ckpt").exists()
 
 
 def test_config_file_with_flag_override(tiny_csv, capsys, tmp_path):

@@ -318,6 +318,24 @@ def test_evolve_routes_rows_to_their_cluster_and_gates_finished(rng):
     assert np.array_equal(h_next.data[2], h.data[2])
 
 
+def test_evolve_under_a_tape_concatenates_state_and_control_once(monkeypatch, rng):
+    """G=3: one `concat` of [h, u] feeds every cluster's field MLPs, each of
+    which runs on that cluster's rows only."""
+    model = LeapTS(toy_config(n_variates=3, n_clusters=3))
+    calls = []
+    concat, linear = ad.concat, ad.linear
+    monkeypatch.setattr(ad, "concat", lambda ts: calls.append("concat") or concat(ts))
+    monkeypatch.setattr(ad, "linear", lambda x, *a: calls.append(x.shape[0]) or linear(x, *a))
+    h = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
+    u = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    with Tape() as tape:
+        h_next, _, _ = evolve_state(model, h, u, u, np.full((6, 1), 0.5),
+                                    np.array([0, 1, 2, 2, 1, 2]), np.ones(6, dtype=bool))
+        tape.backward(h_next.sum())
+    assert calls == ["concat"] + [1] * 4 + [2] * 4 + [3] * 4
+    assert h.grad is not None and u.grad is not None
+
+
 # -- clustering ----------------------------------------------------------------
 
 
@@ -643,13 +661,13 @@ def _staggered_run(override, tape):
 
 
 def test_tape_free_loop_drops_finished_rows(monkeypatch):
-    """Rows finish after 1, 2, 3 and 4 steps: without a tape the batch halves
-    once two rows are done and again once three are; under a tape it keeps
-    all four. Forecasts and traces stay in row order."""
+    """Rows finish after 1, 2, 3 and 4 steps: without a tape each finished
+    row leaves the batch at the next step; under a tape it keeps all four.
+    Forecasts and traces stay in row order."""
     staggered = [[12], [6, 6], [4, 4, 4], [3, 3, 3, 3]]
     rows = _count_rows(monkeypatch)
     free = _staggered_run(staggered, tape=False)
-    assert rows == [4, 4, 2, 1]
+    assert rows == [4, 3, 2, 1]
     rows.clear()
     lock = _staggered_run(staggered, tape=True)
     assert rows == [4, 4, 4, 4]
@@ -663,18 +681,18 @@ def test_override_errors_name_the_original_row_after_rows_have_left(monkeypatch)
     rows = _count_rows(monkeypatch)
     with pytest.raises(DataError, match=r"override for row 3 exhausted at step 3$"):
         _staggered_run([[12], [6, 6], [4, 4, 4], [2, 2, 2]], tape=False)
-    assert rows == [4, 4, 2]
+    assert rows == [4, 3, 2]
     rows.clear()
     with pytest.raises(DataError, match=r"override length 9 outside 1\.\.6 \(row 3, step 3\)$"):
         _staggered_run([[12], [6, 6], [4, 4, 4], [2, 2, 2, 9]], tape=False)
-    assert rows == [4, 4, 2]
+    assert rows == [4, 3, 2]
 
 
 def test_tape_free_step_runs_only_the_routed_head_and_own_cluster_fields(monkeypatch):
-    """Rows seen by each dense layer, per weight name: without a tape each
-    segment head sees only the active rows routed to it and each cluster's
-    field MLPs only that cluster's active rows; under a tape every one of
-    them sees every row at every step."""
+    """Rows seen by each dense layer, per weight name: each cluster's field
+    MLPs see only that cluster's rows (its active rows without a tape);
+    without a tape each segment head sees only the active rows routed to
+    it, under a tape every row at every step."""
     model = LeapTS(toy_config(look_back=16, horizon=12, n_variates=3, n_clusters=3))
     model.cluster_of_variate = np.arange(3)
     n_windows, rows = 4, 12
@@ -720,5 +738,6 @@ def test_tape_free_step_runs_only_the_routed_head_and_own_cluster_fields(monkeyp
     out = run(tape=True)
     n_steps = len(out["noise"])
     assert {name: seen[name] for name in layers} == {
-        name: [rows] * (n_steps * (1 if name.startswith("seg") else 2)) for name in layers
+        name: [rows] * n_steps if name.startswith("seg") else [rows // 3] * (2 * n_steps)
+        for name in layers
     }

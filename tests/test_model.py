@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,18 @@ def test_fuse_identity_and_gate(toy_model, rng):
     fused = toy_model.fuse(coarse, sched)
     assert np.allclose(fused.data, coarse.data, atol=1e-15)
     assert 0.0 < toy_model.alpha < 1.0
+
+
+def test_alpha_is_the_gate_fuse_applies():
+    model = LeapTS(toy_config())
+    zeros, ones = Tensor(np.zeros((1, 1))), Tensor(np.ones((1, 1)))
+    for logit in (-3.7, 0.0, 5.0):
+        model.store["fuse_logit"].data[:] = logit
+        assert model.alpha == model.fuse(zeros, ones).data[0, 0]
+    model.store["fuse_logit"].data[:] = -800.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert model.alpha == 0.0
 
 
 def test_fusion_identity_full_forward(rng):

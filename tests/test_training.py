@@ -233,6 +233,12 @@ def test_no_high_level_single_category(rng):
     assert cats == {"single"}
 
 
+def test_train_rejects_an_ablation_the_model_does_not_have(toy_model):
+    ds = Dataset(values=np.zeros((60, 2)))
+    with pytest.raises(ConfigError, match="'no_sched'"):
+        train(toy_model, ds, TrainConfig(ablation="no_sched"))
+
+
 def test_ablate_builder_and_validation(toy_model):
     variant = ablate(toy_model, "no_sched")
     assert variant.ablation == "no_sched"
