@@ -157,12 +157,15 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     if x.ndim == 0:  # ufuncs return scalars on 0-d input; the in-place steps need an array
         return _stable_sigmoid(x.reshape(1)).reshape(())
-    e = np.abs(x)
-    np.negative(e, out=e)
-    np.exp(e, out=e)  # exp(-x) where x >= 0, exp(x) elsewhere: never overflows
-    d = 1.0 + e
-    y = 1.0 / d
-    np.copyto(y, e / d, where=x < 0)  # -0.0 keeps 1/d; NaN gives NaN on either branch
+    # exp(min(x, 0)) / (1 + exp(-|x|)) is 1/d where x >= 0 (also -0.0) and
+    # e/d elsewhere, bit for bit; neither exp overflows, NaN stays NaN
+    y = np.minimum(x, 0.0)
+    np.exp(y, out=y)
+    d = np.abs(x)
+    np.negative(d, out=d)
+    np.exp(d, out=d)
+    d += 1.0
+    y /= d
     return y
 
 
@@ -237,7 +240,8 @@ def linear(x, w, b, act=None) -> Tensor:
         raise ValueError(f"linear: act must be None or 'tanh', got {act!r}")
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} not aligned")
-    pre = x.data @ w.data + b.data
+    pre = x.data @ w.data
+    pre += b.data
     y = np.tanh(pre) if act == "tanh" else pre
 
     def fn(g):
@@ -271,11 +275,12 @@ def gated_sigmoid(sel, offs, scale: float, gate) -> Tensor:
     """
     sel = _as_tensor(sel)
     try:
-        z = (sel.data - offs) * scale
+        z = sel.data - offs
     except ValueError:
         raise ShapeError(
             f"gated_sigmoid: cannot broadcast {sel.shape} with {np.shape(offs)}"
         ) from None
+    z *= scale
     y = _stable_sigmoid(z)
 
     def fn(g):

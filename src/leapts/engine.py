@@ -53,9 +53,11 @@ def soft_mask(sel, cursor: np.ndarray, active: np.ndarray, P: int, gamma: float)
     row's cursor and on finished rows, then a smooth cutoff ``gamma`` wide
     centered ``sel`` [R x 1] past the cursor."""
     tau = np.arange(1, P + 1, dtype=np.float64)
-    indicator = ((tau[None, :] >= cursor[:, None]) & active[:, None]).astype(np.float64)
-    offs = tau[None, :] - cursor[:, None].astype(np.float64) + 0.5
-    return ad.gated_sigmoid(sel, offs, 1.0 / gamma, indicator)
+    started = tau[None, :] >= cursor[:, None]  # a bool gate multiplies as 0.0/1.0
+    started &= active[:, None]
+    offs = tau[None, :] - cursor[:, None].astype(np.float64)
+    offs += 0.5
+    return ad.gated_sigmoid(sel, offs, 1.0 / gamma, started)
 
 
 def _take_rows(x, rows: np.ndarray):
@@ -431,24 +433,13 @@ def run_schedule_rows(
             ctrl_mags = np.abs(d_ctrl.data).sum(axis=1)
             time_mags = np.abs(d_time.data).sum(axis=1)
             ctrl_ratios, time_ratios = decompose_update(d_ctrl.data, d_time.data)
-            for r in np.flatnonzero(active):
-                traces[live[r]].steps.append(
-                    TraceStep(
-                        step=k,
-                        category=int(cat_idx[r]),
-                        category_name=cat_names[int(cat_idx[r])],
-                        soft=[float(x) for x in soft.data[r]],
-                        len_cont=float(sel.data[r, 0]),
-                        len_int=int(len_int[r]),
-                        cursor_before=int(cursor[r]),
-                        cursor_after=int(cursor[r] + len_int[r]),
-                        ctrl_mag=float(ctrl_mags[r]),
-                        time_mag=float(time_mags[r]),
-                        ctrl_ratio=float(ctrl_ratios[r]),
-                        time_ratio=float(time_ratios[r]),
-                        forced=bool(forced),
-                    )
-                )
+            on = np.flatnonzero(active)
+            columns = (live, cat_idx, soft.data, sel.data[:, 0], len_int, cursor,
+                       ctrl_mags, time_mags, ctrl_ratios, time_ratios)
+            for r, c, sft, lc, li, cb, cm, tm, cr, tr in zip(*(a[on].tolist() for a in columns)):
+                traces[r].steps.append(TraceStep(
+                    k, c, cat_names[c], sft, lc, li, cb, cb + li, cm, tm, cr, tr, forced
+                ))
 
         h = h_next
         prev_u = u

@@ -7,7 +7,7 @@ Lines, one record per scheduling step, schema ``leapts-trace-v1``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -90,15 +90,10 @@ _FIELD_TYPES = {
 def write_trace_jsonl(traces, path):
     with open(path, "w", encoding="utf-8") as fh:
         for tr in traces:
+            head = {"schema": TRACE_SCHEMA, "window": tr.window, "variate": tr.variate,
+                    "volatility": tr.volatility}
             for st in tr.steps:
-                rec = {
-                    "schema": TRACE_SCHEMA,
-                    "window": tr.window,
-                    "variate": tr.variate,
-                    "volatility": tr.volatility,
-                }
-                rec.update(asdict(st))
-                fh.write(json.dumps(rec) + "\n")
+                fh.write(json.dumps({**head, **vars(st)}) + "\n")
 
 
 def read_trace_jsonl(path) -> list[ScheduleTrace]:

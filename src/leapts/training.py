@@ -12,7 +12,7 @@ import numpy as np
 from .autodiff import Tape
 from .data import Dataset, WindowBatch, make_windows, zscore_stats
 from .engine import cluster_variates
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .forward import forward_loss, predict_batch
 from .metrics import MetricReport
 from .model import ABLATIONS, LeapTS
@@ -122,6 +122,8 @@ def _epoch_loss(model, windows: WindowBatch, delta: float, batch: int = 256) -> 
 def _batched_predictions(model: LeapTS, windows: WindowBatch, batch: int, collect_traces: bool):
     """Yield (window count, fused forecasts [b x P x N], traces or None) per
     batch of windows, in order."""
+    if collect_traces and model.ablation == "no_sched":
+        raise DataError("traces: the no_sched variant has no scheduling branch")
     n = model.config.n_variates
     for lo in range(0, windows.n_windows, batch):
         hi = min(lo + batch, windows.n_windows)

@@ -51,16 +51,32 @@ def test_sigmoid_at_zero():
     assert ad.sigmoid(Tensor(0.0)).data == 0.5  # a 0-d input keeps its shape
 
 
-def test_sigmoid_bits_match_the_two_branch_formula():
-    """1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, computed on the
-    selected entries, is the reference the sigmoid must match bit for bit."""
-    x = np.array([0.0, -0.0, 1e-3, -1e-3, 50.0, -50.0, 800.0, -800.0])
+def _two_branch_sigmoid(x):
     ref = np.empty_like(x)
     pos = x >= 0
     ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ref[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+    return ref
+
+
+def test_sigmoid_bits_match_the_two_branch_formula():
+    """1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, computed on the
+    selected entries, is the reference the sigmoid must match bit for bit,
+    without writing to its input."""
+    x = np.array([0.0, -0.0, 1e-3, -1e-3, 50.0, -50.0, 800.0, -800.0])
+    ref = _two_branch_sigmoid(x)
     assert np.array_equal(ad.sigmoid(Tensor(x)).data, ref)
     assert ref[1] == 0.5 and ref[6] == 1.0 and ref[7] == 0.0
+    edges = np.array([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0])
+    big = np.random.default_rng(0).standard_normal((960, 96)) * np.geomspace(1e-3, 800, 96)
+    for inp in (edges, big, np.array(-3.0), np.array(np.nan)):
+        before = inp.copy()
+        out = ad._stable_sigmoid(inp)
+        assert out.shape == inp.shape and out is not inp
+        assert np.array_equal(out, _two_branch_sigmoid(inp.reshape(-1)).reshape(inp.shape),
+                              equal_nan=True)
+        assert np.array_equal(inp, before, equal_nan=True)
+    assert ad._stable_sigmoid(edges)[:2].tolist() == [1.0, 0.0]
 
 
 def test_matmul_hand_product():

@@ -160,6 +160,25 @@ def test_train_records_ablation_flag(tiny_csv, capsys, tmp_path):
     assert header["magic"] == "LEAPTS1"
 
 
+def test_tracing_a_no_sched_checkpoint_exits_2(tiny_csv, capsys, tmp_path):
+    ckpt = tmp_path / "ns.ckpt"
+    code, _, _ = run_cli(
+        capsys,
+        "train", "--data", str(tiny_csv), "--L", "24", "--P", "6", "--out", str(ckpt),
+        "--epochs", "1", "--ablate", "no_sched", "--hidden", "8",
+    )
+    assert code == 0
+    out_path = tmp_path / "t.jsonl"
+    common = ("--ckpt", str(ckpt), "--data", str(tiny_csv))
+    for argv in (("trace", *common, "--out", str(out_path)),
+                 ("eval", *common, "--trace", str(out_path)),
+                 ("eval", *common, "--full-metrics", "--trace", str(out_path))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert "the no_sched variant has no scheduling branch" in err
+        assert out == "" and not out_path.exists()
+
+
 def test_eval_checkpoint_data_mismatch(tiny_ckpt, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n" + "\n".join(f"{i},{i + 1}" for i in range(200)) + "\n")

@@ -251,6 +251,31 @@ def test_replay_after_jsonl_roundtrip(tmp_path, small_model, small_windows):
     assert np.array_equal(natural, replayed)
 
 
+def test_trace_jsonl_bytes_are_pinned(tmp_path):
+    """Each record is the trace's head then the step's fields in the order of
+    docs/formats.md, floats at full ``repr`` precision, one record a line."""
+    tr = ScheduleTrace(window=3, variate=1, volatility=0.1 + 0.2)
+    tr.steps.append(TraceStep(0, 2, "long", [0.1, 0.2, 0.7], 19.37, 19, 1, 20,
+                              1 / 3, 0.034, 0.25, 0.75))
+    tr.steps.append(TraceStep(1, 0, "short", [1.0, 0.0, 0.0], 2.5e-17, 1, 20, 21,
+                              0.0, 1e300, 0.0, 1.0, forced=True))
+    path = tmp_path / "pinned.jsonl"
+    write_trace_jsonl([tr], path)
+    head = '{"schema": "leapts-trace-v1", "window": 3, "variate": 1, "volatility": 0.30000000000000004'
+    assert path.read_bytes().decode("utf-8").split("\n") == [
+        head + ', "step": 0, "category": 2, "category_name": "long", "soft": [0.1, 0.2, 0.7],'
+        ' "len_cont": 19.37, "len_int": 19, "cursor_before": 1, "cursor_after": 20,'
+        ' "ctrl_mag": 0.3333333333333333, "time_mag": 0.034, "ctrl_ratio": 0.25,'
+        ' "time_ratio": 0.75, "forced": false}',
+        head + ', "step": 1, "category": 0, "category_name": "short", "soft": [1.0, 0.0, 0.0],'
+        ' "len_cont": 2.5e-17, "len_int": 1, "cursor_before": 20, "cursor_after": 21,'
+        ' "ctrl_mag": 0.0, "time_mag": 1e+300, "ctrl_ratio": 0.0, "time_ratio": 1.0,'
+        ' "forced": true}',
+        "",
+    ]
+    assert read_trace_jsonl(path) == [tr]
+
+
 @pytest.mark.parametrize(
     "line, reason",
     [

@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import dataclasses
 import math
 
@@ -392,6 +393,33 @@ def test_forced_lengths_two_steps():
         assert tr.n_steps == 2
         assert [s.cursor_before for s in tr.steps] == [1, 3]
         assert tr.steps[-1].cursor_after == 5
+
+
+_BUILTIN = {"int": int, "float": float, "str": str, "bool": bool}
+
+
+@pytest.mark.parametrize("tape", [False, True], ids=["no-tape", "tape"])
+@pytest.mark.parametrize("case", ["eval", "capped", "override"])
+def test_trace_fields_have_builtin_types(case, tape):
+    """Every `TraceStep` field is a builtin value of its annotated type, not
+    a numpy scalar: the loop collects them from `.tolist()` columns."""
+    model = LeapTS(toy_config(look_back=16, horizon=12, n_variates=3, n_clusters=3,
+                              max_steps=1 if case == "capped" else None))
+    assert not model.anchors.degenerate
+    kw = {}
+    if case == "override":
+        kw["override"] = [[(c % 3, 4.0, 4)] * 3 for c in range(6)]
+    with Tape() if tape else contextlib.nullcontext():
+        traces = run_rows(model, n_windows=2, **kw)["traces"]
+    steps = [s for tr in traces for s in tr.steps]
+    assert steps and any(s.forced for s in steps) == (case == "capped")
+    for s in steps:
+        for f in dataclasses.fields(s):
+            value = getattr(s, f.name)
+            if f.type == "list[float]":
+                assert type(value) is list and all(type(v) is float for v in value), f.name
+            else:
+                assert type(value) is _BUILTIN[f.type], (f.name, type(value))
 
 
 def test_override_errors_name_row_and_step():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from leapts.data import Dataset, make_windows
-from leapts.errors import ConfigError
+from leapts.errors import ConfigError, DataError
 from leapts.forward import predict_batch
 from leapts.model import LeapTS, ModelConfig
 from leapts.synth import ScenarioSpec, generate
@@ -221,6 +221,19 @@ def test_no_sched_equals_coarse_exactly(rng):
 
     coarse = _batch_from_rows(forward_rows(model, x)["coarse"].data, 3, 2)
     assert np.array_equal(fused, coarse)
+
+
+def test_traces_of_a_no_sched_model_are_a_data_error(rng):
+    """The no_sched variant has no scheduling loop to trace."""
+    model = LeapTS(toy_config(seed=13), ablation="no_sched")
+    ds = Dataset(values=rng.normal(size=(80, 2)), split_fractions=(1.0, 0.0, 0.0))
+    w = make_windows(ds, 24, 8, "train", stride=7)
+    for call in (lambda: evaluate(model, w, collect_traces=True),
+                 lambda: evaluate_full(model, w, traces=[])):
+        with pytest.raises(DataError, match="no_sched variant has no scheduling branch"):
+            call()
+    report, traces = evaluate(model, w)
+    assert np.isfinite(report.mse) and traces is None
 
 
 def test_no_high_level_single_category(rng):
