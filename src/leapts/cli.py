@@ -142,8 +142,17 @@ def cmd_train(args) -> int:
 # -- eval / trace ------------------------------------------------------------
 
 
+def _number_list(flag, text, kind=float):
+    """The comma-separated values of ``flag``; one that is not a ``kind`` is a DataError."""
+    try:
+        return [kind(x) for x in str(text).split(",")]
+    except ValueError:
+        what = "integers" if kind is int else "numbers"
+        raise DataError(f"{flag} needs comma-separated {what}, got {text!r}") from None
+
+
 def _parse_splits(text):
-    parts = [float(x) for x in text.split(",")]
+    parts = _number_list("--splits", text)
     if len(parts) != 3:
         raise DataError(f"--splits needs three comma-separated fractions, got {text!r}")
     return tuple(parts)
@@ -282,16 +291,12 @@ def cmd_ablate(args) -> int:
 # -- bounds / anchors --------------------------------------------------------
 
 
-def _float_list(text):
-    return [float(x) for x in str(text).split(",")]
-
-
 def cmd_bounds(args) -> int:
     lams, eas, eps_, ps = (
-        _float_list(args.lam),
-        _float_list(args.eps_a),
-        _float_list(args.eps_p),
-        [int(x) for x in str(args.P).split(",")],
+        _number_list("--lambda", args.lam),
+        _number_list("--eps-a", args.eps_a),
+        _number_list("--eps-p", args.eps_p),
+        _number_list("--P", args.P, int),
     )
     rows = []
     for lam in lams:

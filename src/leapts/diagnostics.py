@@ -14,10 +14,9 @@ from .errors import DataError
 from .forward import predict_batch
 from .metrics import MetricReport, mae, mse
 from .model import LeapTS
-from .traces import ScheduleTrace, decompose_update
+from .traces import ScheduleTrace
 
 __all__ = [
-    "decompose_update",
     "VolatilityBin",
     "bin_by_volatility",
     "category_stats",

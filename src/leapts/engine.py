@@ -2,14 +2,14 @@
 summary feedback, control-signal construction, and cluster-specific
 controlled state evolution.
 
-The loop is batched over rows (one row = one variate of one window). Each
-row runs only its own cluster's field MLPs. Under a tape all rows advance
-in lockstep with finished rows exactly gated out, which is equivalent to
-scheduling each variate independently, and every row runs every segment
-head so that the masked sum carries the route gradient. Without one,
-finished rows leave the batch at the top of every step, and each running
-row runs only the segment head its routing chose (under hard routing).
-Each step is built from the row-batched operations below, one call each.
+The loop is batched over rows (one row = one variate of one window), and
+each row schedules its own path: a row leaves the batch at the end of the
+step that carries its cursor past the horizon, with or without a tape, so
+every row in a step is still running. Each row runs only its own cluster's
+field MLPs. Under a tape every running row runs every segment head so that
+the masked sum carries the route gradient; without one, each row runs only
+the segment head its routing chose (under hard routing). Each step is
+built from the row-batched operations below, one call each.
 """
 
 from __future__ import annotations
@@ -48,20 +48,20 @@ __all__ = [
 # -- the operations of one scheduling step, batched over rows ---------------
 
 
-def soft_mask(sel, cursor: np.ndarray, active: np.ndarray, P: int, gamma: float) -> Tensor:
+def soft_mask(sel, cursor: np.ndarray, P: int, gamma: float) -> Tensor:
     """Sigmoid gate over the horizon per row [R x P]: exactly 0 before the
-    row's cursor and on finished rows, then a smooth cutoff ``gamma`` wide
-    centered ``sel`` [R x 1] past the cursor."""
+    row's cursor (so everywhere on a finished row, cursor P+1), then a
+    smooth cutoff ``gamma`` wide centered ``sel`` [R x 1] past the cursor."""
     tau = np.arange(1, P + 1, dtype=np.float64)
     started = tau[None, :] >= cursor[:, None]  # a bool gate multiplies as 0.0/1.0
-    started &= active[:, None]
     offs = tau[None, :] - cursor[:, None].astype(np.float64)
     offs += 0.5
     return ad.gated_sigmoid(sel, offs, 1.0 / gamma, started)
 
 
 def _take_rows(x, rows: np.ndarray):
-    """``x[rows]`` (recorded on the tape for a Tensor), or ``x`` if ``rows`` is every row."""
+    """``x[rows]`` (a recorded ``slice`` node for a Tensor under a tape), or
+    ``x`` if ``rows`` is every row."""
     return x if len(rows) == x.shape[0] else x[rows]
 
 
@@ -144,11 +144,9 @@ def evolve_state(
     du: Tensor,
     dtau: np.ndarray,
     row_clusters: np.ndarray,
-    active: np.ndarray,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """One controlled-Euler step over rows: row r moves by its cluster's
-    control field times ``du`` plus its drift field times ``dtau``; finished
-    rows (``active`` false) get exact zero deltas.
+    control field times ``du`` plus its drift field times ``dtau``.
 
     Each cluster's field MLPs run on that cluster's rows only, on and off
     the tape; ``autodiff.rows_to`` puts their deltas back in row order.
@@ -166,8 +164,7 @@ def evolve_state(
             drift = _mlp_apply(model.store, f"time_field_g{g}", x, 2)
             ctrl_parts.append((rows, ad.rowwise_matvec(fields, _take_rows(du, rows))))
             time_parts.append((rows, ad.mul(drift, _take_rows(dtau, rows))))
-    act_col = active.astype(np.float64)[:, None]
-    d_ctrl, d_time = (ad.mul(ad.rows_to(p, *h.shape), act_col) for p in (ctrl_parts, time_parts))
+    d_ctrl, d_time = (ad.rows_to(p, *h.shape) for p in (ctrl_parts, time_parts))
     return ad.add(h, ad.add(d_ctrl, d_time)), d_ctrl, d_time
 
 
@@ -282,9 +279,9 @@ def run_schedule_rows(
     trace_meta: tuple | None = None,
     debug: list | None = None,
 ):
-    """Run the scheduling loop for R rows: in lockstep under a tape; without
-    one, the finished rows leave the batch at the top of every step.
-    Outputs are in the original row order either way.
+    """Run the scheduling loop for R rows. A row leaves the batch once its
+    cursor passes the horizon (a recorded gather under a tape, plain
+    indexing without one); outputs are in the original row order.
 
     ``mode``: "train" (Gumbel noise + hard routing), "eval" (noiseless,
     hard routing), "soft" (noiseless or frozen-noise, fully differentiable
@@ -315,7 +312,6 @@ def run_schedule_rows(
 
     accum = Tensor(np.zeros((R, P)))
     cursor = np.ones(R, dtype=np.int64)
-    active = np.ones(R, dtype=bool)
     prev_u = Tensor(np.zeros((R, cfg.control_dim)))
     prev_soft = Tensor(np.full((R, C), 1.0 / C))
     prev_summary = Tensor(np.zeros((R, cfg.summary_dim)))
@@ -330,8 +326,8 @@ def run_schedule_rows(
         ]
     noise_record: list = []
     live = np.arange(R)  # original row of each row still in the batch
-    out = np.zeros((R, P))  # forecasts of the rows that have left
-    h_out = np.zeros(h.shape)  # their final states
+    done = []  # (original rows, their forecast rows) of the rows that have left
+    h_out = np.zeros(h.shape)  # final states of the rows that have left
 
     def spread(x, left):  # [R x ...] in original row order, `left` on rows that left
         full = np.array(np.broadcast_to(left, (R,) + x.shape[1:]), dtype=x.dtype)
@@ -339,16 +335,8 @@ def run_schedule_rows(
         return full
 
     k = 0
-    while np.any(active):
-        if not h.requires_grad and not np.all(active):
-            # no tape: drop the finished rows (plain indexing, nothing to record)
-            out[live[~active]], h_out[live[~active]] = accum.data[~active], h.data[~active]
-            h, accum, prev_u, prev_soft, prev_summary = (
-                Tensor(t.data[active]) for t in (h, accum, prev_u, prev_soft, prev_summary)
-            )
-            prev_len_norm, cursor, row_clusters, live, active = (
-                a[active] for a in (prev_len_norm, cursor, row_clusters, live, active)
-            )
+    while len(live):
+        n = len(live)
         forced = k >= cfg.max_steps and override is None
         noise = None
 
@@ -365,19 +353,17 @@ def run_schedule_rows(
                 logits, cfg.gumbel_temp, None if noise is None else noise[live]
             )
         else:
-            soft = Tensor(np.ones((len(live), 1)))
-            hard = np.ones((len(live), 1))
+            soft = Tensor(np.ones((n, 1)))
+            hard = np.ones((n, 1))
         noise_record.append(noise)
 
         # low level: advancement length (continuous for the mask, integer
         # for the cursor) and routing vector for the segment heads
         if override is not None or forced:
             if override is not None:
-                cat_idx = np.where(active, o_cat[live, k], 0)
-                len_cont = np.where(active, o_cont[live, k], 1.0)
-                len_int = np.where(active, o_int[live, k], 0)
+                cat_idx, len_cont, len_int = o_cat[live, k], o_cont[live, k], o_int[live, k]
                 rem = P - cursor + 1
-                bad = active & ((o_steps[live] <= k) | (len_int < 1) | (len_int > rem))
+                bad = (o_steps[live] <= k) | (len_int < 1) | (len_int > rem)
                 if np.any(bad):
                     r = int(np.argmax(bad))
                     if o_steps[live[r]] <= k:
@@ -387,33 +373,31 @@ def run_schedule_rows(
                         f" (row {live[r]}, step {k})"
                     )
             else:
-                cat_idx = np.full(len(live), C - 1, dtype=np.int64)
-                rem = np.maximum(P - cursor + 1, 1)
-                len_cont = rem.astype(np.float64)
-                len_int = np.where(active, rem, 0)
+                cat_idx = np.full(n, C - 1, dtype=np.int64)
+                len_int = P - cursor + 1
+                len_cont = len_int.astype(np.float64)
             sel = Tensor(len_cont[:, None])
             route_t = Tensor(np.eye(C)[cat_idx])
         else:
             lengths = length_candidates(h, anchors, heads)
             sel, route_t, cat_idx = route_lengths(lengths, soft, hard, mode)
             len_int = round_and_clip_rows(sel.data[:, 0], cursor, P)
-            len_int = np.where(active, len_int, 0)
 
         # segment for the selected category, soft-masked into the horizon
         # hard routing: route_t is one-hot and cat_idx names its category
         hard_route = C == 1 or mode != "soft" or override is not None or forced
         segment = routed_segment(model, h, route_t, cat_idx if hard_route else None)
-        mask = soft_mask(sel, cursor, active, P, cfg.mask_temp)
+        mask = soft_mask(sel, cursor, P, cfg.mask_temp)
         accum, masked_seg = write_segment(segment, mask, accum)
 
         # feedback and state evolution (uses the previous step's outcomes)
         summary = summarize_segment(masked_seg, store["summary_w"], store["summary_b"])
-        rho = ((P - cursor + 1).clip(min=0) / P)[:, None]
+        rho = ((P - cursor + 1) / P)[:, None]
         u = build_control_signal(
             rho, prev_len_norm, prev_soft, prev_summary, store["control_w"], store["control_b"]
         )
         du, dtau = increments(u, prev_u, prev_len_norm, cfg.dt_min, cfg.dt_max)
-        h_next, d_ctrl, d_time = evolve_state(model, h, u, du, dtau, row_clusters, active)
+        h_next, d_ctrl, d_time = evolve_state(model, h, u, du, dtau, row_clusters)
 
         if debug is not None:
             debug.append(
@@ -426,17 +410,16 @@ def run_schedule_rows(
                     h_after=spread(h_next.data, h_out),
                     ctrl_delta=spread(d_ctrl.data, 0.0),
                     time_delta=spread(d_time.data, 0.0),
-                    active=spread(active, False),
+                    active=spread(np.ones(n, dtype=bool), False),
                 )
             )
         if traces is not None:
             ctrl_mags = np.abs(d_ctrl.data).sum(axis=1)
             time_mags = np.abs(d_time.data).sum(axis=1)
             ctrl_ratios, time_ratios = decompose_update(d_ctrl.data, d_time.data)
-            on = np.flatnonzero(active)
             columns = (live, cat_idx, soft.data, sel.data[:, 0], len_int, cursor,
                        ctrl_mags, time_mags, ctrl_ratios, time_ratios)
-            for r, c, sft, lc, li, cb, cm, tm, cr, tr in zip(*(a[on].tolist() for a in columns)):
+            for r, c, sft, lc, li, cb, cm, tm, cr, tr in zip(*(a.tolist() for a in columns)):
                 traces[r].steps.append(TraceStep(
                     k, c, cat_names[c], sft, lc, li, cb, cb + li, cm, tm, cr, tr, forced
                 ))
@@ -447,10 +430,19 @@ def run_schedule_rows(
         prev_summary = summary
         prev_len_norm = (len_int / P)[:, None].astype(np.float64)
         cursor = cursor + len_int
-        active = active & (cursor <= P)
         k += 1
 
-    if len(live) < R:  # rows have left: put the forecasts back in row order
-        out[live] = accum.data
-        accum = Tensor(out)
-    return accum, traces, noise_record
+        # the rows whose cursor has passed the horizon leave the batch
+        left = cursor > P
+        if np.any(left):
+            gone, keep = np.flatnonzero(left), np.flatnonzero(~left)
+            done.append((live[gone], _take_rows(accum, gone)))
+            h_out[live[gone]] = h.data[gone]
+            live = live[keep]
+            if len(live):
+                h, accum, prev_u, prev_soft, prev_summary, prev_len_norm, cursor, row_clusters = (
+                    _take_rows(x, keep) for x in (h, accum, prev_u, prev_soft, prev_summary,
+                                                  prev_len_norm, cursor, row_clusters)
+                )
+
+    return ad.rows_to(done, R, P), traces, noise_record

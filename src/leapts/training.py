@@ -213,8 +213,9 @@ def train(
     log_path=None,
 ) -> tuple[LeapTS, TrainReport]:
     """Optimize the model on the dataset's train split, early-stopping on
-    validation Huber loss; the best-epoch parameters are restored before
-    the final test evaluation. Deterministic given the seed."""
+    validation Huber loss; the best-epoch parameters, and the Gumbel
+    temperature they were validated at, are restored before the final test
+    evaluation. Deterministic given the seed."""
     if tcfg.ablation != model.ablation:
         raise ConfigError(f"train config ablation {tcfg.ablation!r} != model's {model.ablation!r}")
     t0 = time.monotonic()
@@ -235,7 +236,7 @@ def train(
     report = TrainReport()
     best_state = model.store.state_dict()
     bad_epochs = 0
-    tau_start = cfg.gumbel_temp
+    tau_start = best_tau = cfg.gumbel_temp
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
 
     try:
@@ -290,7 +291,7 @@ def train(
             if val_loss < report.best_val_loss:
                 report.best_val_loss = val_loss
                 report.best_epoch = epoch
-                best_state = model.store.state_dict()
+                best_state, best_tau = model.store.state_dict(), cfg.gumbel_temp
                 bad_epochs = 0
             else:
                 bad_epochs += 1
@@ -300,7 +301,7 @@ def train(
     finally:
         if log_fh:
             log_fh.close()
-        cfg.gumbel_temp = tau_start
+        cfg.gumbel_temp = best_tau
 
     model.store.load_state_dict(best_state)
     report.test, _ = evaluate(model, test_w)

@@ -102,7 +102,7 @@ def test_criterion_2_soft_mask_hard_limit():
         for length in (1, 5, 12, 24):
             for cursor in (1, 7, 20):
                 sel = Tensor([[float(length)]])
-                m = soft_mask(sel, np.array([cursor]), np.array([True]), P, 1e-3).data[0]
+                m = soft_mask(sel, np.array([cursor]), P, 1e-3).data[0]
                 hard = np.zeros(P)
                 hard[cursor - 1 : min(cursor - 1 + length, P)] = 1.0
                 assert np.abs(m - hard).max() < 1e-6

@@ -114,6 +114,29 @@ def test_bounds_rejects_invalid_exponent(capsys):
     assert "superadditivity" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--lambda", "abc"), ("--eps-a", "1,two"), ("--eps-p", "x"), ("--P", "4.5")],
+    ids=["lambda", "eps-a", "eps-p", "P"],
+)
+def test_bounds_rejects_non_numeric_values(capsys, flag, value):
+    argv = {"--lambda": "2", "--eps-a": "1", "--eps-p": "2", "--P": "4", flag: value}
+    code, out, err = run_cli(capsys, "bounds", *(a for kv in argv.items() for a in kv))
+    assert code == 2 and out == ""
+    assert f"error: {flag} needs comma-separated" in err and repr(value) in err
+    assert "Traceback" not in err
+
+
+def test_splits_rejects_non_numeric_values(tiny_csv, capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys, "train", "--data", str(tiny_csv), "--L", "24", "--P", "6",
+        "--out", str(tmp_path / "m.ckpt"), "--splits", "0.5,x,0.2",
+    )
+    assert code == 2
+    assert "error: --splits needs comma-separated numbers, got '0.5,x,0.2'" in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_bounds_sweep_rows_satisfy_theorem(capsys):
     code, out, _ = run_cli(
         capsys,

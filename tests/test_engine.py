@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import leapts.autodiff as ad
 import leapts.engine as engine
+import leapts.forward as forward
 from leapts.autodiff import Tape, Tensor
 from leapts.diagnostics import fixed_partition, partition_to_steps, sample_partition
 from leapts.engine import (
@@ -38,10 +39,10 @@ def sigmoid(x):
 # -- soft mask ---------------------------------------------------------------
 
 
-def mask_row(length, cursor, P, gamma, active=True):
+def mask_row(length, cursor, P, gamma):
     """One-row call of the batched soft mask."""
     sel = length if isinstance(length, Tensor) else Tensor([[float(length)]])
-    return soft_mask(sel, np.array([cursor]), np.array([active]), P, gamma)
+    return soft_mask(sel, np.array([cursor]), P, gamma)
 
 
 def test_soft_mask_hand_values():
@@ -73,13 +74,13 @@ def test_soft_mask_sharp_limit_matches_hard_indicator():
 
 
 def test_soft_mask_zero_on_finished_rows():
-    """Rows past the horizon (cursor P+1) or gated out by ``active`` write
-    nothing, whatever their length; the other rows are unaffected."""
+    """A row past the horizon (cursor P+1) writes nothing, whatever its
+    length; the other rows are unaffected."""
     sel = Tensor(np.array([[2.0], [3.0], [2.0]]))
-    m = soft_mask(sel, np.array([1, 5, 2]), np.array([True, True, False]), 4, 0.1).data
+    m = soft_mask(sel, np.array([1, 5, 3]), 4, 0.1).data
     assert np.array_equal(m[1], np.zeros(4))
-    assert np.array_equal(m[2], np.zeros(4))
     assert np.array_equal(m[0], mask_row(2.0, cursor=1, P=4, gamma=0.1).data[0])
+    assert np.array_equal(m[2], mask_row(2.0, cursor=3, P=4, gamma=0.1).data[0])
 
 
 def test_soft_mask_gradient_flows_to_length():
@@ -90,10 +91,10 @@ def test_soft_mask_gradient_flows_to_length():
     assert l.grad[0, 0] > 0.0
 
 
-def _four_op_mask(sel, cursor, active, P, gamma):
+def _four_op_mask(sel, cursor, P, gamma):
     """The soft mask as sub, mul, sigmoid and mul nodes."""
     tau = np.arange(1, P + 1, dtype=np.float64)
-    indicator = ((tau[None, :] >= cursor[:, None]) & active[:, None]).astype(np.float64)
+    indicator = (tau[None, :] >= cursor[:, None]).astype(np.float64)
     offs = tau[None, :] - cursor[:, None].astype(np.float64) + 0.5
     return ad.mul(ad.sigmoid(ad.mul(ad.sub(sel, offs), 1.0 / gamma)), indicator)
 
@@ -103,13 +104,13 @@ def test_soft_mask_matches_the_four_op_composition_bit_for_bit(rng):
     start, one partway along the horizon and a finished one; the mask is one
     tape node."""
     P, gamma = 12, 0.1
-    cursor, active = np.array([1, 5, P + 1]), np.array([True, True, False])
+    cursor = np.array([1, 5, P + 1])
     lengths, weight = rng.uniform(1.0, 8.0, size=(3, 1)), rng.normal(size=(3, P))
 
     def run(mask_fn):
         sel = Tensor(lengths, requires_grad=True)
         with Tape() as tape:
-            mask = mask_fn(sel, cursor, active, P, gamma)
+            mask = mask_fn(sel, cursor, P, gamma)
             n_nodes = len(tape.nodes)
             tape.backward(ad.tsum(ad.mul(mask, weight)))
         return mask.data, sel.grad, n_nodes
@@ -266,8 +267,8 @@ def stub_fields(model, cluster, f_const, g_const):
 
 
 def one_cluster(n_rows):
-    """(row_clusters, active) for rows that all belong to cluster 0."""
-    return np.zeros(n_rows, dtype=np.int64), np.ones(n_rows, dtype=bool)
+    """Row clusters for rows that all belong to cluster 0."""
+    return np.zeros(n_rows, dtype=np.int64)
 
 
 def test_evolve_hand_arithmetic():
@@ -278,7 +279,7 @@ def test_evolve_hand_arithmetic():
     h = Tensor(np.array([[1.0]]))
     u = Tensor(np.array([[0.2]]))
     du = Tensor(np.array([[0.5]]))
-    h_next, d_ctrl, d_time = evolve_state(model, h, u, du, np.array([[0.1]]), *one_cluster(1))
+    h_next, d_ctrl, d_time = evolve_state(model, h, u, du, np.array([[0.1]]), one_cluster(1))
     assert d_ctrl.data[0, 0] == pytest.approx(1.0, abs=1e-12)  # 2 * 0.5
     assert d_time.data[0, 0] == pytest.approx(0.3, abs=1e-12)  # 3 * 0.1
     assert h_next.data[0, 0] == pytest.approx(2.3, abs=1e-12)
@@ -289,7 +290,7 @@ def test_evolve_no_driving_signal_keeps_state(toy_model, rng):
     u = Tensor(rng.normal(size=(2, 4)))
     du = Tensor(np.zeros((2, 4)))
     stub_fields(toy_model, 0, f_const=1.7, g_const=0.0)
-    h_next, d_ctrl, d_time = evolve_state(toy_model, h, u, du, np.zeros((2, 1)), *one_cluster(2))
+    h_next, d_ctrl, d_time = evolve_state(toy_model, h, u, du, np.zeros((2, 1)), one_cluster(2))
     assert np.array_equal(h_next.data, h.data)
     assert np.array_equal(d_ctrl.data, np.zeros((2, 8)))
 
@@ -299,12 +300,12 @@ def test_evolve_pure_temporal_drift(toy_model, rng):
     h = Tensor(rng.normal(size=(1, 8)))
     u = Tensor(rng.normal(size=(1, 4)))
     du = Tensor(rng.normal(size=(1, 4)))
-    h_next, d_ctrl, d_time = evolve_state(toy_model, h, u, du, np.array([[0.2]]), *one_cluster(1))
+    h_next, d_ctrl, d_time = evolve_state(toy_model, h, u, du, np.array([[0.2]]), one_cluster(1))
     assert np.allclose(d_ctrl.data, 0.0)
     assert np.allclose(h_next.data, h.data + 0.5 * 0.2, atol=1e-12)
 
 
-def test_evolve_routes_rows_to_their_cluster_and_gates_finished(rng):
+def test_evolve_routes_rows_to_their_cluster(rng):
     model = LeapTS(toy_config(n_clusters=2))
     stub_fields(model, 0, f_const=0.0, g_const=1.0)
     stub_fields(model, 1, f_const=0.0, g_const=2.0)
@@ -312,11 +313,9 @@ def test_evolve_routes_rows_to_their_cluster_and_gates_finished(rng):
     u = Tensor(rng.normal(size=(3, 4)))
     du = Tensor(rng.normal(size=(3, 4)))
     dtau = np.array([[0.1], [0.2], [0.3]])
-    h_next, _, d_time = evolve_state(
-        model, h, u, du, dtau, np.array([0, 1, 1]), np.array([True, True, False])
-    )
-    assert np.allclose(d_time.data[:, 0], [0.1, 0.4, 0.0], atol=1e-15)
-    assert np.array_equal(h_next.data[2], h.data[2])
+    h_next, _, d_time = evolve_state(model, h, u, du, dtau, np.array([0, 1, 0]))
+    assert np.allclose(d_time.data[:, 0], [0.1, 0.4, 0.3], atol=1e-15)
+    assert np.allclose(h_next.data, h.data + d_time.data, atol=1e-15)
 
 
 def test_evolve_under_a_tape_concatenates_state_and_control_once(monkeypatch, rng):
@@ -331,7 +330,7 @@ def test_evolve_under_a_tape_concatenates_state_and_control_once(monkeypatch, rn
     u = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
     with Tape() as tape:
         h_next, _, _ = evolve_state(model, h, u, u, np.full((6, 1), 0.5),
-                                    np.array([0, 1, 2, 2, 1, 2]), np.ones(6, dtype=bool))
+                                    np.array([0, 1, 2, 2, 1, 2]))
         tape.backward(h_next.sum())
     assert calls == ["concat"] + [1] * 4 + [2] * 4 + [3] * 4
     assert h.grad is not None and u.grad is not None
@@ -581,11 +580,7 @@ def test_run_schedule_public_surface(toy_model):
     assert len(noise) == max(tr.n_steps for tr in traces)
 
 
-# -- tape-free runs drop finished rows ----------------------------------------
-
-
-def _debug_fields(step):
-    return [getattr(step, f.name) for f in dataclasses.fields(step)]
+# -- finished rows leave the batch --------------------------------------------
 
 
 def _schedule(traces):
@@ -596,6 +591,31 @@ def _schedule(traces):
     ]
 
 
+def _each_row_alone(model, h, row_clusters, mode="eval", rng=None, frozen_noise=None,
+                    override=None, trace_meta=None, debug=None):
+    """`run_schedule_rows` on each row alone (R=1, so no row ever leaves
+    early), with the given noise sliced to that row; forecasts in row order."""
+    R = h.shape[0]
+    parts, traces = [], []
+    for r in range(R):
+        y, tr, _ = run_schedule_rows(
+            model, h[[r]], row_clusters[[r]], mode=mode,
+            frozen_noise=None if frozen_noise is None else [
+                None if n is None else n[[r]] for n in frozen_noise],
+            override=None if override is None else [override[r]],
+            trace_meta=tuple(m[[r]] for m in trace_meta),
+        )
+        parts.append((np.array([r]), y))
+        traces += tr
+    return ad.rows_to(parts, R, model.config.horizon), traces, frozen_noise
+
+
+def _assert_close(got, want, what):
+    """Within 1e-12 of the largest entry of ``want``."""
+    assert got.shape == want.shape, what
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0), what
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n_clusters=st.sampled_from([1, 3]),
@@ -604,11 +624,10 @@ def _schedule(traces):
     window_norm=st.booleans(),
     seed=st.integers(0, 10_000),
 )
-def test_tape_free_run_matches_lockstep_run_under_a_tape(
-    n_clusters, degenerate, case, window_norm, seed
-):
-    """Dropping finished rows changes no output: the same call inside a
-    `Tape` (where the loop runs in lockstep) is the oracle."""
+def test_batched_run_matches_each_row_run_alone(n_clusters, degenerate, case, window_norm, seed):
+    """Rows leaving the batch change no output: each row run alone is the
+    oracle for the forecasts and schedules of a batched run, with and
+    without a tape, and for its tape gradients (the sum of the rows')."""
     horizon = 4 if degenerate else 12  # L=16: single level iff P <= 5
     cfg = toy_config(look_back=16, horizon=horizon, n_variates=3, n_clusters=n_clusters,
                      window_norm=window_norm, seed=seed, max_steps=2 if case == "capped" else None)
@@ -632,37 +651,34 @@ def test_tape_free_run_matches_lockstep_run_under_a_tape(
     elif case == "monte_carlo":
         kw["override"] = [partition_to_steps(sample_partition(horizon, data_rng), model.anchors)
                           for _ in range(rows)]
+    weight = data_rng.normal(size=(rows, horizon))
 
-    def run():
-        debug = []
-        out = run_rows(model, n_windows=n_windows, rng=np.random.default_rng(seed), seed=seed,
-                       debug=debug, **kw)
-        return out, debug
+    def run(tape, **extra):
+        model.store.zero_grads()
+        with Tape() if tape else contextlib.nullcontext() as t:
+            out = run_rows(model, n_windows=n_windows, rng=np.random.default_rng(seed), seed=seed,
+                           **{**kw, **extra})
+            if tape:
+                t.backward(ad.tsum(ad.mul(out["fused"], weight)))
+        return out, model.store.grads() if tape else None
 
-    with Tape():
-        lock, lock_debug = run()
-    free, free_debug = run()
-    assert lock["fused"].data.shape == free["fused"].data.shape == (rows, horizon)
-    for name in ("sched", "fused"):
-        np.testing.assert_allclose(free[name].data, lock[name].data, rtol=1e-12, atol=1e-300)
-    assert _schedule(free["traces"]) == _schedule(lock["traces"])
+    free, _ = run(tape=False)
+    taped, grads = run(tape=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forward, "run_schedule_rows", _each_row_alone)
+        alone, alone_grads = run(tape=True, frozen_noise=kw.get("frozen_noise", free["noise"]))
+    assert free["fused"].data.shape == (rows, horizon)
+    for out in (free, taped):
+        for name in ("sched", "fused"):
+            _assert_close(out[name].data, alone[name].data, name)
+        assert _schedule(out["traces"]) == _schedule(alone["traces"])
     assert [None if n is None else n.shape for n in free["noise"]] == [
-        None if n is None else n.shape for n in lock["noise"]
+        None if n is None else n.shape for n in taped["noise"]
     ]
-    assert len(free_debug) == len(lock_debug)
-    for f_step, l_step in zip(free_debug, lock_debug):
-        assert [a.shape for a in _debug_fields(f_step)] == [a.shape for a in _debug_fields(l_step)]
-        for name in ("active", "len_int", "cursor_before"):
-            assert np.array_equal(getattr(f_step, name), getattr(l_step, name))
-        # a row that has left reads as finished: zero mask and deltas, its
-        # final state before and after; its segment is no longer computed
-        for name in ("mask", "h_before", "h_after", "ctrl_delta", "time_delta"):
-            np.testing.assert_allclose(
-                getattr(f_step, name), getattr(l_step, name), rtol=1e-12, atol=1e-14
-            )
-        same = np.isclose(f_step.segment, l_step.segment, rtol=1e-12, atol=1e-14).all(axis=1)
-        left = ~l_step.active & ~f_step.segment.any(axis=1)
-        assert np.all(same | left)
+    assert len(free["noise"]) == max(tr.n_steps for tr in free["traces"])
+    assert grads.keys() == alone_grads.keys()
+    for name in grads:
+        _assert_close(grads[name], alone_grads[name], name)
 
 
 def _count_rows(monkeypatch) -> list:
@@ -677,31 +693,40 @@ def _count_rows(monkeypatch) -> list:
     return rows
 
 
-def _staggered_run(override, tape):
+def _staggered_run(override, tape, **kw):
     """A 4-window single-level run with per-row lengths ``override``."""
     model = LeapTS(toy_config(look_back=48, horizon=12, n_variates=1))
     assert model.anchors.degenerate
     override = [[(0, float(n), n) for n in seq] for seq in override]
-    if not tape:
-        return run_rows(model, n_windows=4, override=override)
-    with Tape():
-        return run_rows(model, n_windows=4, override=override)
+    with Tape() if tape else contextlib.nullcontext():
+        return run_rows(model, n_windows=4, override=override, **kw)
 
 
 def test_tape_free_loop_drops_finished_rows(monkeypatch):
-    """Rows finish after 1, 2, 3 and 4 steps: without a tape each finished
-    row leaves the batch at the next step; under a tape it keeps all four.
-    Forecasts and traces stay in row order."""
+    """Rows finish after 1, 2, 3 and 4 steps: with or without a tape each
+    finished row leaves the batch at the next step. Forecasts and traces
+    stay in row order, and a row that has left reads as finished in the
+    debug records."""
     staggered = [[12], [6, 6], [4, 4, 4], [3, 3, 3, 3]]
     rows = _count_rows(monkeypatch)
-    free = _staggered_run(staggered, tape=False)
-    assert rows == [4, 3, 2, 1]
-    rows.clear()
-    lock = _staggered_run(staggered, tape=True)
-    assert rows == [4, 4, 4, 4]
-    np.testing.assert_allclose(free["fused"].data, lock["fused"].data, rtol=1e-12)
-    assert [tr.window for tr in free["traces"]] == [0, 1, 2, 3]
-    assert [[s.len_int for s in tr.steps] for tr in free["traces"]] == staggered
+    runs = {}
+    for tape in (False, True):
+        rows.clear()
+        debug = []
+        runs[tape] = _staggered_run(staggered, tape=tape, debug=debug)
+        assert rows == [4, 3, 2, 1]
+        assert [tr.window for tr in runs[tape]["traces"]] == [0, 1, 2, 3]
+        assert [[s.len_int for s in tr.steps] for tr in runs[tape]["traces"]] == staggered
+        final = [debug[len(seq) - 1].h_after[r] for r, seq in enumerate(staggered)]
+        for k, step in enumerate(debug):
+            assert np.array_equal(step.active, np.arange(4) >= k)
+            for r in range(k):  # rows 0..k-1 have left
+                assert step.cursor_before[r] == 13 and step.len_int[r] == 0
+                assert not step.mask[r].any() and not step.segment[r].any()
+                assert not step.ctrl_delta[r].any() and not step.time_delta[r].any()
+                assert np.array_equal(step.h_before[r], final[r])
+                assert np.array_equal(step.h_after[r], final[r])
+    np.testing.assert_allclose(runs[False]["fused"].data, runs[True]["fused"].data, rtol=1e-12)
 
 
 def test_override_errors_name_the_original_row_after_rows_have_left(monkeypatch):
@@ -718,9 +743,9 @@ def test_override_errors_name_the_original_row_after_rows_have_left(monkeypatch)
 
 def test_tape_free_step_runs_only_the_routed_head_and_own_cluster_fields(monkeypatch):
     """Rows seen by each dense layer, per weight name: each cluster's field
-    MLPs see only that cluster's rows (its active rows without a tape);
-    without a tape each segment head sees only the active rows routed to
-    it, under a tape every row at every step."""
+    MLPs see only that cluster's running rows; without a tape each segment
+    head sees only the running rows routed to it, under a tape every
+    running row."""
     model = LeapTS(toy_config(look_back=16, horizon=12, n_variates=3, n_clusters=3))
     model.cluster_of_variate = np.arange(3)
     n_windows, rows = 4, 12
@@ -746,26 +771,26 @@ def test_tape_free_step_runs_only_the_routed_head_and_own_cluster_fields(monkeyp
         with Tape():
             return run_rows(model, **kw)
 
+    def wanted(traces, tape):
+        want = collections.defaultdict(list)
+        for k in range(max(tr.n_steps for tr in traces)):
+            running = [(r, tr.steps[k]) for r, tr in enumerate(traces) if tr.n_steps > k]
+            for c, name in enumerate(model.anchors.category_names()):
+                n = len(running) if tape else sum(step.category == c for _, step in running)
+                want[f"seg_head_{name}"] += [n] if n else []
+            for g in range(3):
+                n = sum(clusters[r] == g for r, _ in running)
+                for kind in ("ctrl_field", "time_field"):
+                    want[f"{kind}_g{g}"] += [n, n] if n else []  # two layers each
+        return {name: want[name] for name in layers}
+
     out = run(tape=False)
-    want = collections.defaultdict(list)
-    traces = out["traces"]
-    for k in range(max(tr.n_steps for tr in traces)):
-        running = [(r, tr.steps[k]) for r, tr in enumerate(traces) if tr.n_steps > k]
-        for c, name in enumerate(model.anchors.category_names()):
-            n = sum(step.category == c for _, step in running)
-            want[f"seg_head_{name}"] += [n] if n else []
-        for g in range(3):
-            n = sum(clusters[r] == g for r, _ in running)
-            for kind in ("ctrl_field", "time_field"):
-                want[f"{kind}_g{g}"] += [n, n] if n else []  # two layers each
-    assert {name: seen[name] for name in layers} == {name: want[name] for name in layers}
+    want = wanted(out["traces"], tape=False)
+    assert {name: seen[name] for name in layers} == want
     heads = layers[:3]
     assert sum(1 for name in heads if want[name]) >= 2  # rows took different heads
     assert sum(sum(want[name]) for name in heads) < rows * len(out["noise"])  # some finished early
 
-    out = run(tape=True)
-    n_steps = len(out["noise"])
-    assert {name: seen[name] for name in layers} == {
-        name: [rows] * n_steps if name.startswith("seg") else [rows // 3] * (2 * n_steps)
-        for name in layers
-    }
+    taped = run(tape=True)
+    assert _schedule(taped["traces"]) == _schedule(out["traces"])
+    assert {name: seen[name] for name in layers} == wanted(taped["traces"], tape=True)

@@ -12,6 +12,7 @@ from leapts.model import LeapTS, ModelConfig
 from leapts.synth import ScenarioSpec, generate
 from leapts.training import (
     TrainConfig,
+    _epoch_loss,
     ablate,
     apply_data_norm,
     evaluate,
@@ -196,7 +197,9 @@ def test_divergence_aborts_with_last_good_state():
     assert np.all(np.isfinite(preds))
 
 
-def test_gumbel_anneal_restores_temperature():
+def test_gumbel_anneal_keeps_the_best_epochs_temperature():
+    """The returned model runs at the temperature its best epoch was
+    validated at, so it reproduces ``best_val_loss`` exactly."""
     ds = sine_dataset()
     model = LeapTS(toy_config(n_variates=1, look_back=24, horizon=8, seed=7))
     assert model.anchors.degenerate is False
@@ -205,9 +208,12 @@ def test_gumbel_anneal_restores_temperature():
         ds,
         TrainConfig(lr=2e-3, batch_size=64, max_epochs=3, normalize=False, gumbel_tau_end=0.5),
     )
-    assert model.config.gumbel_temp == 1.0
     temps = [e["gumbel_temp"] for e in report.epochs]
     assert temps[0] == 1.0 and temps[-1] == 0.5
+    assert report.best_epoch > 0
+    assert model.config.gumbel_temp == temps[report.best_epoch]
+    val_w = make_windows(ds, 24, 8, "val", 1)
+    assert _epoch_loss(model, val_w, 1.0) == report.best_val_loss
 
 
 # -- ablations ---------------------------------------------------------------
