@@ -29,7 +29,6 @@ __all__ = [
     "bound_direct",
     "bound_recursive",
     "bound_leapts_optimal",
-    "compositions",
 ]
 
 
@@ -74,19 +73,6 @@ def bound_recursive(inst: BoundInstance) -> float:
     return inst.eps(1) * float(powers.sum())
 
 
-def compositions(P: int):
-    """All ordered partitions of P into positive integers (2^(P-1) of them)."""
-    if P == 1:
-        yield (1,)
-        return
-    for first in range(1, P + 1):
-        if first == P:
-            yield (P,)
-        else:
-            for rest in compositions(P - first):
-                yield (first, *rest)
-
-
 def _schedule_term(inst: BoundInstance, partition) -> float:
     total = 0.0
     tau = 0
@@ -102,8 +88,8 @@ def bound_leapts_optimal(inst: BoundInstance) -> BoundResult:
     rest[c] is the least term of the steps after the first c horizon
     points; its first step is the shortest length that attains it, so the
     walk from c = 0 yields the lexicographically first optimal partition,
-    the one an enumeration of ``compositions`` in order keeps. The value is
-    that partition's term summed in schedule order.
+    the one an in-order enumeration of all 2^(P-1) ordered partitions
+    keeps. The value is that partition's term summed in schedule order.
     """
     P = inst.P
     rest = [0.0] * (P + 1)

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import _stable_sigmoid
 from .errors import ConfigError
 
 __all__ = [
@@ -84,10 +83,10 @@ def scale_anchors(L: int, P: int) -> ScaleAnchors:
 
 
 def gumbel_softmax_select(
-    logits: Tensor,
+    logits: np.ndarray,
     tau: float,
     noise: np.ndarray | None,
-) -> tuple[Tensor, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Soft distribution and hard one-hot from category logits [R x C].
 
     ``noise`` is a Gumbel(0,1) sample of the same shape, or None for
@@ -96,40 +95,49 @@ def gumbel_softmax_select(
     """
     if tau <= 0:
         raise ConfigError(f"gumbel temperature must be positive, got {tau}")
-    scores = logits if noise is None else ad.add(logits, noise)
-    soft = ad.softmax(ad.mul(scores, 1.0 / tau))
-    hard = np.eye(soft.shape[-1])[soft.data.argmax(axis=-1)]
+    scores = logits if noise is None else logits + noise
+    scaled = scores * (1.0 / tau)
+    e = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
+    soft = e / e.sum(axis=-1, keepdims=True)
+    hard = np.eye(soft.shape[-1])[soft.argmax(axis=-1)]
     return soft, hard
 
 
-def length_candidates(h: Tensor, anchors: ScaleAnchors, length_heads) -> Tensor:
-    """Continuous length per category, [R x C]; sigmoid-mapped into each interval."""
-    cols = []
+def length_candidates(h: np.ndarray, anchors: ScaleAnchors, length_heads):
+    """Continuous length per category, [R x C]: each head's output
+    sigmoid-mapped into its interval. Returns (lengths, raw, sig), the
+    head outputs and their sigmoids being one [R x 1] array per category."""
+    raw, sig, cols = [], [], []
     for c in range(anchors.n_categories):
         w, b = length_heads[c]
-        raw = ad.linear(h, w, b)
+        r = h @ w
+        r += b
+        s = _stable_sigmoid(r)
         lo, hi = float(anchors.mins[c]), float(anchors.maxs[c])
-        cols.append(ad.add(ad.mul(ad.sigmoid(raw), hi - lo), lo))
-    return cols[0] if len(cols) == 1 else ad.concat(cols)
+        raw.append(r)
+        sig.append(s)
+        cols.append(s * (hi - lo) + lo)
+    lengths = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=-1)
+    return lengths, raw, sig
 
 
 def route_lengths(
-    lengths: Tensor, soft: Tensor, hard: np.ndarray, mode: str
-) -> tuple[Tensor, Tensor, np.ndarray]:
+    lengths: np.ndarray, soft: np.ndarray, hard: np.ndarray, mode: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Executed continuous length [R x 1], segment routing [R x C] and the
     chosen category per row, from the per-category lengths [R x C].
 
     "soft" mode mixes the lengths by the scale distribution; the other
-    modes route through the hard choice with straight-through gradients to
-    ``soft``. A single category's length is taken as is.
+    modes route through the hard choice (its gradient passes straight
+    through to ``soft``). A single category's length is taken as is.
     """
     if lengths.shape[1] == 1:
         return lengths, soft, np.zeros(lengths.shape[0], dtype=np.int64)
     if mode == "soft":
-        route, chosen = soft, soft.data.argmax(axis=-1)
+        route, chosen = soft, soft.argmax(axis=-1)
     else:
-        route, chosen = ad.straight_through(soft, hard), hard.argmax(axis=-1)
-    return ad.tsum(ad.mul(lengths, route), axis=-1, keepdims=True), route, chosen
+        route, chosen = hard, hard.argmax(axis=-1)
+    return (lengths * route).sum(axis=-1, keepdims=True), route, chosen
 
 
 def round_and_clip_rows(length_cont: np.ndarray, cursor: np.ndarray, P: int) -> np.ndarray:

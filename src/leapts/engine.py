@@ -2,32 +2,45 @@
 summary feedback, control-signal construction, and cluster-specific
 controlled state evolution.
 
-The loop is batched over rows (one row = one variate of one window), and
-each row schedules its own path: a row leaves the batch at the end of the
-step that carries its cursor past the horizon, with or without a tape, so
-every row in a step is still running. Each row runs only its own cluster's
-field MLPs. Under a tape every running row runs every segment head so that
-the masked sum carries the route gradient; without one, each row runs only
-the segment head its routing chose (under hard routing). Each step is
-built from the row-batched operations below, one call each.
+One scheduling step is written once, as functions on numpy arrays:
+`step` composes the row-batched operations below and returns the next
+loop state, the trace columns and, under a tape, the arrays its reverse
+pass reads; `step_vjp` is that reverse pass, written by hand. The loop is
+batched over rows (one row = one variate of one window), and each row
+schedules its own path: a row leaves the batch at the end of the step
+that carries its cursor past the horizon, so every row in a step is still
+running. Each row runs only its own cluster's field MLPs. Without a tape
+each row runs only the segment head its routing chose (under hard
+routing); under a tape every row runs every head, as the straight-through
+route gradient needs each head's output.
+
+`run_schedule_rows` composes `step` in every mode. Under a tape the whole
+loop is one tape node: its output is the forecast [R x P], its parents
+the initial state and the parameters the loop reads, and its backward
+walks the saved steps in reverse through `step_vjp`, adding each
+contribution in the order the per-op tape did. Values are those of the
+per-op composition bit for bit. Non-finite values are looked for at the
+step boundary; when that scan fails, the step's parts are rescanned in
+order and `NumericError` names the first failing operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, _stable_sigmoid
 from .controller import (
     gumbel_softmax_select,
     length_candidates,
     round_and_clip_rows,
     route_lengths,
 )
-from .errors import DataError, ShapeError
-from .model import LeapTS, _mlp_apply
+from .errors import DataError, NumericError
+from .model import LeapTS
 from .traces import ScheduleTrace, TraceStep, decompose_update
 
 __all__ = [
@@ -38,6 +51,8 @@ __all__ = [
     "build_control_signal",
     "increments",
     "evolve_state",
+    "step",
+    "step_vjp",
     "ClusterAssignment",
     "series_features",
     "cluster_variates",
@@ -48,7 +63,43 @@ __all__ = [
 # -- the operations of one scheduling step, batched over rows ---------------
 
 
-def soft_mask(sel, cursor: np.ndarray, P: int, gamma: float) -> Tensor:
+def _dense(x, w, b, tanh=False):
+    """``x @ w + b``, through tanh if asked: (output, pre-activation)."""
+    pre = x @ w
+    pre += b
+    return (np.tanh(pre) if tanh else pre), pre
+
+
+def _dense_vjp(grads, store, prefix, x, y, g, tanh=False, layer=""):
+    """Reverse of `_dense` with parameters ``{prefix}w{layer}`` and
+    ``{prefix}b{layer}``: adds their cotangents into ``grads``, returns the
+    cotangent of ``x``."""
+    if tanh:
+        g = g * (1.0 - y * y)
+    _accumulate(grads, f"{prefix}w{layer}", x.T @ g)
+    _accumulate(grads, f"{prefix}b{layer}", g.sum(axis=0))
+    return g @ store[f"{prefix}w{layer}"].data.T
+
+
+def _accumulate(grads, name, g):
+    if name in grads:
+        grads[name] += g
+    else:
+        grads[name] = g
+
+
+def _rows_to(parts, n: int, width: int) -> np.ndarray:
+    """[n x width] zeros with each ``(rows, array)`` part put at its rows; a
+    single part that covers all n rows is returned as is."""
+    if len(parts) == 1 and len(parts[0][0]) == n:
+        return parts[0][1]
+    out = np.zeros((n, width))
+    for rows, a in parts:
+        out[rows] = a
+    return out
+
+
+def soft_mask(sel: np.ndarray, cursor: np.ndarray, P: int, gamma: float) -> np.ndarray:
     """Sigmoid gate over the horizon per row [R x P]: exactly 0 before the
     row's cursor (so everywhere on a finished row, cursor P+1), then a
     smooth cutoff ``gamma`` wide centered ``sel`` [R x 1] past the cursor."""
@@ -56,116 +107,329 @@ def soft_mask(sel, cursor: np.ndarray, P: int, gamma: float) -> Tensor:
     started = tau[None, :] >= cursor[:, None]  # a bool gate multiplies as 0.0/1.0
     offs = tau[None, :] - cursor[:, None].astype(np.float64)
     offs += 0.5
-    return ad.gated_sigmoid(sel, offs, 1.0 / gamma, started)
+    z = sel - offs
+    z *= 1.0 / gamma
+    return _stable_sigmoid(z) * started
 
 
-def _take_rows(x, rows: np.ndarray):
-    """``x[rows]`` (a recorded ``slice`` node for a Tensor under a tape), or
-    ``x`` if ``rows`` is every row."""
-    return x if len(rows) == x.shape[0] else x[rows]
+def _segment_heads(model: LeapTS):
+    s = model.store
+    return [(s[f"seg_head_{n}_w"].data, s[f"seg_head_{n}_b"].data)
+            for n in model.anchors.category_names()]
 
 
-def routed_segment(
-    model: LeapTS, h: Tensor, route: Tensor, chosen: np.ndarray | None = None
-) -> Tensor:
+def routed_segment(model: LeapTS, h: np.ndarray, route: np.ndarray, chosen=None):
     """Full-horizon segment [R x P]: the sum over categories c of
     route[:, c] * seg_head_c(h). A single category's head is taken as is.
 
     ``chosen`` [R] gives each row's category when routing is hard (``route``
-    one-hot). Without a tape (``h`` carries no gradient) each category's
-    head then runs on its own rows only. Under a tape the sum stays: the
-    straight-through route gradient of row r and category c is
-    seg_head_c(h[r]), so every head's output is needed on every row.
+    one-hot); each category's head then runs on its own rows only. Without
+    it every head runs on every row, as the straight-through route gradient
+    of row r and category c is seg_head_c(h[r]). Returns (segment, the
+    per-head outputs, or None when ``chosen`` is given).
     """
-    heads = [(model.store[f"seg_head_{n}_w"], model.store[f"seg_head_{n}_b"])
-             for n in model.anchors.category_names()]
-    if chosen is not None and not h.requires_grad:
-        parts = []
+    heads = _segment_heads(model)
+    if chosen is not None:
+        n, parts = h.shape[0], []
         for c, (w, b) in enumerate(heads):
             rows = np.flatnonzero(chosen == c)
             if len(rows):
-                parts.append((rows, ad.linear(_take_rows(h, rows), w, b)))
-        return ad.rows_to(parts, h.shape[0], model.config.horizon)
-    segment = None
+                parts.append((rows, _dense(h if len(rows) == n else h[rows], w, b)[0]))
+        return _rows_to(parts, n, model.config.horizon), None
+    segment, cols = None, []
     for c, (w, b) in enumerate(heads):
-        seg_c = ad.linear(h, w, b)
+        seg_c = _dense(h, w, b)[0]
+        cols.append(seg_c)
         if len(heads) > 1:
-            seg_c = ad.mul(seg_c, route[:, c : c + 1])
-        segment = seg_c if segment is None else ad.add(segment, seg_c)
-    return segment
+            seg_c = seg_c * route[:, c : c + 1]
+        segment = seg_c if segment is None else segment + seg_c
+    return segment, cols
 
 
-def write_segment(segment: Tensor, mask: Tensor, accum: Tensor) -> tuple[Tensor, Tensor]:
+def write_segment(segment: np.ndarray, mask: np.ndarray, accum: np.ndarray):
     """Masked write: returns (accum + segment * mask, segment * mask)."""
-    if segment.shape != mask.shape or segment.shape != accum.shape:
-        raise ShapeError(
-            f"write_segment: shapes {segment.shape}, {mask.shape}, {accum.shape} differ"
-        )
-    masked = ad.mul(segment, mask)
-    return ad.add(accum, masked), masked
+    masked = segment * mask
+    return accum + masked, masked
 
 
-def summarize_segment(masked_segment: Tensor, summary_w: Tensor, summary_b: Tensor) -> Tensor:
-    """Compress a written segment into a bounded feedback vector."""
-    return ad.linear(masked_segment, summary_w, summary_b, "tanh")
+def summarize_segment(masked_segment, summary_w, summary_b):
+    """Compress a written segment into a bounded feedback vector:
+    (summary, its pre-activation)."""
+    return _dense(masked_segment, summary_w, summary_b, tanh=True)
 
 
-def build_control_signal(
-    rho,
-    prev_len_norm,
-    prev_soft,
-    prev_summary,
-    control_w: Tensor,
-    control_b: Tensor,
-) -> Tensor:
+def build_control_signal(rho, prev_len_norm, prev_soft, prev_summary, control_w, control_b):
     """tanh projection of [remaining-horizon ratio, previous normalized
-    length, previous scale distribution, previous summary]."""
-    parts = []
-    for p in (rho, prev_len_norm, prev_soft, prev_summary):
-        t = p if isinstance(p, Tensor) else Tensor(np.atleast_2d(p))
-        parts.append(t)
-    ctx = ad.concat(parts)
-    return ad.linear(ctx, control_w, control_b, "tanh")
+    length, previous scale distribution, previous summary]: (control,
+    the concatenated context, the pre-activation)."""
+    ctx = np.concatenate([rho, prev_len_norm, prev_soft, prev_summary], axis=-1)
+    u, pre = _dense(ctx, control_w, control_b, tanh=True)
+    return u, ctx, pre
 
 
-def increments(u: Tensor, u_prev: Tensor, prev_len_norm, dt_min: float, dt_max: float):
+def increments(u, u_prev, prev_len_norm, dt_min: float, dt_max: float):
     """Control increment u - u_prev and the clipped temporal increment."""
     if not 0 < dt_min <= dt_max:
         raise ValueError(f"increments: need 0 < dt_min <= dt_max, got ({dt_min}, {dt_max})")
-    du = ad.sub(u, u_prev)
-    dtau = np.clip(np.asarray(prev_len_norm, dtype=np.float64), dt_min, dt_max)
-    return du, dtau
+    return u - u_prev, np.clip(np.asarray(prev_len_norm, dtype=np.float64), dt_min, dt_max)
 
 
-def evolve_state(
-    model: LeapTS,
-    h: Tensor,
-    u: Tensor,
-    du: Tensor,
-    dtau: np.ndarray,
-    row_clusters: np.ndarray,
-) -> tuple[Tensor, Tensor, Tensor]:
+class ClusterFields(NamedTuple):
+    """One cluster's share of a controlled-Euler step: its rows (None for
+    every row), field inputs, hidden layers and their pre-activations,
+    outputs, and its rows of ``du`` and ``dtau``."""
+
+    cluster: int
+    rows: np.ndarray | None
+    x: np.ndarray
+    ctrl_hidden: np.ndarray
+    ctrl_pre: np.ndarray
+    ctrl_field: np.ndarray
+    time_hidden: np.ndarray
+    time_pre: np.ndarray
+    drift: np.ndarray
+    du: np.ndarray
+    dtau: np.ndarray
+
+
+def evolve_state(model: LeapTS, h, u, du, dtau, row_clusters: np.ndarray):
     """One controlled-Euler step over rows: row r moves by its cluster's
     control field times ``du`` plus its drift field times ``dtau``.
 
-    Each cluster's field MLPs run on that cluster's rows only, on and off
-    the tape; ``autodiff.rows_to`` puts their deltas back in row order.
-
-    Returns (h_next, ctrl_delta, time_delta) with
-    h_next = h + (ctrl_delta + time_delta).
+    Each cluster's field MLPs run on that cluster's rows only. Returns
+    (h_next, ctrl_delta, time_delta, a `ClusterFields` per cluster with
+    rows) with h_next = h + (ctrl_delta + time_delta).
     """
-    inp = ad.concat([h, u])
-    ctrl_parts, time_parts = [], []
+    store = model.store
+    n, width = h.shape
+    inp = np.concatenate([h, u], axis=-1)
+    ctrl_parts, time_parts, fields = [], [], []
     for g in range(model.config.n_clusters):
         rows = np.flatnonzero(row_clusters == g)
-        if len(rows):
-            x = _take_rows(inp, rows)
-            fields = _mlp_apply(model.store, f"ctrl_field_g{g}", x, 2)
-            drift = _mlp_apply(model.store, f"time_field_g{g}", x, 2)
-            ctrl_parts.append((rows, ad.rowwise_matvec(fields, _take_rows(du, rows))))
-            time_parts.append((rows, ad.mul(drift, _take_rows(dtau, rows))))
-    d_ctrl, d_time = (ad.rows_to(p, *h.shape) for p in (ctrl_parts, time_parts))
-    return ad.add(h, ad.add(d_ctrl, d_time)), d_ctrl, d_time
+        if not len(rows):
+            continue
+        every = len(rows) == n
+        x = inp if every else inp[rows]
+        f1, f_pre = _dense(x, store[f"ctrl_field_g{g}_w0"].data, store[f"ctrl_field_g{g}_b0"].data, True)
+        fld = _dense(f1, store[f"ctrl_field_g{g}_w1"].data, store[f"ctrl_field_g{g}_b1"].data)[0]
+        t1, t_pre = _dense(x, store[f"time_field_g{g}_w0"].data, store[f"time_field_g{g}_b0"].data, True)
+        drift = _dense(t1, store[f"time_field_g{g}_w1"].data, store[f"time_field_g{g}_b1"].data)[0]
+        du_g = du if every else du[rows]
+        dtau_g = dtau if every else dtau[rows]
+        f3 = fld.reshape(len(rows), -1, du_g.shape[1])
+        ctrl_parts.append((rows, np.einsum("rmn,rn->rm", f3, du_g)))
+        time_parts.append((rows, drift * dtau_g))
+        fields.append(ClusterFields(g, None if every else rows, x, f1, f_pre, fld, t1, t_pre, drift,
+                                    du_g, dtau_g))
+    d_ctrl, d_time = (_rows_to(p, n, width) for p in (ctrl_parts, time_parts))
+    return h + (d_ctrl + d_time), d_ctrl, d_time, fields
+
+
+# -- one scheduling step and its reverse pass --------------------------------
+
+
+def _raise_first_nonfinite(parts):
+    """Name the first of the step's ``(op, array or thunk, what)`` parts that
+    holds a non-finite value, as the per-op scan would have."""
+    for op, a, what in parts:
+        if not np.all(np.isfinite(a() if callable(a) else a)):
+            raise NumericError(f"{op}: non-finite values in {what}")
+
+
+def _scan(parts, arrays):
+    for a in arrays:
+        if not np.all(np.isfinite(a)):
+            _raise_first_nonfinite(parts)
+
+
+def step(model: LeapTS, state: tuple, mode: str, tau: float, noise=None, decision=None,
+         taped: bool = False):
+    """One scheduling step over the rows of ``state`` = (h, accum, cursor,
+    prev_u, prev_soft, prev_summary, prev_len_norm, row_clusters).
+
+    ``tau`` is the Gumbel temperature and ``noise`` this step's Gumbel draw
+    for these rows (None: noiseless). ``decision`` = (category, len_cont,
+    len_int) per row forces the step (override or forced completion);
+    otherwise the length heads decide. With ``taped`` every segment head
+    runs on every row and the arrays `step_vjp` reads are kept.
+
+    Returns (next state, trace columns (category, soft, sel, len_int, mask,
+    segment, ctrl_delta, time_delta), saved arrays or None).
+    """
+    h, accum, cursor, prev_u, prev_soft, prev_summary, prev_len_norm, row_clusters = state
+    cfg, store, anchors = model.config, model.store, model.anchors
+    P, C = cfg.horizon, anchors.n_categories
+    n = h.shape[0]
+    parts = []  # (op, array or thunk, what the per-op scan looked at), in creation order
+
+    # high level: scale distribution (also feeds the next control signal)
+    if C > 1:
+        logits = h @ store["category_proj"].data
+        soft, hard = gumbel_softmax_select(logits, tau, noise)
+        parts.append(("matmul", logits, "result"))
+        if noise is not None:
+            parts.append(("add", lambda: logits + noise, "result"))
+        parts.append(("mul", lambda: (logits if noise is None else logits + noise) * (1.0 / tau),
+                      "result"))
+        parts.append(("softmax", soft, "result"))
+    else:
+        soft, hard = np.ones((n, 1)), np.ones((n, 1))
+
+    # low level: advancement length (continuous for the mask, integer for
+    # the cursor) and routing vector for the segment heads
+    lengths = sig = None
+    unscanned = [logits, soft] if C > 1 else []
+    if decision is not None:
+        cat_idx, len_cont, len_int = decision
+        sel = len_cont[:, None]
+        route = np.eye(C)[cat_idx]
+    else:
+        heads = [(store[f"len_head_{c}_w"].data, store[f"len_head_{c}_b"].data)
+                 for c in anchors.category_names()]
+        lengths, raw, sig = length_candidates(h, anchors, heads)
+        parts += [("linear", r, "result") for r in raw]
+        sel, route, cat_idx = route_lengths(lengths, soft, hard, mode)
+        _scan(parts, raw + unscanned)  # before the lengths become integers
+        unscanned = []
+        len_int = round_and_clip_rows(sel[:, 0], cursor, P)
+
+    # segment for the selected category, soft-masked into the horizon;
+    # hard routing: route is one-hot and cat_idx names its category
+    hard_route = C == 1 or mode != "soft" or decision is not None
+    segment, seg_cols = routed_segment(
+        model, h, route, cat_idx if hard_route and not taped else None
+    )
+    parts += [("linear", c, "result") for c in (seg_cols or [segment])]
+    mask = soft_mask(sel, cursor, P, cfg.mask_temp)
+    accum_next, masked = write_segment(segment, mask, accum)
+    parts += [("gated_sigmoid", sel, "pre-activation"), ("mul", masked, "result"),
+              ("add", accum_next, "result")]
+
+    # feedback and state evolution (uses the previous step's outcomes)
+    summary, s_pre = summarize_segment(masked, store["summary_w"].data, store["summary_b"].data)
+    rho = ((P - cursor + 1) / P)[:, None]
+    u, ctx, u_pre = build_control_signal(
+        rho, prev_len_norm, prev_soft, prev_summary, store["control_w"].data,
+        store["control_b"].data,
+    )
+    du, dtau = increments(u, prev_u, prev_len_norm, cfg.dt_min, cfg.dt_max)
+    h_next, d_ctrl, d_time, fields = evolve_state(model, h, u, du, dtau, row_clusters)
+    parts += [("linear", s_pre, "pre-activation"), ("linear", u_pre, "pre-activation"),
+              ("sub", du, "result")]
+    pres = []
+    for f in fields:
+        parts += [("linear", f.ctrl_pre, "pre-activation"), ("linear", f.ctrl_field, "result"),
+                  ("linear", f.time_pre, "pre-activation"), ("linear", f.drift, "result")]
+        pres += [f.ctrl_pre, f.time_pre]
+    parts += [("rowwise_matvec", d_ctrl, "result"), ("mul", d_time, "result"),
+              ("add", h_next, "result")]
+    _scan(parts, [*unscanned, sel, accum_next, s_pre, u_pre, *pres, h_next])
+
+    saved = None
+    if taped:
+        fields = [f._replace(ctrl_pre=None, time_pre=None, drift=None) for f in fields]
+        saved = (mode, tau, decision is None, h, soft, route, lengths, sig, seg_cols, segment,
+                 mask, masked, summary, ctx, u, fields)  # what step_vjp reads
+    next_state = (h_next, accum_next, cursor + len_int, u, soft, summary,
+                  (len_int / P)[:, None].astype(np.float64), row_clusters)
+    return next_state, (cat_idx, soft, sel, len_int, mask, segment, d_ctrl, d_time), saved
+
+
+def step_vjp(model: LeapTS, saved: tuple, g_accum: np.ndarray, g_next: tuple, grads: dict):
+    """Reverse pass of one `step` from its ``saved`` arrays.
+
+    ``g_accum`` is the cotangent of the step's accumulated forecast rows and
+    ``g_next`` those of (h_next, u, soft, summary) from the rest of the
+    loop, each None where nothing after the step reads it. Parameter
+    cotangents are added into ``grads`` (name -> array). Returns the
+    cotangents of (h, prev_u, prev_soft, prev_summary), None where none.
+
+    Contributions to a value read more than once are added in the reverse
+    of the order in which the per-op tape recorded its readers.
+    """
+    (mode, tau, learned, h, soft, route, lengths, sig, seg_cols, segment, mask, masked, summary,
+     ctx, u, fields) = saved
+    cfg, store, anchors = model.config, model.store, model.anchors
+    C, H = anchors.n_categories, cfg.hidden_dim
+    g_hn, g_un, g_softn, g_sumn = g_next
+    n = h.shape[0]
+    gh = g_u_prev = g_soft_prev = g_sum_prev = None
+
+    # controlled-Euler update, control signal and summary: read by the rest
+    # of the loop only
+    if g_hn is not None:
+        g_inp, g_du = None, None
+        for g, rows, x, f1, _, fld, t1, _, _, du_g, dtau_g in reversed(fields):
+            g_d = g_hn if rows is None else g_hn[rows]
+            ctrl, time = f"ctrl_field_g{g}_", f"time_field_g{g}_"
+            g_t1 = _dense_vjp(grads, store, time, t1, None, g_d * dtau_g, layer="1")
+            r, nu = du_g.shape
+            g_fld = np.einsum("rm,rn->rmn", g_d, du_g).reshape(r, -1)
+            g_du_g = np.einsum("rmn,rm->rn", fld.reshape(r, -1, nu), g_d)
+            g_x = _dense_vjp(grads, store, time, x, t1, g_t1, tanh=True, layer="0")
+            g_f1 = _dense_vjp(grads, store, ctrl, f1, None, g_fld, layer="1")
+            g_x += _dense_vjp(grads, store, ctrl, x, f1, g_f1, tanh=True, layer="0")
+            if rows is None:
+                g_inp, g_du = g_x, g_du_g
+            else:
+                if g_inp is None:
+                    g_inp, g_du = np.zeros((n, x.shape[1])), np.zeros((n, du_g.shape[1]))
+                g_inp[rows], g_du[rows] = g_x, g_du_g
+        gh = g_hn + g_inp[:, :H]
+        g_u = g_inp[:, H:] if g_un is None else g_un + g_inp[:, H:]
+        g_u = g_u + g_du
+        g_u_prev = -g_du
+        g_ctx = _dense_vjp(grads, store, "control_", ctx, u, g_u, tanh=True)
+        g_soft_prev, g_sum_prev = g_ctx[:, 2 : 2 + C], g_ctx[:, 2 + C :]
+    g_masked = g_accum
+    if g_sumn is not None:
+        g_masked = _dense_vjp(grads, store, "summary_", masked, summary, g_sumn, tanh=True)
+        g_masked += g_accum
+
+    # masked write, segment heads, soft mask
+    g_segment = g_masked * mask
+    names = anchors.category_names()
+    g_route_sl = np.empty((n, C)) if learned and C > 1 else None
+    for c in reversed(range(C)):
+        g_c = g_segment
+        if C > 1:
+            g_c = g_segment * route[:, c : c + 1]
+            if g_route_sl is not None:
+                g_route_sl[:, c : c + 1] = (g_segment * seg_cols[c]).sum(axis=1, keepdims=True)
+        g_h = _dense_vjp(grads, store, f"seg_head_{names[c]}_", h, None, g_c)
+        if gh is None:
+            gh = g_h
+        else:
+            gh += g_h
+
+    # length heads and routing (only when the heads decided the step)
+    g_soft = g_softn if C > 1 else None
+    if learned:
+        g_mask = g_masked * segment
+        g_sel = (g_mask * mask * (1.0 - mask) * (1.0 / cfg.mask_temp)).sum(axis=1, keepdims=True)
+        g_lengths = g_sel
+        if C > 1:
+            g_lr = np.broadcast_to(g_sel, (n, C)).copy()
+            g_lengths, g_route_lr = g_lr * route, g_lr * lengths
+            if mode == "soft":
+                g_soft = g_route_sl if g_soft is None else g_soft + g_route_sl
+                g_soft = g_soft + g_route_lr
+            else:
+                g_route = g_route_sl + g_route_lr
+                g_soft = g_route if g_soft is None else g_soft + g_route
+        for c in reversed(range(C)):
+            lo, hi = float(anchors.mins[c]), float(anchors.maxs[c])
+            g_l = g_lengths if C == 1 else g_lengths[:, c : c + 1]
+            g_raw = g_l * (hi - lo) * sig[c] * (1.0 - sig[c])
+            gh += _dense_vjp(grads, store, f"len_head_{names[c]}_", h, None, g_raw)
+
+    # Gumbel softmax over the category logits
+    if g_soft is not None:
+        dot = (g_soft * soft).sum(axis=-1, keepdims=True)
+        g_logits = soft * (g_soft - dot) * (1.0 / tau)
+        _accumulate(grads, "category_proj", h.T @ g_logits)
+        gh += g_logits @ store["category_proj"].data.T
+    return gh, g_u_prev, g_soft_prev, g_sum_prev
 
 
 # -- variate clustering ----------------------------------------------------
@@ -268,6 +532,19 @@ def _pack_override(override: list, R: int) -> tuple[np.ndarray, ...]:
     return cats, table[:, :, 1], lens, n_steps
 
 
+def _loop_param_names(model: LeapTS) -> list[str]:
+    """Names of the parameters the scheduling loop reads: all but those of the
+    encoder, the coarse head, the initial state and the fusion gate."""
+    skeleton = ("enc_", "coarse_", "state_init_", "fuse_logit")
+    return [name for name in model.store.names() if not name.startswith(skeleton)]
+
+
+def _scatter(g, rows: np.ndarray, n: int) -> np.ndarray:
+    out = np.zeros((n,) + g.shape[1:])
+    out[rows] = g
+    return out
+
+
 def run_schedule_rows(
     model: LeapTS,
     h: Tensor,
@@ -278,14 +555,17 @@ def run_schedule_rows(
     override: list | None = None,
     trace_meta: tuple | None = None,
     debug: list | None = None,
+    gumbel_temp: float | None = None,
 ):
-    """Run the scheduling loop for R rows. A row leaves the batch once its
-    cursor passes the horizon (a recorded gather under a tape, plain
-    indexing without one); outputs are in the original row order.
+    """Run the scheduling loop for R rows, one `step` at a time. A row leaves
+    the batch once its cursor passes the horizon; outputs are in the
+    original row order. Under a tape the loop records one node (see the
+    module docstring).
 
     ``mode``: "train" (Gumbel noise + hard routing), "eval" (noiseless,
     hard routing), "soft" (noiseless or frozen-noise, fully differentiable
     soft routing; the cursor still advances by rounded integers).
+    ``gumbel_temp`` is the Gumbel softmax temperature (None: the config's).
 
     ``override`` forces decisions: per row, a list of
     (category, len_cont, len_int) tuples consumed one per step.
@@ -299,23 +579,20 @@ def run_schedule_rows(
     if mode not in ("train", "eval", "soft"):
         raise ValueError(f"unknown schedule mode {mode!r}")
     cfg = model.config
-    store = model.store
     anchors = model.anchors
     P, C = cfg.horizon, anchors.n_categories
     if mode == "train" and C > 1 and rng is None and frozen_noise is None:
         raise ValueError("train mode needs an rng (or frozen noise) for category selection")
+    tau = cfg.gumbel_temp if gumbel_temp is None else gumbel_temp
+    taped = ad._active_tape() is not None
     R = h.shape[0]
     cat_names = anchors.category_names()
-    heads = [(store[f"len_head_{n}_w"], store[f"len_head_{n}_b"]) for n in cat_names]
     if override is not None:
         o_cat, o_cont, o_int, o_steps = _pack_override(override, R)
 
-    accum = Tensor(np.zeros((R, P)))
-    cursor = np.ones(R, dtype=np.int64)
-    prev_u = Tensor(np.zeros((R, cfg.control_dim)))
-    prev_soft = Tensor(np.full((R, C), 1.0 / C))
-    prev_summary = Tensor(np.zeros((R, cfg.summary_dim)))
-    prev_len_norm = np.zeros((R, 1))
+    state = (h.data, np.zeros((R, P)), np.ones(R, dtype=np.int64), np.zeros((R, cfg.control_dim)),
+             np.full((R, C), 1.0 / C), np.zeros((R, cfg.summary_dim)), np.zeros((R, 1)),
+             row_clusters)
 
     traces = None
     if trace_meta is not None:
@@ -326,8 +603,9 @@ def run_schedule_rows(
         ]
     noise_record: list = []
     live = np.arange(R)  # original row of each row still in the batch
-    done = []  # (original rows, their forecast rows) of the rows that have left
+    out = np.zeros((R, P))  # forecast rows of the rows that have left
     h_out = np.zeros(h.shape)  # final states of the rows that have left
+    steps = []  # under a tape: (live rows, rows kept after the step or None, saved)
 
     def spread(x, left):  # [R x ...] in original row order, `left` on rows that left
         full = np.array(np.broadcast_to(left, (R,) + x.shape[1:]), dtype=x.dtype)
@@ -337,112 +615,91 @@ def run_schedule_rows(
     k = 0
     while len(live):
         n = len(live)
+        cursor = state[2]
         forced = k >= cfg.max_steps and override is None
         noise = None
-
-        # high level: scale distribution (also feeds the next control signal)
         if C > 1:
-            logits = ad.matmul(h, store["category_proj"])
             if mode == "train":
-                noise = frozen_noise[k] if frozen_noise is not None else rng.gumbel(
-                    size=(R, C)
-                )
+                noise = frozen_noise[k] if frozen_noise is not None else rng.gumbel(size=(R, C))
             elif mode == "soft" and frozen_noise is not None:
                 noise = frozen_noise[k]
-            soft, hard = gumbel_softmax_select(
-                logits, cfg.gumbel_temp, None if noise is None else noise[live]
-            )
-        else:
-            soft = Tensor(np.ones((n, 1)))
-            hard = np.ones((n, 1))
         noise_record.append(noise)
 
-        # low level: advancement length (continuous for the mask, integer
-        # for the cursor) and routing vector for the segment heads
-        if override is not None or forced:
-            if override is not None:
-                cat_idx, len_cont, len_int = o_cat[live, k], o_cont[live, k], o_int[live, k]
-                rem = P - cursor + 1
-                bad = (o_steps[live] <= k) | (len_int < 1) | (len_int > rem)
-                if np.any(bad):
-                    r = int(np.argmax(bad))
-                    if o_steps[live[r]] <= k:
-                        raise DataError(f"override for row {live[r]} exhausted at step {k}")
-                    raise DataError(
-                        f"override length {len_int[r]} outside 1..{rem[r]}"
-                        f" (row {live[r]}, step {k})"
-                    )
-            else:
-                cat_idx = np.full(n, C - 1, dtype=np.int64)
-                len_int = P - cursor + 1
-                len_cont = len_int.astype(np.float64)
-            sel = Tensor(len_cont[:, None])
-            route_t = Tensor(np.eye(C)[cat_idx])
-        else:
-            lengths = length_candidates(h, anchors, heads)
-            sel, route_t, cat_idx = route_lengths(lengths, soft, hard, mode)
-            len_int = round_and_clip_rows(sel.data[:, 0], cursor, P)
+        decision = None
+        if override is not None:
+            cat_idx, len_cont, len_int = o_cat[live, k], o_cont[live, k], o_int[live, k]
+            rem = P - cursor + 1
+            bad = (o_steps[live] <= k) | (len_int < 1) | (len_int > rem)
+            if np.any(bad):
+                r = int(np.argmax(bad))
+                if o_steps[live[r]] <= k:
+                    raise DataError(f"override for row {live[r]} exhausted at step {k}")
+                raise DataError(
+                    f"override length {len_int[r]} outside 1..{rem[r]} (row {live[r]}, step {k})"
+                )
+            decision = (cat_idx, len_cont, len_int)
+        elif forced:
+            len_int = P - cursor + 1
+            decision = (np.full(n, C - 1, dtype=np.int64), len_int.astype(np.float64), len_int)
 
-        # segment for the selected category, soft-masked into the horizon
-        # hard routing: route_t is one-hot and cat_idx names its category
-        hard_route = C == 1 or mode != "soft" or override is not None or forced
-        segment = routed_segment(model, h, route_t, cat_idx if hard_route else None)
-        mask = soft_mask(sel, cursor, P, cfg.mask_temp)
-        accum, masked_seg = write_segment(segment, mask, accum)
-
-        # feedback and state evolution (uses the previous step's outcomes)
-        summary = summarize_segment(masked_seg, store["summary_w"], store["summary_b"])
-        rho = ((P - cursor + 1) / P)[:, None]
-        u = build_control_signal(
-            rho, prev_len_norm, prev_soft, prev_summary, store["control_w"], store["control_b"]
-        )
-        du, dtau = increments(u, prev_u, prev_len_norm, cfg.dt_min, cfg.dt_max)
-        h_next, d_ctrl, d_time = evolve_state(model, h, u, du, dtau, row_clusters)
+        h_before = state[0]
+        state, cols, saved = step(model, state, mode, tau,
+                                  None if noise is None else noise[live], decision, taped)
+        cat_idx, soft, sel, len_int, mask, segment, d_ctrl, d_time = cols
+        h_next = state[0]
 
         if debug is not None:
             debug.append(
                 StepDebug(
-                    mask=spread(mask.data, 0.0),
-                    segment=spread(segment.data, 0.0),
+                    mask=spread(mask, 0.0),
+                    segment=spread(segment, 0.0),
                     len_int=spread(len_int, 0),
                     cursor_before=spread(cursor, P + 1),
-                    h_before=spread(h.data, h_out),
-                    h_after=spread(h_next.data, h_out),
-                    ctrl_delta=spread(d_ctrl.data, 0.0),
-                    time_delta=spread(d_time.data, 0.0),
+                    h_before=spread(h_before, h_out),
+                    h_after=spread(h_next, h_out),
+                    ctrl_delta=spread(d_ctrl, 0.0),
+                    time_delta=spread(d_time, 0.0),
                     active=spread(np.ones(n, dtype=bool), False),
                 )
             )
         if traces is not None:
-            ctrl_mags = np.abs(d_ctrl.data).sum(axis=1)
-            time_mags = np.abs(d_time.data).sum(axis=1)
-            ctrl_ratios, time_ratios = decompose_update(d_ctrl.data, d_time.data)
-            columns = (live, cat_idx, soft.data, sel.data[:, 0], len_int, cursor,
+            ctrl_mags = np.abs(d_ctrl).sum(axis=1)
+            time_mags = np.abs(d_time).sum(axis=1)
+            ctrl_ratios, time_ratios = decompose_update(d_ctrl, d_time)
+            columns = (live, cat_idx, soft, sel[:, 0], len_int, cursor,
                        ctrl_mags, time_mags, ctrl_ratios, time_ratios)
             for r, c, sft, lc, li, cb, cm, tm, cr, tr in zip(*(a.tolist() for a in columns)):
                 traces[r].steps.append(TraceStep(
                     k, c, cat_names[c], sft, lc, li, cb, cb + li, cm, tm, cr, tr, forced
                 ))
-
-        h = h_next
-        prev_u = u
-        prev_soft = soft
-        prev_summary = summary
-        prev_len_norm = (len_int / P)[:, None].astype(np.float64)
-        cursor = cursor + len_int
         k += 1
 
         # the rows whose cursor has passed the horizon leave the batch
-        left = cursor > P
+        left = state[2] > P
+        keep = None
         if np.any(left):
             gone, keep = np.flatnonzero(left), np.flatnonzero(~left)
-            done.append((live[gone], _take_rows(accum, gone)))
-            h_out[live[gone]] = h.data[gone]
+            out[live[gone]] = state[1][gone]
+            h_out[live[gone]] = h_next[gone]
+            if len(keep):
+                state = tuple(x[keep] for x in state)
+        if taped:
+            steps.append((live, keep, saved))
+        if keep is not None:
             live = live[keep]
-            if len(live):
-                h, accum, prev_u, prev_soft, prev_summary, prev_len_norm, cursor, row_clusters = (
-                    _take_rows(x, keep) for x in (h, accum, prev_u, prev_soft, prev_summary,
-                                                  prev_len_norm, cursor, row_clusters)
-                )
 
-    return ad.rows_to(done, R, P), traces, noise_record
+    if not taped:
+        return Tensor(out), traces, noise_record
+
+    names = _loop_param_names(model)
+
+    def backward(g_out):
+        grads, g_next = {}, (None, None, None, None)
+        for rows, keep, saved in reversed(steps):
+            if keep is not None:
+                g_next = tuple(None if g is None else _scatter(g, keep, len(rows)) for g in g_next)
+            g_next = step_vjp(model, saved, g_out[rows], g_next, grads)
+        return (g_next[0], *(grads.get(name) for name in names))
+
+    parents = (h, *(model.store[name] for name in names))
+    return ad._record("schedule", out, parents, backward, scan=False), traces, noise_record

@@ -39,8 +39,10 @@ def forward_rows(
     override=None,
     trace_meta=None,
     debug=None,
+    gumbel_temp=None,
 ):
-    """Run the full model on a window batch [B x L x N].
+    """Run the full model on a window batch [B x L x N]; ``gumbel_temp`` is
+    the Gumbel softmax temperature (None: the config's).
 
     Returns a dict with row tensors ``coarse``, ``sched``, ``fused``
     ([B*N x P]) plus ``traces`` and ``noise`` from the scheduling loop.
@@ -82,6 +84,7 @@ def forward_rows(
             override=override,
             trace_meta=trace_meta,
             debug=debug,
+            gumbel_temp=gumbel_temp,
         )
         fused = model.fuse(coarse, sched)
 
@@ -101,9 +104,11 @@ def forward_loss(
     rng=None,
     delta: float = 1.0,
     frozen_noise=None,
+    gumbel_temp=None,
 ):
     """Huber loss of the fused forecast against targets [B x P x N]."""
-    out = forward_rows(model, inputs, mode=mode, rng=rng, frozen_noise=frozen_noise)
+    out = forward_rows(model, inputs, mode=mode, rng=rng, frozen_noise=frozen_noise,
+                       gumbel_temp=gumbel_temp)
     target_rows = _rows_from_batch(np.asarray(targets, dtype=np.float64))
     return ad.huber_loss(out["fused"], Tensor(target_rows), delta=delta), out
 

@@ -107,12 +107,14 @@ def _normalized_dataset(dataset: Dataset):
     return apply_data_norm(dataset, norm), norm
 
 
-def _epoch_loss(model, windows: WindowBatch, delta: float, batch: int = 256) -> float:
+def _epoch_loss(model, windows: WindowBatch, delta: float, gumbel_temp=None,
+                batch: int = 256) -> float:
     total, count = 0.0, 0
     for lo in range(0, windows.n_windows, batch):
         hi = min(lo + batch, windows.n_windows)
         loss, _ = forward_loss(
-            model, windows.inputs[lo:hi], windows.targets[lo:hi], mode="eval", delta=delta
+            model, windows.inputs[lo:hi], windows.targets[lo:hi], mode="eval", delta=delta,
+            gumbel_temp=gumbel_temp,
         )
         total += loss.item() * (hi - lo)
         count += hi - lo
@@ -236,14 +238,14 @@ def train(
     report = TrainReport()
     best_state = model.store.state_dict()
     bad_epochs = 0
-    tau_start = best_tau = cfg.gumbel_temp
+    tau = tau_start = best_tau = cfg.gumbel_temp
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
 
     try:
         for epoch in range(tcfg.max_epochs):
             if tcfg.gumbel_tau_end is not None and tcfg.max_epochs > 1:
                 frac = epoch / (tcfg.max_epochs - 1)
-                cfg.gumbel_temp = tau_start + (tcfg.gumbel_tau_end - tau_start) * frac
+                tau = tau_start + (tcfg.gumbel_tau_end - tau_start) * frac
             order = shuffle_rng.permutation(train_w.n_windows)
             if tcfg.max_batches_per_epoch is not None:
                 order = order[: tcfg.max_batches_per_epoch * tcfg.batch_size]
@@ -260,13 +262,14 @@ def train(
                             mode="train",
                             rng=gumbel_rng,
                             delta=tcfg.huber_delta,
+                            gumbel_temp=tau,
                         )
                         model.store.zero_grads()
                         tape.backward(loss)
                     adam_step(model.store, model.store.grads(), tcfg.lr)
                     losses.append(loss.item())
                 stage = "validation"
-                val_loss = _epoch_loss(model, val_w, tcfg.huber_delta)
+                val_loss = _epoch_loss(model, val_w, tcfg.huber_delta, tau)
             except NumericError as exc:
                 report.diverged = True
                 report.divergence = f"epoch {epoch}, {stage}: {exc}"
@@ -280,7 +283,7 @@ def train(
                 "train_loss": float(np.mean(losses)),
                 "val_loss": val_loss,
                 "lr": tcfg.lr,
-                "gumbel_temp": cfg.gumbel_temp,
+                "gumbel_temp": tau,
                 "timestamp": time.time(),
             }
             report.epochs.append(entry)
@@ -291,7 +294,7 @@ def train(
             if val_loss < report.best_val_loss:
                 report.best_val_loss = val_loss
                 report.best_epoch = epoch
-                best_state, best_tau = model.store.state_dict(), cfg.gumbel_temp
+                best_state, best_tau = model.store.state_dict(), tau
                 bad_epochs = 0
             else:
                 bad_epochs += 1

@@ -1,10 +1,12 @@
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import leapts.autodiff as ad
+import tape_ops as ops
 from leapts.autodiff import Tape, Tensor, huber_loss
 from leapts.errors import NumericError, ShapeError, TapeError
 
@@ -41,8 +43,8 @@ def fd_grad(f, arrays, h=1e-6):
 
 
 def test_tanh_at_zero():
-    (g,) = grad_of(lambda x: ad.tanh(x).sum(), np.zeros(1))
-    assert ad.tanh(Tensor([0.0])).data[0] == 0.0
+    (g,) = grad_of(lambda x: ops.tsum(ops.tanh(x)), np.zeros(1))
+    assert ops.tanh(Tensor([0.0])).data[0] == 0.0
     assert g[0] == 1.0
 
 
@@ -80,14 +82,14 @@ def test_sigmoid_bits_match_the_two_branch_formula():
 
 
 def test_matmul_hand_product():
-    out = ad.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
+    out = ops.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
     assert np.array_equal(out.data, [[3.0], [7.0]])
 
 
 def test_linear_map_gradient():
     w = Tensor([[2.0, -1.0]], requires_grad=True)
     with Tape() as tape:
-        loss = ad.matmul(w, Tensor([[1.0], [1.0]])).sum()
+        loss = ops.tsum(ops.matmul(w, Tensor([[1.0], [1.0]])))
         tape.backward(loss)
     assert np.array_equal(w.grad, [[1.0, 1.0]])
 
@@ -96,8 +98,8 @@ def test_detached_branch_zero_gradient():
     w = Tensor([3.0], requires_grad=True)
     with Tape() as tape:
         kept = ad.mul(w, 2.0)
-        cut = ad.mul(kept.detach(), 5.0)
-        loss = ad.add(kept, cut).sum()
+        cut = ad.mul(ops.detach(kept), 5.0)
+        loss = ops.tsum(ad.add(kept, cut))
         tape.backward(loss)
     assert np.array_equal(w.grad, [2.0])
 
@@ -106,9 +108,9 @@ def test_straight_through_exact_forward_identity_backward():
     soft = Tensor([[0.3, 0.6, 0.1]], requires_grad=True)
     hard = np.array([[0.0, 1.0, 0.0]])
     with Tape() as tape:
-        st = ad.straight_through(soft, hard)
+        st = ops.straight_through(soft, hard)
         assert np.array_equal(st.data, hard)
-        loss = ad.mul(st, Tensor([[1.0, 2.0, 3.0]])).sum()
+        loss = ops.tsum(ad.mul(st, Tensor([[1.0, 2.0, 3.0]])))
         tape.backward(loss)
     assert np.array_equal(soft.grad, [[1.0, 2.0, 3.0]])
 
@@ -142,36 +144,33 @@ def test_primitive_gradients_match_finite_differences(rng):
     bias = rng.normal(size=2)
     c = rng.normal(size=(3, 2))
     cases = [
-        ("add", lambda x, y: ad.add(x, y).sum(), [a, b]),
-        ("sub", lambda x, y: ad.tmean(ad.sub(x, y)), [a, b]),
-        ("mul", lambda x, y: ad.mul(x, y).sum(), [a, b]),
-        ("mul_broadcast", lambda x, y: ad.mul(x, y).sum(), [a, rng.normal(size=(3, 1))]),
-        ("matmul", lambda x, y: ad.matmul(x, y).sum(), [a, m]),
-        ("linear", lambda x, y, z: ad.mul(ad.linear(x, y, z), c).sum(), [a, m, bias]),
-        ("linear_tanh", lambda x, y, z: ad.mul(ad.linear(x, y, z, "tanh"), c).sum(), [a, m, bias]),
-        ("tanh", lambda x: ad.tanh(x).sum(), [a]),
-        ("sigmoid", lambda x: ad.sigmoid(x).sum(), [a]),
+        ("add", lambda x, y: ops.tsum(ad.add(x, y)), [a, b]),
+        ("sub", lambda x, y: ops.tsum(ops.sub(x, y)), [a, b]),
+        ("mul", lambda x, y: ops.tsum(ad.mul(x, y)), [a, b]),
+        ("mul_broadcast", lambda x, y: ops.tsum(ad.mul(x, y)), [a, rng.normal(size=(3, 1))]),
+        ("matmul", lambda x, y: ops.tsum(ops.matmul(x, y)), [a, m]),
+        ("linear", lambda x, y, z: ops.tsum(ad.mul(ad.linear(x, y, z), c)), [a, m, bias]),
+        ("linear_tanh", lambda x, y, z: ops.tsum(ad.mul(ad.linear(x, y, z, "tanh"), c)), [a, m, bias]),
+        ("tanh", lambda x: ops.tsum(ops.tanh(x)), [a]),
+        ("sigmoid", lambda x: ops.tsum(ad.sigmoid(x)), [a]),
         (
             "gated_sigmoid",
-            lambda x: ad.mul(ad.gated_sigmoid(x, b, 1.7, (a > 0).astype(float)), c[:, :1]).sum(),
+            lambda x: ops.tsum(ad.mul(ops.gated_sigmoid(x, b, 1.7, (a > 0).astype(float)), c[:, :1])),
             [rng.normal(size=(3, 1))],
         ),
-        ("softmax", lambda x: ad.mul(ad.softmax(x), b).sum(), [a]),
-        ("concat", lambda x, y: ad.mul(ad.concat([x, y]), 1.5).sum(), [a, b]),
-        ("slice", lambda x: x[1:, :2].sum(), [a]),
+        ("softmax", lambda x: ops.tsum(ad.mul(ops.softmax(x), b)), [a]),
+        ("concat", lambda x, y: ops.tsum(ad.mul(ops.concat([x, y]), 1.5)), [a, b]),
+        ("slice", lambda x: ops.tsum(ops.tslice(x, (slice(1, None), slice(None, 2)))), [a]),
         (
             "rows_to",
-            lambda x, y: ad.mul(ad.rows_to([(np.array([0, 2]), x), (np.array([3]), y)], 4, 4),
-                                np.arange(16.0).reshape(4, 4)).sum(),
+            lambda x, y: ops.tsum(ad.mul(ops.rows_to([(np.array([0, 2]), x), (np.array([3]), y)], 4, 4),
+                                np.arange(16.0).reshape(4, 4))),
             [rng.normal(size=(2, 4)), rng.normal(size=(1, 4))],
         ),
-        ("sum_axis", lambda x: ad.mul(x.sum(axis=1, keepdims=True), 2.0).sum(), [a]),
-        ("mean_axis", lambda x: ad.mul(ad.tmean(x, axis=0), 3.0).sum(), [a]),
-        ("abs", lambda x: ad.tabs(x).sum(), [a + 0.3]),
-        ("clip", lambda x: ad.tclip(x, -0.5, 0.7).sum(), [a]),
+        ("sum_axis", lambda x: ops.tsum(ad.mul(ops.tsum(x, axis=1, keepdims=True), 2.0)), [a]),
         (
             "rowwise_matvec",
-            lambda x, y: ad.rowwise_matvec(x, y).sum(),
+            lambda x, y: ops.tsum(ops.rowwise_matvec(x, y)),
             [rng.normal(size=(3, 8)), rng.normal(size=(3, 2))],
         ),
         ("huber", lambda x, y: huber_loss(x, y, delta=0.8), [a, b]),
@@ -196,13 +195,13 @@ def test_linear_matches_the_composition_bit_for_bit(rng, act):
         x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
         with Tape() as tape:
             y = layer(x, w, b)
-            loss = ad.add(ad.mul(y, weight).sum(), ad.tsum(ad.mul(x, x)))
+            loss = ad.add(ops.tsum(ad.mul(y, weight)), ops.tsum(ad.mul(x, x)))
             tape.backward(loss)
         return y.data, x.grad, w.grad, b.grad
 
     def chain(x, w, b):
-        y = ad.add(ad.matmul(x, w), b)
-        return y if act is None else ad.tanh(y)
+        y = ad.add(ops.matmul(x, w), b)
+        return y if act is None else ops.tanh(y)
 
     fused = run(lambda x, w, b: ad.linear(x, w, b, act))
     for got, want in zip(fused, run(chain)):
@@ -210,7 +209,7 @@ def test_linear_matches_the_composition_bit_for_bit(rng, act):
 
 
 def test_softmax_rows_sum_to_one(rng):
-    y = ad.softmax(Tensor(rng.normal(size=(5, 3)))).data
+    y = ops.softmax(Tensor(rng.normal(size=(5, 3)))).data
     assert np.allclose(y.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -220,7 +219,7 @@ def test_softmax_rows_sum_to_one(rng):
 def test_tape_single_use():
     x = Tensor([1.0], requires_grad=True)
     with Tape() as tape:
-        loss = ad.mul(x, x).sum()
+        loss = ops.tsum(ad.mul(x, x))
     tape.backward(loss)
     with pytest.raises(TapeError):
         tape.backward(loss)
@@ -233,14 +232,15 @@ def test_backward_requires_scalar_and_matching_tape():
     with pytest.raises(TapeError):
         tape.backward(vec)
     with Tape() as other:
-        loss = ad.mul(x, x).sum()
+        loss = ops.tsum(ad.mul(x, x))
     with pytest.raises(TapeError):
         Tape().backward(loss)
 
 
 def test_graph_is_freed_without_the_cycle_collector(toy_model, rng):
     """The tape alone owns the recorded graph: dropping the tape and the
-    loss frees every node by reference counting."""
+    loss frees every node, the scheduling loop's node and its saved arrays
+    included, by reference counting."""
     from leapts.forward import forward_loss
 
     x, y = rng.normal(size=(4, 24, 2)), rng.normal(size=(4, 8, 2))
@@ -250,8 +250,11 @@ def test_graph_is_freed_without_the_cycle_collector(toy_model, rng):
         with Tape() as tape:
             loss, out = forward_loss(toy_model, x, y, mode="train", rng=rng)
             tape.backward(loss)
-        assert len(tape.nodes) > 100
-        del tape, loss, out
+        loop = max(tape.nodes, key=lambda node: len(node.parents))
+        assert len(loop.parents) > 20  # the scheduling loop: its state and parameters
+        saved = weakref.ref(loop.fn)  # holds the loop's saved arrays
+        del tape, loss, out, loop
+        assert saved() is None
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -266,7 +269,7 @@ def test_nested_tapes_rejected():
 
 def test_shape_errors_name_op_and_shapes():
     with pytest.raises(ShapeError, match=r"matmul.*\(2, 3\).*\(2, 3\)"):
-        ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        ops.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(ShapeError, match="add"):
         ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
 
@@ -281,17 +284,17 @@ def test_nonfinite_forward_raises():
 def test_nonfinite_leaf_through_concat_raises_at_the_next_arithmetic_op():
     """Copying ops scan nothing; the first op that computes on the value
     names itself."""
-    joined = ad.concat([Tensor([[np.nan]]), Tensor([[1.0]])])
+    joined = ops.concat([Tensor([[np.nan]]), Tensor([[1.0]])])
     with pytest.raises(NumericError, match="^add: non-finite values in result$"):
         ad.add(joined, 1.0)
 
 
 def test_rows_to_puts_parts_back_and_passes_a_full_part_through():
     x, y = Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0, 6.0]])
-    out = ad.rows_to([(np.array([0, 3]), x), (np.array([1]), y)], 4, 2)
+    out = ops.rows_to([(np.array([0, 3]), x), (np.array([1]), y)], 4, 2)
     assert np.array_equal(out.data, [[1.0, 2.0], [5.0, 6.0], [0.0, 0.0], [3.0, 4.0]])
-    assert ad.rows_to([(np.arange(2), x)], 2, 2) is x
-    assert np.array_equal(ad.rows_to([], 2, 3).data, np.zeros((2, 3)))
+    assert ops.rows_to([(np.arange(2), x)], 2, 2) is x
+    assert np.array_equal(ops.rows_to([], 2, 3).data, np.zeros((2, 3)))
 
 
 def test_linear_tanh_overflow_raises():
@@ -309,13 +312,13 @@ def test_gated_sigmoid_overflow_raises():
     sel = Tensor([[1e308]])
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError, match="gated_sigmoid"):
-            ad.gated_sigmoid(sel, np.zeros((1, 2)), 10.0, np.ones((1, 2)))
+            ops.gated_sigmoid(sel, np.zeros((1, 2)), 10.0, np.ones((1, 2)))
 
 
 def test_gradients_accumulate_across_reuse():
     x = Tensor([2.0], requires_grad=True)
     with Tape() as tape:
-        loss = ad.add(ad.mul(x, 3.0), ad.mul(x, x)).sum()
+        loss = ops.tsum(ad.add(ad.mul(x, 3.0), ad.mul(x, x)))
         tape.backward(loss)
     assert x.grad[0] == pytest.approx(3.0 + 4.0)
 
@@ -330,7 +333,7 @@ def test_concurrent_tapes_on_separate_threads(rng):
     def worker(key, scale):
         x = Tensor(scale * a, requires_grad=True)
         with Tape() as tape:
-            loss = huber_loss(ad.tanh(x), Tensor(np.zeros((8, 8))))
+            loss = huber_loss(ops.tanh(x), Tensor(np.zeros((8, 8))))
             tape.backward(loss)
         results[key] = (loss.item(), x.grad.copy())
 
@@ -342,7 +345,7 @@ def test_concurrent_tapes_on_separate_threads(rng):
     for i in range(4):
         x = Tensor((1.0 + i) * a, requires_grad=True)
         with Tape() as tape:
-            loss = huber_loss(ad.tanh(x), Tensor(np.zeros((8, 8))))
+            loss = huber_loss(ops.tanh(x), Tensor(np.zeros((8, 8))))
             tape.backward(loss)
         assert results[i][0] == loss.item()
         assert np.array_equal(results[i][1], x.grad)
@@ -355,7 +358,7 @@ def test_forward_determinism(rng):
     def run():
         x = Tensor(a, requires_grad=True)
         with Tape() as tape:
-            loss = huber_loss(ad.tanh(ad.matmul(x, Tensor(b))), Tensor(np.ones((6, 6))))
+            loss = huber_loss(ops.tanh(ops.matmul(x, Tensor(b))), Tensor(np.ones((6, 6))))
             tape.backward(loss)
         return loss.item(), x.grad.copy()
 

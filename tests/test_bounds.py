@@ -8,9 +8,22 @@ from leapts.bounds import (
     bound_direct,
     bound_leapts_optimal,
     bound_recursive,
-    compositions,
 )
 from leapts.errors import ConfigError
+
+
+def compositions(P: int):
+    """All ordered partitions of P into positive integers (2^(P-1) of them):
+    the enumeration oracle of the dynamic program."""
+    if P == 1:
+        yield (1,)
+        return
+    for first in range(1, P + 1):
+        if first == P:
+            yield (P,)
+        else:
+            for rest in compositions(P - first):
+                yield (first, *rest)
 
 
 def test_worked_instance():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leapts.autodiff as ad
+import tape_ops as ops
 from leapts.autodiff import Tape, Tensor
 from leapts.controller import (
     gumbel_softmax_select,
@@ -72,18 +73,18 @@ def test_category_of_length_unique_under_coverage():
 
 
 def test_equal_logits_eval_mode_uniform_soft_first_index_ties():
-    soft, hard = gumbel_softmax_select(Tensor([[0.0, 0.0, 0.0]]), tau=1.0, noise=None)
-    assert np.allclose(soft.data, 1.0 / 3.0, atol=1e-12)
+    soft, hard = gumbel_softmax_select(np.array([[0.0, 0.0, 0.0]]), tau=1.0, noise=None)
+    assert np.allclose(soft, 1.0 / 3.0, atol=1e-12)
     assert np.array_equal(hard, [[1.0, 0.0, 0.0]])
 
 
 def test_peaked_logits_eval_mode():
-    soft, hard = gumbel_softmax_select(Tensor([[10.0, 0.0, 0.0]]), tau=1.0, noise=None)
+    soft, hard = gumbel_softmax_select(np.array([[10.0, 0.0, 0.0]]), tau=1.0, noise=None)
     e10 = math.exp(10.0)
     expect = np.array([e10, 1.0, 1.0]) / (e10 + 2.0)
-    assert np.allclose(soft.data[0], expect, atol=1e-9)
-    assert soft.data[0, 0] == pytest.approx(0.99990, abs=2e-5)
-    assert soft.data[0, 1] == pytest.approx(4.54e-5, abs=1e-7)
+    assert np.allclose(soft[0], expect, atol=1e-9)
+    assert soft[0, 0] == pytest.approx(0.99990, abs=2e-5)
+    assert soft[0, 1] == pytest.approx(4.54e-5, abs=1e-7)
     assert np.array_equal(hard, [[1.0, 0.0, 0.0]])
 
 
@@ -91,7 +92,7 @@ def test_gumbel_max_frequencies_match_softmax(rng):
     logits = np.array([1.0, 0.0, -1.0])
     n = 20000
     soft, hard = gumbel_softmax_select(
-        Tensor(np.tile(logits, (n, 1))), tau=1.0, noise=rng.gumbel(size=(n, 3))
+        np.tile(logits, (n, 1)), tau=1.0, noise=rng.gumbel(size=(n, 3))
     )
     freq = hard.mean(axis=0)
     target = np.exp(logits) / np.exp(logits).sum()
@@ -100,85 +101,85 @@ def test_gumbel_max_frequencies_match_softmax(rng):
 
 def test_hard_matches_argmax_of_soft(rng):
     logits = rng.normal(size=(50, 3))
-    soft, hard = gumbel_softmax_select(Tensor(logits), tau=0.7, noise=rng.gumbel(size=(50, 3)))
-    assert np.array_equal(hard.argmax(axis=1), soft.data.argmax(axis=1))
+    soft, hard = gumbel_softmax_select(logits, tau=0.7, noise=rng.gumbel(size=(50, 3)))
+    assert np.array_equal(hard.argmax(axis=1), soft.argmax(axis=1))
     assert np.array_equal(hard.sum(axis=1), np.ones(50))
 
 
 def test_eval_mode_deterministic(rng):
-    h = Tensor(rng.normal(size=(4, 6)))
-    w = Tensor(rng.normal(size=(6, 3)))
-    a = gumbel_softmax_select(ad.matmul(h, w), tau=1.0, noise=None)
-    b = gumbel_softmax_select(ad.matmul(h, w), tau=1.0, noise=None)
-    assert np.array_equal(a[0].data, b[0].data)
+    h = rng.normal(size=(4, 6))
+    w = rng.normal(size=(6, 3))
+    a = gumbel_softmax_select(h @ w, tau=1.0, noise=None)
+    b = gumbel_softmax_select(h @ w, tau=1.0, noise=None)
+    assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
 
 
 def test_temperature_must_be_positive():
     with pytest.raises(ConfigError):
-        gumbel_softmax_select(Tensor([[0.0, 1.0, 2.0]]), tau=0.0, noise=None)
+        gumbel_softmax_select(np.array([[0.0, 1.0, 2.0]]), tau=0.0, noise=None)
 
 
 # -- low-level lengths ----------------------------------------------------------
 
 
 def heads_with_bias(anchors, biases, d_h=4):
-    return [(Tensor(np.zeros((d_h, 1))), Tensor(np.array([b]))) for b in biases]
+    return [(np.zeros((d_h, 1)), np.array([b])) for b in biases]
 
 
 def test_zero_raw_output_gives_interval_midpoint():
     anchors = scale_anchors(96, 60)
     heads = heads_with_bias(anchors, [0.0, 0.0, 0.0])
-    lens = length_candidates(Tensor(np.zeros((1, 4))), anchors, heads)
+    lens, _, _ = length_candidates(np.zeros((1, 4)), anchors, heads)
     mids = [(lo + hi) / 2 for lo, hi in zip(anchors.mins, anchors.maxs)]
-    assert np.allclose(lens.data[0], mids, atol=1e-12)
+    assert np.allclose(lens[0], mids, atol=1e-12)
 
 
 def test_saturated_head_reaches_upper_bound():
     anchors = scale_anchors(96, 60)
     heads = heads_with_bias(anchors, [500.0, 0.0, 0.0])
-    lens = length_candidates(Tensor(np.zeros((1, 4))), anchors, heads)
-    assert lens.data[0, 0] == pytest.approx(24.0, abs=1e-9)
+    lens, _, _ = length_candidates(np.zeros((1, 4)), anchors, heads)
+    assert lens[0, 0] == pytest.approx(24.0, abs=1e-9)
 
 
 def test_length_mapping_hand_case():
     anchors = scale_anchors(96, 60)
     raw = math.log(0.7 / 0.3)  # sigmoid -> 0.7
     heads = heads_with_bias(anchors, [0.0, raw, 0.0])
-    soft, hard = gumbel_softmax_select(Tensor([[0.0, 5.0, 0.0]]), tau=1.0, noise=None)
-    lengths = length_candidates(Tensor(np.zeros((1, 4))), anchors, heads)
+    soft, hard = gumbel_softmax_select(np.array([[0.0, 5.0, 0.0]]), tau=1.0, noise=None)
+    lengths, _, _ = length_candidates(np.zeros((1, 4)), anchors, heads)
     sel, _, chosen = route_lengths(lengths, soft, hard, mode="eval")
     assert chosen[0] == 1
-    assert sel.data[0, 0] == pytest.approx(25 + 23 * 0.7, abs=1e-9)
-    assert anchors.mins[1] <= sel.data[0, 0] <= anchors.maxs[1]
-    assert soft.data[0].argmax() == chosen[0]
+    assert sel[0, 0] == pytest.approx(25 + 23 * 0.7, abs=1e-9)
+    assert anchors.mins[1] <= sel[0, 0] <= anchors.maxs[1]
+    assert soft[0].argmax() == chosen[0]
 
 
 def test_hard_routing_is_exact():
     anchors = scale_anchors(96, 60)
     heads = heads_with_bias(anchors, [0.3, -0.2, 0.9])
-    soft, hard = gumbel_softmax_select(Tensor([[0.0, 0.0, 3.0]]), tau=1.0, noise=None)
-    lengths = length_candidates(Tensor(np.zeros((1, 4))), anchors, heads)
+    soft, hard = gumbel_softmax_select(np.array([[0.0, 0.0, 3.0]]), tau=1.0, noise=None)
+    lengths, _, _ = length_candidates(np.zeros((1, 4)), anchors, heads)
     sel, route, _ = route_lengths(lengths, soft, hard, mode="train")
-    assert sel.data[0, 0] == lengths.data[0, 2]
-    assert np.array_equal(route.data, hard)
+    assert sel[0, 0] == lengths[0, 2]
+    assert np.array_equal(route, hard)
 
 
 def test_soft_routing_mixes_lengths():
     anchors = scale_anchors(96, 60)
     heads = heads_with_bias(anchors, [0.3, -0.2, 0.9])
-    soft, hard = gumbel_softmax_select(Tensor([[0.5, 0.0, 1.0]]), tau=1.0, noise=None)
-    lengths = length_candidates(Tensor(np.zeros((1, 4))), anchors, heads)
+    soft, hard = gumbel_softmax_select(np.array([[0.5, 0.0, 1.0]]), tau=1.0, noise=None)
+    lengths, _, _ = length_candidates(np.zeros((1, 4)), anchors, heads)
     sel, route, chosen = route_lengths(lengths, soft, hard, mode="soft")
-    assert sel.data[0, 0] == pytest.approx(float(lengths.data[0] @ soft.data[0]), abs=1e-12)
+    assert sel[0, 0] == pytest.approx(float(lengths[0] @ soft[0]), abs=1e-12)
     assert route is soft and chosen[0] == 2
 
 
 def test_single_category_length_taken_as_is():
     anchors = scale_anchors(96, 18)
     heads = heads_with_bias(anchors, [0.4])
-    lengths = length_candidates(Tensor(np.zeros((2, 4))), anchors, heads)
-    soft = Tensor(np.ones((2, 1)))
+    lengths, _, _ = length_candidates(np.zeros((2, 4)), anchors, heads)
+    soft = np.ones((2, 1))
     sel, route, chosen = route_lengths(lengths, soft, np.ones((2, 1)), mode="train")
     assert sel is lengths and route is soft
     assert np.array_equal(chosen, [0, 0])
@@ -193,14 +194,14 @@ def test_straight_through_gradient_matches_soft_path_fd():
     w_val = rng.normal(size=(4, 3))
     noise = rng.gumbel(size=(1, 3))
     head_biases = [0.4, -0.3, 0.8]
-    heads = heads_with_bias(anchors, head_biases)
+    heads = [(Tensor(w), Tensor(b)) for w, b in heads_with_bias(anchors, head_biases)]
 
     w = Tensor(w_val, requires_grad=True)
     with Tape() as tape:
-        soft, hard = gumbel_softmax_select(ad.matmul(Tensor(h_val), w), tau=1.0, noise=noise)
-        lengths = length_candidates(Tensor(np.zeros((1, 4))), anchors, heads)
-        routed = ad.straight_through(soft, hard)
-        loss = ad.tsum(ad.mul(lengths, routed))
+        soft, hard = ops.gumbel_softmax_select(ops.matmul(Tensor(h_val), w), tau=1.0, noise=noise)
+        lengths = ops.length_candidates(Tensor(np.zeros((1, 4))), anchors, heads)
+        routed = ops.straight_through(soft, hard)
+        loss = ops.tsum(ad.mul(lengths, routed))
         tape.backward(loss)
     analytic = w.grad.copy()
 

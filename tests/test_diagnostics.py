@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,29 @@ def test_trace_jsonl_bytes_are_pinned(tmp_path):
         "",
     ]
     assert read_trace_jsonl(path) == [tr]
+
+
+def test_trace_records_are_the_text_json_dumps_writes(tmp_path):
+    """The writer builds each line itself; the bytes equal ``json.dumps`` of
+    the record, for non-finite, signed-zero, subnormal, large and integer
+    values, forced steps and the soft list, and for values of other types."""
+    tr = ScheduleTrace(window=2**70, variate=1, volatility=float("nan"))
+    tr.steps.append(TraceStep(0, 1, "mid", [float("inf"), -0.0, 5e-324], float("-inf"), 3, 1,
+                              4, 1e16, -0.0, float("nan"), 5e-324, forced=True))
+    tr.steps.append(TraceStep(1, 2, "long", [0.1, 0.2, 0.7], 1e16, 2**63, 4, 9,
+                              1 / 3, 1e-300, 0.25, 0.75))
+    tr.steps.append(TraceStep(2, 0, "short", [1, 0.0, 0.0], 2, 1, 9, 10,
+                              np.float64(0.5), 0.0, 0.0, 1.0, forced=False))
+    other = ScheduleTrace(window=0, variate=0, volatility=-0.0)
+    other.steps.append(TraceStep(0, 0, "short", [], 1.5, 1, 1, 2, 0.0, 0.0, 0.0, 0.0))
+    path = tmp_path / "edge.jsonl"
+    write_trace_jsonl([tr, other], path)
+    want = "".join(
+        json.dumps({"schema": "leapts-trace-v1", "window": t.window, "variate": t.variate,
+                    "volatility": t.volatility, **vars(st)}) + "\n"
+        for t in (tr, other) for st in t.steps
+    )
+    assert path.read_bytes() == want.encode("utf-8")
 
 
 @pytest.mark.parametrize(

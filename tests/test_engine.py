@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import leapts.autodiff as ad
 import leapts.engine as engine
+import tape_ops as ops
 import leapts.forward as forward
 from leapts.autodiff import Tape, Tensor
 from leapts.diagnostics import fixed_partition, partition_to_steps, sample_partition
@@ -25,7 +26,7 @@ from leapts.engine import (
     summarize_segment,
     write_segment,
 )
-from leapts.errors import DataError
+from leapts.errors import DataError, NumericError
 from leapts.forward import forward_rows
 from leapts.model import LeapTS, ModelConfig
 
@@ -41,12 +42,11 @@ def sigmoid(x):
 
 def mask_row(length, cursor, P, gamma):
     """One-row call of the batched soft mask."""
-    sel = length if isinstance(length, Tensor) else Tensor([[float(length)]])
-    return soft_mask(sel, np.array([cursor]), P, gamma)
+    return soft_mask(np.array([[float(length)]]), np.array([cursor]), P, gamma)
 
 
 def test_soft_mask_hand_values():
-    m = mask_row(2.0, cursor=1, P=4, gamma=0.1).data[0]
+    m = mask_row(2.0, cursor=1, P=4, gamma=0.1)[0]
     expected = [sigmoid(15.0), sigmoid(5.0), sigmoid(-5.0), sigmoid(-15.0)]
     assert np.allclose(m, expected, rtol=1e-12)
     assert m[0] == pytest.approx(0.99999969, abs=1e-8)
@@ -56,7 +56,7 @@ def test_soft_mask_hand_values():
 
 
 def test_soft_mask_zero_before_cursor():
-    m = mask_row(2.0, cursor=3, P=4, gamma=0.1).data[0]
+    m = mask_row(2.0, cursor=3, P=4, gamma=0.1)[0]
     assert m[0] == 0.0 and m[1] == 0.0
     assert m[2] > 0.9
 
@@ -65,7 +65,7 @@ def test_soft_mask_sharp_limit_matches_hard_indicator():
     P = 20
     for length in (1, 3, 7, 20):
         for cursor in (1, 5, 14):
-            m = mask_row(length, cursor=cursor, P=P, gamma=1e-3).data[0]
+            m = mask_row(length, cursor=cursor, P=P, gamma=1e-3)[0]
             hard = np.zeros(P)
             hard[cursor - 1 : min(cursor - 1 + length, P)] = 1.0
             assert np.abs(m - hard).max() < 1e-6
@@ -76,19 +76,31 @@ def test_soft_mask_sharp_limit_matches_hard_indicator():
 def test_soft_mask_zero_on_finished_rows():
     """A row past the horizon (cursor P+1) writes nothing, whatever its
     length; the other rows are unaffected."""
-    sel = Tensor(np.array([[2.0], [3.0], [2.0]]))
-    m = soft_mask(sel, np.array([1, 5, 3]), 4, 0.1).data
+    sel = np.array([[2.0], [3.0], [2.0]])
+    m = soft_mask(sel, np.array([1, 5, 3]), 4, 0.1)
     assert np.array_equal(m[1], np.zeros(4))
-    assert np.array_equal(m[0], mask_row(2.0, cursor=1, P=4, gamma=0.1).data[0])
-    assert np.array_equal(m[2], mask_row(2.0, cursor=3, P=4, gamma=0.1).data[0])
+    assert np.array_equal(m[0], mask_row(2.0, cursor=1, P=4, gamma=0.1)[0])
+    assert np.array_equal(m[2], mask_row(2.0, cursor=3, P=4, gamma=0.1)[0])
 
 
 def test_soft_mask_gradient_flows_to_length():
-    l = Tensor([[2.0]], requires_grad=True)
+    """A single-step loop's forecast rises with its continuous length, so
+    the length head's bias gets a positive gradient of the masked sum."""
+    model = LeapTS(toy_config(horizon=4, look_back=48, mask_temp=0.5))
+    assert model.anchors.degenerate
+    s = model.store
+    s["seg_head_single_w"].data[:] = 0.0
+    s["seg_head_single_b"].data[:] = 1.0  # a segment of ones: the forecast is the mask
+    s["len_head_single_w"].data[:] = 0.0
+    s["len_head_single_b"].data[:] = 0.0  # length 2.5 of [1, 4]
+    h = Tensor(np.zeros((1, 8)), requires_grad=True)
     with Tape() as tape:
-        m = mask_row(l, cursor=1, P=4, gamma=0.5)
-        tape.backward(m.sum())
-    assert l.grad[0, 0] > 0.0
+        y, traces, _ = run_schedule_rows(model, h, one_cluster(1), trace_meta=(
+            np.zeros(1), np.zeros(1), np.zeros(1)))
+        model.store.zero_grads()
+        tape.backward(ops.tsum(y))
+    assert [st.len_cont for st in traces[0].steps] == [2.5, 2.5]
+    assert s["len_head_single_b"].grad[0] > 0.0
 
 
 def _four_op_mask(sel, cursor, P, gamma):
@@ -96,87 +108,75 @@ def _four_op_mask(sel, cursor, P, gamma):
     tau = np.arange(1, P + 1, dtype=np.float64)
     indicator = (tau[None, :] >= cursor[:, None]).astype(np.float64)
     offs = tau[None, :] - cursor[:, None].astype(np.float64) + 0.5
-    return ad.mul(ad.sigmoid(ad.mul(ad.sub(sel, offs), 1.0 / gamma)), indicator)
+    return ad.mul(ad.sigmoid(ad.mul(ops.sub(sel, offs), 1.0 / gamma)), indicator)
 
 
 def test_soft_mask_matches_the_four_op_composition_bit_for_bit(rng):
-    """Values and length gradients equal the four-op chain's on a row at the
-    start, one partway along the horizon and a finished one; the mask is one
-    tape node."""
+    """Values equal the four-op chain's on a row at the start, one partway
+    along the horizon and a finished one. (Its gradient is part of the
+    loop's reverse pass, checked against the per-op tape below.)"""
     P, gamma = 12, 0.1
     cursor = np.array([1, 5, P + 1])
-    lengths, weight = rng.uniform(1.0, 8.0, size=(3, 1)), rng.normal(size=(3, P))
-
-    def run(mask_fn):
-        sel = Tensor(lengths, requires_grad=True)
-        with Tape() as tape:
-            mask = mask_fn(sel, cursor, P, gamma)
-            n_nodes = len(tape.nodes)
-            tape.backward(ad.tsum(ad.mul(mask, weight)))
-        return mask.data, sel.grad, n_nodes
-
-    fused, chain = run(soft_mask), run(_four_op_mask)
-    assert np.array_equal(fused[0], chain[0]) and np.array_equal(fused[1], chain[1])
-    assert (fused[2], chain[2]) == (1, 4)
-    assert np.all(fused[0][1, :4] == 0.0) and np.all(fused[0][2] == 0.0)
-    assert fused[1][2, 0] == 0.0 and fused[1][1, 0] > 0.0
+    lengths = rng.uniform(1.0, 8.0, size=(3, 1))
+    mask = soft_mask(lengths, cursor, P, gamma)
+    assert np.array_equal(mask, _four_op_mask(Tensor(lengths), cursor, P, gamma).data)
+    assert np.all(mask[1, :4] == 0.0) and np.all(mask[2] == 0.0)
 
 
 # -- write / summarize / control / evolve -------------------------------------
 
 
 def test_write_segment_zero_mask_noop():
-    accum = Tensor(np.array([1.0, 2.0, 3.0, 4.0]))
-    out, masked = write_segment(Tensor(np.ones(4)), Tensor(np.zeros(4)), accum)
-    assert np.array_equal(out.data, accum.data)
-    assert np.array_equal(masked.data, np.zeros(4))
+    accum = np.array([1.0, 2.0, 3.0, 4.0])
+    out, masked = write_segment(np.ones(4), np.zeros(4), accum)
+    assert np.array_equal(out, accum)
+    assert np.array_equal(masked, np.zeros(4))
 
 
 def test_write_segment_hard_gate():
-    accum = Tensor(np.zeros(4))
-    mask = Tensor(np.array([1.0, 1.0, 0.0, 0.0]))
-    out, _ = write_segment(Tensor(np.ones(4)), mask, accum)
-    assert np.array_equal(out.data, [1.0, 1.0, 0.0, 0.0])
+    accum = np.zeros(4)
+    mask = np.array([1.0, 1.0, 0.0, 0.0])
+    out, _ = write_segment(np.ones(4), mask, accum)
+    assert np.array_equal(out, [1.0, 1.0, 0.0, 0.0])
 
 
 def test_sequential_disjoint_writes_concatenate():
-    accum = Tensor(np.zeros(4))
-    accum, _ = write_segment(
-        Tensor(np.array([5.0, 6.0, 99.0, 99.0])), Tensor(np.array([1.0, 1.0, 0.0, 0.0])), accum
-    )
-    accum, _ = write_segment(
-        Tensor(np.array([99.0, 99.0, 7.0, 8.0])), Tensor(np.array([0.0, 0.0, 1.0, 1.0])), accum
-    )
-    assert np.array_equal(accum.data, [5.0, 6.0, 7.0, 8.0])
+    accum = np.zeros(4)
+    accum, _ = write_segment(np.array([5.0, 6.0, 99.0, 99.0]), np.array([1.0, 1.0, 0.0, 0.0]), accum)
+    accum, _ = write_segment(np.array([99.0, 99.0, 7.0, 8.0]), np.array([0.0, 0.0, 1.0, 1.0]), accum)
+    assert np.array_equal(accum, [5.0, 6.0, 7.0, 8.0])
 
 
 def one_hot_route(category, n_rows=1):
     route = np.zeros((n_rows, 3))
     route[:, category] = 1.0
-    return Tensor(route)
+    return route
 
 
 def test_segment_head_full_horizon_and_zero_case(toy_model):
-    h = Tensor(np.zeros((1, 8)))
+    h = np.zeros((1, 8))
     for cat in range(3):
-        seg = routed_segment(toy_model, h, one_hot_route(cat))
+        seg, _ = routed_segment(toy_model, h, one_hot_route(cat))
         assert seg.shape == (1, 8)  # full horizon regardless of length
-        assert np.array_equal(seg.data, np.zeros((1, 8)))  # zero h, zero bias
+        assert np.array_equal(seg, np.zeros((1, 8)))  # zero h, zero bias
 
 
 def test_segment_heads_differ_across_categories(toy_model, rng):
-    h = Tensor(rng.normal(size=(1, 8)))
-    a = routed_segment(toy_model, h, one_hot_route(0)).data
-    b = routed_segment(toy_model, h, one_hot_route(2)).data
+    h = rng.normal(size=(1, 8))
+    a = routed_segment(toy_model, h, one_hot_route(0))[0]
+    b = routed_segment(toy_model, h, one_hot_route(2))[0]
     assert not np.allclose(a, b)
 
 
 def test_routed_segment_mixes_heads_by_route(toy_model, rng):
-    h = Tensor(rng.normal(size=(2, 8)))
-    heads = [routed_segment(toy_model, h, one_hot_route(c, 2)).data for c in range(3)]
+    h = rng.normal(size=(2, 8))
+    heads = [routed_segment(toy_model, h, one_hot_route(c, 2))[0] for c in range(3)]
     route = np.array([[0.2, 0.3, 0.5], [0.0, 1.0, 0.0]])
-    mixed = routed_segment(toy_model, h, Tensor(route)).data
+    mixed, outputs = routed_segment(toy_model, h, route)
     assert np.allclose(mixed, sum(route[:, c : c + 1] * heads[c] for c in range(3)), atol=1e-12)
+    gathered, none = routed_segment(toy_model, h, one_hot_route(1, 2), chosen=np.array([2, 0]))
+    assert none is None
+    assert np.allclose(gathered, np.stack([outputs[2][0], outputs[0][1]]), rtol=1e-12, atol=0)
 
 
 def test_summarize_hand_case():
@@ -185,14 +185,15 @@ def test_summarize_hand_case():
     w[1, 1] = 1.0
     s = np.zeros((1, 8))
     s[0, 0], s[0, 1] = 0.5, -0.5
-    c = summarize_segment(Tensor(s), Tensor(w), Tensor(np.zeros(2)))
-    assert np.allclose(c.data, [[math.tanh(0.5), math.tanh(-0.5)]], atol=1e-12)
-    assert c.data[0, 0] == pytest.approx(0.4621, abs=1e-4)
+    c, pre = summarize_segment(s, w, np.zeros(2))
+    assert np.allclose(c, [[math.tanh(0.5), math.tanh(-0.5)]], atol=1e-12)
+    assert c[0, 0] == pytest.approx(0.4621, abs=1e-4)
+    assert np.array_equal(pre, [[0.5, -0.5]])
 
 
 def test_summarize_zero_segment_zero_bias():
-    c = summarize_segment(Tensor(np.zeros((1, 8))), Tensor(np.ones((8, 3))), Tensor(np.zeros(3)))
-    assert np.array_equal(c.data, np.zeros((1, 3)))
+    c, _ = summarize_segment(np.zeros((1, 8)), np.ones((8, 3)), np.zeros(3))
+    assert np.array_equal(c, np.zeros((1, 3)))
 
 
 def test_cold_start_temporal_increment_is_lower_clip():
@@ -209,43 +210,44 @@ def test_cold_start_temporal_increment_is_lower_clip():
 
 
 def test_summary_bounded(rng):
-    w = Tensor(rng.normal(size=(8, 4)))
-    c = summarize_segment(Tensor(rng.normal(size=(3, 8))), w, Tensor(np.zeros(4)))
-    assert np.abs(c.data).max() < 1.0
-    big = summarize_segment(Tensor(rng.normal(scale=1e6, size=(3, 8))), w, Tensor(np.zeros(4)))
-    assert np.abs(big.data).max() <= 1.0
+    w = rng.normal(size=(8, 4))
+    c, _ = summarize_segment(rng.normal(size=(3, 8)), w, np.zeros(4))
+    assert np.abs(c).max() < 1.0
+    big, _ = summarize_segment(rng.normal(scale=1e6, size=(3, 8)), w, np.zeros(4))
+    assert np.abs(big).max() <= 1.0
 
 
 def test_control_signal_hand_case():
     w = np.zeros((7, 1))
     w[0, 0] = 1.0  # picks out the remaining-horizon ratio
-    u = build_control_signal(
+    u, ctx, _ = build_control_signal(
         rho=np.array([[0.5]]),
         prev_len_norm=np.array([[0.0]]),
-        prev_soft=Tensor(np.full((1, 3), 1.0 / 3.0)),
-        prev_summary=Tensor(np.zeros((1, 2))),
-        control_w=Tensor(w),
-        control_b=Tensor(np.zeros(1)),
+        prev_soft=np.full((1, 3), 1.0 / 3.0),
+        prev_summary=np.zeros((1, 2)),
+        control_w=w,
+        control_b=np.zeros(1),
     )
-    assert u.data[0, 0] == pytest.approx(math.tanh(0.5), abs=1e-12)
+    assert u[0, 0] == pytest.approx(math.tanh(0.5), abs=1e-12)
+    assert np.array_equal(ctx, [[0.5, 0.0, 1 / 3, 1 / 3, 1 / 3, 0.0, 0.0]])
 
 
 def test_control_signal_zero_weights():
-    u = build_control_signal(
+    u, _, _ = build_control_signal(
         rho=np.array([[1.0]]),
         prev_len_norm=np.array([[0.0]]),
-        prev_soft=Tensor(np.full((1, 3), 1.0 / 3.0)),
-        prev_summary=Tensor(np.zeros((1, 2))),
-        control_w=Tensor(np.zeros((7, 4))),
-        control_b=Tensor(np.zeros(4)),
+        prev_soft=np.full((1, 3), 1.0 / 3.0),
+        prev_summary=np.zeros((1, 2)),
+        control_w=np.zeros((7, 4)),
+        control_b=np.zeros(4),
     )
-    assert np.array_equal(u.data, np.zeros((1, 4)))
+    assert np.array_equal(u, np.zeros((1, 4)))
 
 
 def test_increments():
-    u = Tensor(np.array([[0.3, -0.2]]))
+    u = np.array([[0.3, -0.2]])
     du, dtau = increments(u, u, prev_len_norm=[[0.4]], dt_min=0.01, dt_max=1.0)
-    assert np.array_equal(du.data, np.zeros((1, 2)))
+    assert np.array_equal(du, np.zeros((1, 2)))
     assert dtau[0, 0] == 0.4
     _, dtau = increments(u, u, prev_len_norm=[[0.0]], dt_min=0.01, dt_max=1.0)
     assert dtau[0, 0] == 0.01
@@ -276,64 +278,65 @@ def test_evolve_hand_arithmetic():
                       summary_dim=2, enc_hidden=(4,), field_hidden=4)
     model = LeapTS(cfg)
     stub_fields(model, 0, f_const=2.0, g_const=3.0)
-    h = Tensor(np.array([[1.0]]))
-    u = Tensor(np.array([[0.2]]))
-    du = Tensor(np.array([[0.5]]))
-    h_next, d_ctrl, d_time = evolve_state(model, h, u, du, np.array([[0.1]]), one_cluster(1))
-    assert d_ctrl.data[0, 0] == pytest.approx(1.0, abs=1e-12)  # 2 * 0.5
-    assert d_time.data[0, 0] == pytest.approx(0.3, abs=1e-12)  # 3 * 0.1
-    assert h_next.data[0, 0] == pytest.approx(2.3, abs=1e-12)
+    h = np.array([[1.0]])
+    u = np.array([[0.2]])
+    du = np.array([[0.5]])
+    h_next, d_ctrl, d_time, _ = evolve_state(model, h, u, du, np.array([[0.1]]), one_cluster(1))
+    assert d_ctrl[0, 0] == pytest.approx(1.0, abs=1e-12)  # 2 * 0.5
+    assert d_time[0, 0] == pytest.approx(0.3, abs=1e-12)  # 3 * 0.1
+    assert h_next[0, 0] == pytest.approx(2.3, abs=1e-12)
 
 
 def test_evolve_no_driving_signal_keeps_state(toy_model, rng):
-    h = Tensor(rng.normal(size=(2, 8)))
-    u = Tensor(rng.normal(size=(2, 4)))
-    du = Tensor(np.zeros((2, 4)))
+    h = rng.normal(size=(2, 8))
+    u = rng.normal(size=(2, 4))
+    du = np.zeros((2, 4))
     stub_fields(toy_model, 0, f_const=1.7, g_const=0.0)
-    h_next, d_ctrl, d_time = evolve_state(toy_model, h, u, du, np.zeros((2, 1)), one_cluster(2))
-    assert np.array_equal(h_next.data, h.data)
-    assert np.array_equal(d_ctrl.data, np.zeros((2, 8)))
+    h_next, d_ctrl, d_time, _ = evolve_state(toy_model, h, u, du, np.zeros((2, 1)), one_cluster(2))
+    assert np.array_equal(h_next, h)
+    assert np.array_equal(d_ctrl, np.zeros((2, 8)))
 
 
 def test_evolve_pure_temporal_drift(toy_model, rng):
     stub_fields(toy_model, 0, f_const=0.0, g_const=0.5)
-    h = Tensor(rng.normal(size=(1, 8)))
-    u = Tensor(rng.normal(size=(1, 4)))
-    du = Tensor(rng.normal(size=(1, 4)))
-    h_next, d_ctrl, d_time = evolve_state(toy_model, h, u, du, np.array([[0.2]]), one_cluster(1))
-    assert np.allclose(d_ctrl.data, 0.0)
-    assert np.allclose(h_next.data, h.data + 0.5 * 0.2, atol=1e-12)
+    h = rng.normal(size=(1, 8))
+    u = rng.normal(size=(1, 4))
+    du = rng.normal(size=(1, 4))
+    h_next, d_ctrl, d_time, _ = evolve_state(toy_model, h, u, du, np.array([[0.2]]), one_cluster(1))
+    assert np.allclose(d_ctrl, 0.0)
+    assert np.allclose(h_next, h + 0.5 * 0.2, atol=1e-12)
 
 
 def test_evolve_routes_rows_to_their_cluster(rng):
     model = LeapTS(toy_config(n_clusters=2))
     stub_fields(model, 0, f_const=0.0, g_const=1.0)
     stub_fields(model, 1, f_const=0.0, g_const=2.0)
-    h = Tensor(rng.normal(size=(3, 8)))
-    u = Tensor(rng.normal(size=(3, 4)))
-    du = Tensor(rng.normal(size=(3, 4)))
+    h = rng.normal(size=(3, 8))
+    u = rng.normal(size=(3, 4))
+    du = rng.normal(size=(3, 4))
     dtau = np.array([[0.1], [0.2], [0.3]])
-    h_next, _, d_time = evolve_state(model, h, u, du, dtau, np.array([0, 1, 0]))
-    assert np.allclose(d_time.data[:, 0], [0.1, 0.4, 0.3], atol=1e-15)
-    assert np.allclose(h_next.data, h.data + d_time.data, atol=1e-15)
+    h_next, _, d_time, _ = evolve_state(model, h, u, du, dtau, np.array([0, 1, 0]))
+    assert np.allclose(d_time[:, 0], [0.1, 0.4, 0.3], atol=1e-15)
+    assert np.allclose(h_next, h + d_time, atol=1e-15)
 
 
 def test_evolve_under_a_tape_concatenates_state_and_control_once(monkeypatch, rng):
-    """G=3: one `concat` of [h, u] feeds every cluster's field MLPs, each of
-    which runs on that cluster's rows only."""
+    """G=3: the rows of one concatenation of [h, u] feed every cluster's
+    field MLPs, each of which runs on that cluster's rows only, and each
+    cluster keeps those rows for the reverse pass."""
     model = LeapTS(toy_config(n_variates=3, n_clusters=3))
     calls = []
-    concat, linear = ad.concat, ad.linear
-    monkeypatch.setattr(ad, "concat", lambda ts: calls.append("concat") or concat(ts))
-    monkeypatch.setattr(ad, "linear", lambda x, *a: calls.append(x.shape[0]) or linear(x, *a))
-    h = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
-    u = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-    with Tape() as tape:
-        h_next, _, _ = evolve_state(model, h, u, u, np.full((6, 1), 0.5),
-                                    np.array([0, 1, 2, 2, 1, 2]))
-        tape.backward(h_next.sum())
-    assert calls == ["concat"] + [1] * 4 + [2] * 4 + [3] * 4
-    assert h.grad is not None and u.grad is not None
+    dense = engine._dense
+    monkeypatch.setattr(engine, "_dense",
+                        lambda x, *a, **kw: calls.append(x.shape[0]) or dense(x, *a, **kw))
+    h, u = rng.normal(size=(6, 8)), rng.normal(size=(6, 4))
+    clusters = np.array([0, 1, 2, 2, 1, 2])
+    *_, fields = evolve_state(model, h, u, u, np.full((6, 1), 0.5), clusters)
+    assert calls == [1] * 4 + [2] * 4 + [3] * 4
+    inp = np.concatenate([h, u], axis=1)
+    for g, rows, x, *_ in fields:
+        assert np.array_equal(rows, np.flatnonzero(clusters == g))
+        assert np.array_equal(x, inp[rows])
 
 
 # -- clustering ----------------------------------------------------------------
@@ -551,9 +554,9 @@ def test_end_to_end_gradient_through_loop(rng):
 
     with Tape() as tape:
         out = forward_rows(model, x, mode="soft", frozen_noise=frozen)
-        diff = ad.sub(out["fused"], Tensor(ty))
+        diff = ops.sub(out["fused"], Tensor(ty))
         model.store.zero_grads()
-        tape.backward(ad.tmean(ad.mul(diff, diff)))
+        tape.backward(ad.mul(ops.tsum(ad.mul(diff, diff)), 1.0 / ty.size))
     analytic = model.store.grads()
 
     names = ["len_head_short_w", "category_proj", "ctrl_field_g0_b1", "summary_w", "fuse_logit"]
@@ -592,22 +595,22 @@ def _schedule(traces):
 
 
 def _each_row_alone(model, h, row_clusters, mode="eval", rng=None, frozen_noise=None,
-                    override=None, trace_meta=None, debug=None):
+                    override=None, trace_meta=None, debug=None, gumbel_temp=None):
     """`run_schedule_rows` on each row alone (R=1, so no row ever leaves
     early), with the given noise sliced to that row; forecasts in row order."""
     R = h.shape[0]
     parts, traces = [], []
     for r in range(R):
         y, tr, _ = run_schedule_rows(
-            model, h[[r]], row_clusters[[r]], mode=mode,
+            model, ops.tslice(h, [r]), row_clusters[[r]], mode=mode,
             frozen_noise=None if frozen_noise is None else [
                 None if n is None else n[[r]] for n in frozen_noise],
             override=None if override is None else [override[r]],
-            trace_meta=tuple(m[[r]] for m in trace_meta),
+            trace_meta=tuple(m[[r]] for m in trace_meta), gumbel_temp=gumbel_temp,
         )
         parts.append((np.array([r]), y))
         traces += tr
-    return ad.rows_to(parts, R, model.config.horizon), traces, frozen_noise
+    return ops.rows_to(parts, R, model.config.horizon), traces, frozen_noise
 
 
 def _assert_close(got, want, what):
@@ -659,7 +662,7 @@ def test_batched_run_matches_each_row_run_alone(n_clusters, degenerate, case, wi
             out = run_rows(model, n_windows=n_windows, rng=np.random.default_rng(seed), seed=seed,
                            **{**kw, **extra})
             if tape:
-                t.backward(ad.tsum(ad.mul(out["fused"], weight)))
+                t.backward(ops.tsum(ad.mul(out["fused"], weight)))
         return out, model.store.grads() if tape else None
 
     free, _ = run(tape=False)
@@ -750,18 +753,18 @@ def test_tape_free_step_runs_only_the_routed_head_and_own_cluster_fields(monkeyp
     model.cluster_of_variate = np.arange(3)
     n_windows, rows = 4, 12
     clusters = np.tile(model.cluster_of_variate, n_windows)
-    names = {id(t): name.rsplit("_", 1)[0] for name, t in model.store.params.items()}
+    names = {id(t.data): name.rsplit("_", 1)[0] for name, t in model.store.params.items()}
     layers = [f"seg_head_{c}" for c in model.anchors.category_names()] + [
         f"{kind}_g{g}" for kind in ("ctrl_field", "time_field") for g in range(3)
     ]
     seen = collections.defaultdict(list)
-    linear = ad.linear
+    dense = engine._dense
 
-    def counting(x, w, *args):
+    def counting(x, w, *args, **kw):
         seen[names[id(w)]].append(x.shape[0])
-        return linear(x, w, *args)
+        return dense(x, w, *args, **kw)
 
-    monkeypatch.setattr(ad, "linear", counting)
+    monkeypatch.setattr(engine, "_dense", counting)
 
     def run(tape):
         seen.clear()
@@ -794,3 +797,84 @@ def test_tape_free_step_runs_only_the_routed_head_and_own_cluster_fields(monkeyp
     taped = run(tape=True)
     assert _schedule(taped["traces"]) == _schedule(out["traces"])
     assert {name: seen[name] for name in layers} == wanted(taped["traces"], tape=True)
+
+
+# -- the one-node loop against the per-op tape --------------------------------
+
+
+@pytest.mark.parametrize("mode", ["train", "eval", "soft", "override", "forced"])
+@pytest.mark.parametrize("shape", ["desk", "g3c3"])
+def test_loop_node_gradients_match_the_per_op_tape(shape, mode):
+    """The loop's one tape node (``step`` forward, ``step_vjp`` reverse)
+    against the same loop composed one tape node per operation
+    (tests/tape_ops.py): forecasts, schedules and noise equal, every
+    parameter's gradient within 1e-12 of its largest entry."""
+    if shape == "desk":  # single level, one cluster
+        cfg = toy_config(look_back=48, horizon=12, n_variates=1, seed=5,
+                         max_steps=2 if mode == "forced" else None)
+        n_windows = 8
+    else:  # three scales, three clusters
+        cfg = toy_config(look_back=16, horizon=12, n_variates=3, n_clusters=3, seed=5,
+                         max_steps=2 if mode == "forced" else None)
+        n_windows = 4
+    model = LeapTS(cfg)
+    model.cluster_of_variate = np.arange(cfg.n_variates) % cfg.n_clusters
+    assert model.anchors.degenerate == (shape == "desk")
+    rows, C = n_windows * cfg.n_variates, model.anchors.n_categories
+    data_rng = np.random.default_rng(17)
+    kw = {"mode": mode}
+    if mode == "soft":
+        kw["frozen_noise"] = [data_rng.gumbel(size=(rows, C)) for _ in range(cfg.horizon + 1)]
+    elif mode == "override":
+        kw = {"mode": "eval", "override": [
+            partition_to_steps(sample_partition(cfg.horizon, data_rng), model.anchors)
+            for _ in range(rows)]}
+    elif mode == "forced":
+        kw["mode"] = "eval"
+        for name in model.anchors.category_names():
+            model.store[f"len_head_{name}_b"].data[:] = -3.0  # too short to finish in 2 steps
+    weight = data_rng.normal(size=(rows, cfg.horizon))
+
+    def run():
+        model.store.zero_grads()
+        with Tape() as tape:
+            out = run_rows(model, n_windows=n_windows, rng=np.random.default_rng(3), **kw)
+            tape.backward(ops.tsum(ad.mul(out["fused"], weight)))
+        return out, {k: g.copy() for k, g in model.store.grads().items()}, len(tape.nodes)
+
+    node, node_grads, n_nodes = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forward, "run_schedule_rows", ops.run_schedule_rows)
+        per_op, per_op_grads, per_op_nodes = run()
+    assert np.array_equal(node["fused"].data, per_op["fused"].data)
+    assert _schedule(node["traces"]) == _schedule(per_op["traces"])
+    assert any(s.forced for tr in node["traces"] for s in tr.steps) == (mode == "forced")
+    for a, b in zip(node["noise"], per_op["noise"]):
+        assert (a is None and b is None) or np.array_equal(a, b)
+    assert n_nodes == 10 and per_op_nodes > 50  # encoder 2, coarse, state, loop, fuse 3, loss 2
+    for name, want in per_op_grads.items():
+        scale = np.abs(want).max(initial=0.0)
+        assert np.abs(node_grads[name] - want).max(initial=0.0) <= 1e-12 * scale, name
+        assert scale > 0.0 or name.startswith("len_head") and mode in ("override", "forced")
+
+
+@pytest.mark.parametrize("tape", [False, True], ids=["no-tape", "tape"])
+@pytest.mark.parametrize("name, value", [
+    ("summary_w", np.inf), ("len_head_short_b", np.nan), ("category_proj", np.nan),
+    ("ctrl_field_g1_w1", np.inf), ("time_field_g2_b0", -np.inf), ("seg_head_long_w", np.inf),
+])
+def test_nonfinite_step_names_the_op_the_per_op_tape_named(name, value, tape):
+    """A non-finite value inside a step is found at the step boundary and
+    named by rescanning the step's parts: the same `NumericError` message as
+    the per-op composition raises at the failing op."""
+    model = LeapTS(toy_config(look_back=16, horizon=12, n_variates=3, n_clusters=3, seed=2))
+    model.cluster_of_variate = np.arange(3)
+    model.store[name].data.flat[0] = value
+    messages = []
+    for loop in (run_schedule_rows, ops.run_schedule_rows):
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+            mp.setattr(forward, "run_schedule_rows", loop)
+            with pytest.raises(NumericError) as err, Tape() if tape else contextlib.nullcontext():
+                run_rows(model, n_windows=2, mode="train", rng=np.random.default_rng(0))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]

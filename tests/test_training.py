@@ -216,6 +216,31 @@ def test_gumbel_anneal_keeps_the_best_epochs_temperature():
     assert _epoch_loss(model, val_w, 1.0) == report.best_val_loss
 
 
+def test_gumbel_anneal_passes_the_temperature_and_leaves_the_config(monkeypatch):
+    """While it anneals, ``train`` hands each epoch's temperature to the
+    forward pass and writes ``config.gumbel_temp`` only once, at the end."""
+    import leapts.training as training
+
+    ds = sine_dataset()
+    model = LeapTS(toy_config(n_variates=1, look_back=24, horizon=8, seed=7))
+    seen = []
+    forward_loss = training.forward_loss
+
+    def watching(model_, *args, **kwargs):
+        seen.append((kwargs["mode"], kwargs["gumbel_temp"], model_.config.gumbel_temp))
+        return forward_loss(model_, *args, **kwargs)
+
+    monkeypatch.setattr(training, "forward_loss", watching)
+    _, report = train(model, ds, TrainConfig(lr=2e-3, batch_size=64, max_epochs=3,
+                                             normalize=False, gumbel_tau_end=0.5,
+                                             max_batches_per_epoch=2))
+    assert {config for _, _, config in seen} == {1.0}
+    assert sorted({(mode, tau) for mode, tau, _ in seen}) == [
+        ("eval", 0.5), ("eval", 0.75), ("eval", 1.0), ("train", 0.5), ("train", 0.75),
+        ("train", 1.0)]
+    assert model.config.gumbel_temp == report.epochs[report.best_epoch]["gumbel_temp"]
+
+
 # -- ablations ---------------------------------------------------------------
 
 
