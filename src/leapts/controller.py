@@ -133,11 +133,8 @@ def route_lengths(
     """
     if lengths.shape[1] == 1:
         return lengths, soft, np.zeros(lengths.shape[0], dtype=np.int64)
-    if mode == "soft":
-        route, chosen = soft, soft.argmax(axis=-1)
-    else:
-        route, chosen = hard, hard.argmax(axis=-1)
-    return (lengths * route).sum(axis=-1, keepdims=True), route, chosen
+    route = soft if mode == "soft" else hard  # hard is the one-hot of soft's argmax
+    return (lengths * route).sum(axis=-1, keepdims=True), route, soft.argmax(axis=-1)
 
 
 def round_and_clip_rows(length_cont: np.ndarray, cursor: np.ndarray, P: int) -> np.ndarray:

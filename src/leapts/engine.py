@@ -19,9 +19,9 @@ loop is one tape node: its output is the forecast [R x P], its parents
 the initial state and the parameters the loop reads, and its backward
 walks the saved steps in reverse through `step_vjp`, adding each
 contribution in the order the per-op tape did. Values are those of the
-per-op composition bit for bit. Non-finite values are looked for at the
-step boundary; when that scan fails, the step's parts are rescanned in
-order and `NumericError` names the first failing operation.
+per-op composition bit for bit. A step checks its values as it makes
+them; the first non-finite one raises `NumericError` naming the loop step
+and the stage (docs/formats.md lists the stages).
 """
 
 from __future__ import annotations
@@ -88,6 +88,11 @@ def _accumulate(grads, name, g):
         grads[name] = g
 
 
+def _check(what: str, a: np.ndarray) -> None:
+    if not np.all(np.isfinite(a)):
+        raise NumericError(f"non-finite values in {what}")
+
+
 def _rows_to(parts, n: int, width: int) -> np.ndarray:
     """[n x width] zeros with each ``(rows, array)`` part put at its rows; a
     single part that covers all n rows is returned as is."""
@@ -112,10 +117,10 @@ def soft_mask(sel: np.ndarray, cursor: np.ndarray, P: int, gamma: float) -> np.n
     return _stable_sigmoid(z) * started
 
 
-def _segment_heads(model: LeapTS):
-    s = model.store
-    return [(s[f"seg_head_{n}_w"].data, s[f"seg_head_{n}_b"].data)
-            for n in model.anchors.category_names()]
+def _heads(model: LeapTS, kind: str):
+    """(weight, bias) of each category's ``kind`` head, in category order."""
+    s, names = model.store, model.anchors.category_names()
+    return [(s[f"{kind}_{n}_w"].data, s[f"{kind}_{n}_b"].data) for n in names]
 
 
 def routed_segment(model: LeapTS, h: np.ndarray, route: np.ndarray, chosen=None):
@@ -128,7 +133,7 @@ def routed_segment(model: LeapTS, h: np.ndarray, route: np.ndarray, chosen=None)
     of row r and category c is seg_head_c(h[r]). Returns (segment, the
     per-head outputs, or None when ``chosen`` is given).
     """
-    heads = _segment_heads(model)
+    heads = _heads(model, "seg_head")
     if chosen is not None:
         n, parts = h.shape[0], []
         for c, (w, b) in enumerate(heads):
@@ -175,30 +180,28 @@ def increments(u, u_prev, prev_len_norm, dt_min: float, dt_max: float):
 
 
 class ClusterFields(NamedTuple):
-    """One cluster's share of a controlled-Euler step: its rows (None for
-    every row), field inputs, hidden layers and their pre-activations,
-    outputs, and its rows of ``du`` and ``dtau``."""
+    """One cluster's share of a controlled-Euler step, as `step_vjp` reads
+    it: its rows (None for every row), field inputs, hidden layers, control
+    field output, and its rows of ``du`` and ``dtau``."""
 
     cluster: int
     rows: np.ndarray | None
     x: np.ndarray
     ctrl_hidden: np.ndarray
-    ctrl_pre: np.ndarray
     ctrl_field: np.ndarray
     time_hidden: np.ndarray
-    time_pre: np.ndarray
-    drift: np.ndarray
     du: np.ndarray
     dtau: np.ndarray
 
 
-def evolve_state(model: LeapTS, h, u, du, dtau, row_clusters: np.ndarray):
+def evolve_state(model: LeapTS, h, u, du, dtau, row_clusters: np.ndarray, keep: bool):
     """One controlled-Euler step over rows: row r moves by its cluster's
     control field times ``du`` plus its drift field times ``dtau``.
 
-    Each cluster's field MLPs run on that cluster's rows only. Returns
-    (h_next, ctrl_delta, time_delta, a `ClusterFields` per cluster with
-    rows) with h_next = h + (ctrl_delta + time_delta).
+    Each cluster's field MLPs run on that cluster's rows only; their
+    pre-activations are checked as the cluster finishes. Returns (h_next,
+    ctrl_delta, time_delta, a `ClusterFields` per cluster with rows if
+    ``keep``) with h_next = h + (ctrl_delta + time_delta).
     """
     store = model.store
     n, width = h.shape
@@ -211,35 +214,23 @@ def evolve_state(model: LeapTS, h, u, du, dtau, row_clusters: np.ndarray):
         every = len(rows) == n
         x = inp if every else inp[rows]
         f1, f_pre = _dense(x, store[f"ctrl_field_g{g}_w0"].data, store[f"ctrl_field_g{g}_b0"].data, True)
+        _check(f"cluster {g} control field pre-activation", f_pre)
         fld = _dense(f1, store[f"ctrl_field_g{g}_w1"].data, store[f"ctrl_field_g{g}_b1"].data)[0]
         t1, t_pre = _dense(x, store[f"time_field_g{g}_w0"].data, store[f"time_field_g{g}_b0"].data, True)
+        _check(f"cluster {g} drift field pre-activation", t_pre)
         drift = _dense(t1, store[f"time_field_g{g}_w1"].data, store[f"time_field_g{g}_b1"].data)[0]
         du_g = du if every else du[rows]
         dtau_g = dtau if every else dtau[rows]
         f3 = fld.reshape(len(rows), -1, du_g.shape[1])
         ctrl_parts.append((rows, np.einsum("rmn,rn->rm", f3, du_g)))
         time_parts.append((rows, drift * dtau_g))
-        fields.append(ClusterFields(g, None if every else rows, x, f1, f_pre, fld, t1, t_pre, drift,
-                                    du_g, dtau_g))
+        if keep:
+            fields.append(ClusterFields(g, None if every else rows, x, f1, fld, t1, du_g, dtau_g))
     d_ctrl, d_time = (_rows_to(p, n, width) for p in (ctrl_parts, time_parts))
     return h + (d_ctrl + d_time), d_ctrl, d_time, fields
 
 
 # -- one scheduling step and its reverse pass --------------------------------
-
-
-def _raise_first_nonfinite(parts):
-    """Name the first of the step's ``(op, array or thunk, what)`` parts that
-    holds a non-finite value, as the per-op scan would have."""
-    for op, a, what in parts:
-        if not np.all(np.isfinite(a() if callable(a) else a)):
-            raise NumericError(f"{op}: non-finite values in {what}")
-
-
-def _scan(parts, arrays):
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            _raise_first_nonfinite(parts)
 
 
 def step(model: LeapTS, state: tuple, mode: str, tau: float, noise=None, decision=None,
@@ -260,37 +251,28 @@ def step(model: LeapTS, state: tuple, mode: str, tau: float, noise=None, decisio
     cfg, store, anchors = model.config, model.store, model.anchors
     P, C = cfg.horizon, anchors.n_categories
     n = h.shape[0]
-    parts = []  # (op, array or thunk, what the per-op scan looked at), in creation order
 
     # high level: scale distribution (also feeds the next control signal)
     if C > 1:
         logits = h @ store["category_proj"].data
+        _check("category logits", logits)
         soft, hard = gumbel_softmax_select(logits, tau, noise)
-        parts.append(("matmul", logits, "result"))
-        if noise is not None:
-            parts.append(("add", lambda: logits + noise, "result"))
-        parts.append(("mul", lambda: (logits if noise is None else logits + noise) * (1.0 / tau),
-                      "result"))
-        parts.append(("softmax", soft, "result"))
+        _check("scale distribution", soft)
     else:
         soft, hard = np.ones((n, 1)), np.ones((n, 1))
 
     # low level: advancement length (continuous for the mask, integer for
     # the cursor) and routing vector for the segment heads
     lengths = sig = None
-    unscanned = [logits, soft] if C > 1 else []
     if decision is not None:
         cat_idx, len_cont, len_int = decision
         sel = len_cont[:, None]
         route = np.eye(C)[cat_idx]
     else:
-        heads = [(store[f"len_head_{c}_w"].data, store[f"len_head_{c}_b"].data)
-                 for c in anchors.category_names()]
-        lengths, raw, sig = length_candidates(h, anchors, heads)
-        parts += [("linear", r, "result") for r in raw]
+        lengths, raw, sig = length_candidates(h, anchors, _heads(model, "len_head"))
+        for name, r in zip(anchors.category_names(), raw):
+            _check(f"{name} length head output", r)
         sel, route, cat_idx = route_lengths(lengths, soft, hard, mode)
-        _scan(parts, raw + unscanned)  # before the lengths become integers
-        unscanned = []
         len_int = round_and_clip_rows(sel[:, 0], cursor, P)
 
     # segment for the selected category, soft-masked into the horizon;
@@ -299,35 +281,25 @@ def step(model: LeapTS, state: tuple, mode: str, tau: float, noise=None, decisio
     segment, seg_cols = routed_segment(
         model, h, route, cat_idx if hard_route and not taped else None
     )
-    parts += [("linear", c, "result") for c in (seg_cols or [segment])]
     mask = soft_mask(sel, cursor, P, cfg.mask_temp)
     accum_next, masked = write_segment(segment, mask, accum)
-    parts += [("gated_sigmoid", sel, "pre-activation"), ("mul", masked, "result"),
-              ("add", accum_next, "result")]
+    _check("written forecast", accum_next)
 
     # feedback and state evolution (uses the previous step's outcomes)
     summary, s_pre = summarize_segment(masked, store["summary_w"].data, store["summary_b"].data)
+    _check("segment summary pre-activation", s_pre)
     rho = ((P - cursor + 1) / P)[:, None]
     u, ctx, u_pre = build_control_signal(
         rho, prev_len_norm, prev_soft, prev_summary, store["control_w"].data,
         store["control_b"].data,
     )
+    _check("control signal pre-activation", u_pre)
     du, dtau = increments(u, prev_u, prev_len_norm, cfg.dt_min, cfg.dt_max)
-    h_next, d_ctrl, d_time, fields = evolve_state(model, h, u, du, dtau, row_clusters)
-    parts += [("linear", s_pre, "pre-activation"), ("linear", u_pre, "pre-activation"),
-              ("sub", du, "result")]
-    pres = []
-    for f in fields:
-        parts += [("linear", f.ctrl_pre, "pre-activation"), ("linear", f.ctrl_field, "result"),
-                  ("linear", f.time_pre, "pre-activation"), ("linear", f.drift, "result")]
-        pres += [f.ctrl_pre, f.time_pre]
-    parts += [("rowwise_matvec", d_ctrl, "result"), ("mul", d_time, "result"),
-              ("add", h_next, "result")]
-    _scan(parts, [*unscanned, sel, accum_next, s_pre, u_pre, *pres, h_next])
+    h_next, d_ctrl, d_time, fields = evolve_state(model, h, u, du, dtau, row_clusters, taped)
+    _check("state update", h_next)
 
     saved = None
     if taped:
-        fields = [f._replace(ctrl_pre=None, time_pre=None, drift=None) for f in fields]
         saved = (mode, tau, decision is None, h, soft, route, lengths, sig, seg_cols, segment,
                  mask, masked, summary, ctx, u, fields)  # what step_vjp reads
     next_state = (h_next, accum_next, cursor + len_int, u, soft, summary,
@@ -359,7 +331,7 @@ def step_vjp(model: LeapTS, saved: tuple, g_accum: np.ndarray, g_next: tuple, gr
     # of the loop only
     if g_hn is not None:
         g_inp, g_du = None, None
-        for g, rows, x, f1, _, fld, t1, _, _, du_g, dtau_g in reversed(fields):
+        for g, rows, x, f1, fld, t1, du_g, dtau_g in reversed(fields):
             g_d = g_hn if rows is None else g_hn[rows]
             ctrl, time = f"ctrl_field_g{g}_", f"time_field_g{g}_"
             g_t1 = _dense_vjp(grads, store, time, t1, None, g_d * dtau_g, layer="1")
@@ -515,19 +487,40 @@ class StepDebug:
     active: np.ndarray
 
 
-def _pack_override(override: list, R: int) -> tuple[np.ndarray, ...]:
+def _is_triple(step) -> bool:
+    try:
+        return np.asarray(step, dtype=np.float64).shape == (3,)
+    except (TypeError, ValueError):
+        return False
+
+
+def _pack_override(override: list, R: int, C: int) -> tuple[np.ndarray, ...]:
     """Per-row (category, len_cont, len_int) sequences as [R x S+1] arrays
-    plus the row lengths; the padding column keeps step S addressable."""
+    plus the row lengths; the padding column keeps step S addressable. A
+    step must hold an integral category in 0..C-1, a finite len_cont and an
+    integral len_int, or `DataError` names its row and step."""
     if len(override) != R:
         raise DataError(f"override has {len(override)} rows, expected {R}")
     n_steps = np.array([len(seq) for seq in override], dtype=np.int64)
+    steps = [step for seq in override for step in seq]
+    rows = np.repeat(np.arange(R), n_steps)
+    cols = np.arange(len(steps)) - np.repeat(np.cumsum(n_steps) - n_steps, n_steps)
+    try:
+        flat = np.asarray(steps or np.zeros((0, 3)), dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        flat = np.zeros(0)
+    if flat.shape[1:] != (3,):
+        bad = np.array([not _is_triple(s) for s in steps])
+    else:
+        cat, cont, n = flat.T
+        bad = ~np.isin(cat, np.arange(C)) | ~np.isfinite(cont) | ~np.isfinite(n) | (n != np.floor(n))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(f"override step {steps[i]!r} is not a (category in 0..{C - 1}, finite "
+                        f"len_cont, integral len_int) triple (row {rows[i]}, step {cols[i]})")
     width = int(n_steps.max(initial=0)) + 1
     table = np.zeros((R, width, 3))
-    table[:, :, 1] = 1.0
-    flat = np.asarray([step for seq in override for step in seq], dtype=np.float64)
-    rows = np.repeat(np.arange(R), n_steps)
-    cols = np.arange(len(flat)) - np.repeat(np.cumsum(n_steps) - n_steps, n_steps)
-    table[rows, cols] = flat.reshape(-1, 3)
+    table[rows, cols] = flat
     cats, lens = table[:, :, 0].astype(np.int64), table[:, :, 2].astype(np.int64)
     return cats, table[:, :, 1], lens, n_steps
 
@@ -537,12 +530,6 @@ def _loop_param_names(model: LeapTS) -> list[str]:
     encoder, the coarse head, the initial state and the fusion gate."""
     skeleton = ("enc_", "coarse_", "state_init_", "fuse_logit")
     return [name for name in model.store.names() if not name.startswith(skeleton)]
-
-
-def _scatter(g, rows: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((n,) + g.shape[1:])
-    out[rows] = g
-    return out
 
 
 def run_schedule_rows(
@@ -588,7 +575,7 @@ def run_schedule_rows(
     R = h.shape[0]
     cat_names = anchors.category_names()
     if override is not None:
-        o_cat, o_cont, o_int, o_steps = _pack_override(override, R)
+        o_cat, o_cont, o_int, o_steps = _pack_override(override, R, C)
 
     state = (h.data, np.zeros((R, P)), np.ones(R, dtype=np.int64), np.zeros((R, cfg.control_dim)),
              np.full((R, C), 1.0 / C), np.zeros((R, cfg.summary_dim)), np.zeros((R, 1)),
@@ -643,8 +630,11 @@ def run_schedule_rows(
             decision = (np.full(n, C - 1, dtype=np.int64), len_int.astype(np.float64), len_int)
 
         h_before = state[0]
-        state, cols, saved = step(model, state, mode, tau,
-                                  None if noise is None else noise[live], decision, taped)
+        try:
+            state, cols, saved = step(model, state, mode, tau,
+                                      None if noise is None else noise[live], decision, taped)
+        except NumericError as exc:
+            raise NumericError(f"schedule step {k}: {exc}") from None
         cat_idx, soft, sel, len_int, mask, segment, d_ctrl, d_time = cols
         h_next = state[0]
 
@@ -697,7 +687,8 @@ def run_schedule_rows(
         grads, g_next = {}, (None, None, None, None)
         for rows, keep, saved in reversed(steps):
             if keep is not None:
-                g_next = tuple(None if g is None else _scatter(g, keep, len(rows)) for g in g_next)
+                g_next = tuple(None if g is None else _rows_to([(keep, g)], len(rows), g.shape[1])
+                               for g in g_next)
             g_next = step_vjp(model, saved, g_out[rows], g_next, grads)
         return (g_next[0], *(grads.get(name) for name in names))
 

@@ -58,7 +58,8 @@ class ModelConfig:
             (self.look_back >= 1, "look_back >= 1"),
             (self.horizon >= 1, "horizon >= 1"),
             (self.n_variates >= 1, "n_variates >= 1"),
-            (self.hidden_dim >= 1, "hidden_dim >= 1"),
+            *((getattr(self, f) >= 1, f"{f} >= 1")
+              for f in ("hidden_dim", "latent_dim", "summary_dim", "control_dim", "field_hidden")),
             (1 <= self.n_clusters <= self.n_variates, "1 <= n_clusters <= n_variates"),
             (self.mask_temp > 0, "mask_temp > 0"),
             (self.gumbel_temp > 0, "gumbel_temp > 0"),

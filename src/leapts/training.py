@@ -270,12 +270,11 @@ def train(
                     losses.append(loss.item())
                 stage = "validation"
                 val_loss = _epoch_loss(model, val_w, tcfg.huber_delta, tau)
+                if not np.isfinite(val_loss):  # the weighted sum can overflow
+                    raise NumericError("non-finite validation loss")
             except NumericError as exc:
                 report.diverged = True
                 report.divergence = f"epoch {epoch}, {stage}: {exc}"
-                break
-            if not np.isfinite(val_loss):
-                report.diverged = True
                 break
 
             entry = {

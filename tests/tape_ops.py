@@ -422,7 +422,7 @@ def run_schedule_rows(
     cat_names = anchors.category_names()
     heads = [(store[f"len_head_{n}_w"], store[f"len_head_{n}_b"]) for n in cat_names]
     if override is not None:
-        o_cat, o_cont, o_int, o_steps = _pack_override(override, R)
+        o_cat, o_cont, o_int, o_steps = _pack_override(override, R, C)
 
     accum = Tensor(np.zeros((R, P)))
     cursor = np.ones(R, dtype=np.int64)

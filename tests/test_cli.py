@@ -358,9 +358,10 @@ def test_config_file_unknown_key_rejected(tiny_csv, capsys, tmp_path):
         ({"model": {"enc_hidden": ["wide"]}}, "wrong type"),
         ({"train": {"lr": "fast"}}, "wrong type"),
         ({"model": 3}, "JSON object"),
+        ({"model": {"control_dim": 0}}, "control_dim >= 1"),
     ],
     ids=["look_back", "horizon", "n_variates", "model_value_type", "encoder_width_type",
-         "train_value_type", "section_not_object"],
+         "train_value_type", "section_not_object", "control_dim_zero"],
 )
 def test_config_file_rejected(tiny_csv, capsys, tmp_path, cfg, fragment):
     """Flags and the data set look_back, horizon and n_variates; a file

@@ -2,6 +2,7 @@ import collections
 import contextlib
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -281,7 +282,8 @@ def test_evolve_hand_arithmetic():
     h = np.array([[1.0]])
     u = np.array([[0.2]])
     du = np.array([[0.5]])
-    h_next, d_ctrl, d_time, _ = evolve_state(model, h, u, du, np.array([[0.1]]), one_cluster(1))
+    h_next, d_ctrl, d_time, _ = evolve_state(model, h, u, du, np.array([[0.1]]), one_cluster(1),
+                                             keep=False)
     assert d_ctrl[0, 0] == pytest.approx(1.0, abs=1e-12)  # 2 * 0.5
     assert d_time[0, 0] == pytest.approx(0.3, abs=1e-12)  # 3 * 0.1
     assert h_next[0, 0] == pytest.approx(2.3, abs=1e-12)
@@ -292,7 +294,8 @@ def test_evolve_no_driving_signal_keeps_state(toy_model, rng):
     u = rng.normal(size=(2, 4))
     du = np.zeros((2, 4))
     stub_fields(toy_model, 0, f_const=1.7, g_const=0.0)
-    h_next, d_ctrl, d_time, _ = evolve_state(toy_model, h, u, du, np.zeros((2, 1)), one_cluster(2))
+    h_next, d_ctrl, d_time, _ = evolve_state(toy_model, h, u, du, np.zeros((2, 1)), one_cluster(2),
+                                             keep=False)
     assert np.array_equal(h_next, h)
     assert np.array_equal(d_ctrl, np.zeros((2, 8)))
 
@@ -302,7 +305,8 @@ def test_evolve_pure_temporal_drift(toy_model, rng):
     h = rng.normal(size=(1, 8))
     u = rng.normal(size=(1, 4))
     du = rng.normal(size=(1, 4))
-    h_next, d_ctrl, d_time, _ = evolve_state(toy_model, h, u, du, np.array([[0.2]]), one_cluster(1))
+    h_next, d_ctrl, d_time, _ = evolve_state(toy_model, h, u, du, np.array([[0.2]]), one_cluster(1),
+                                             keep=False)
     assert np.allclose(d_ctrl, 0.0)
     assert np.allclose(h_next, h + 0.5 * 0.2, atol=1e-12)
 
@@ -315,7 +319,7 @@ def test_evolve_routes_rows_to_their_cluster(rng):
     u = rng.normal(size=(3, 4))
     du = rng.normal(size=(3, 4))
     dtau = np.array([[0.1], [0.2], [0.3]])
-    h_next, _, d_time, _ = evolve_state(model, h, u, du, dtau, np.array([0, 1, 0]))
+    h_next, _, d_time, _ = evolve_state(model, h, u, du, dtau, np.array([0, 1, 0]), keep=False)
     assert np.allclose(d_time[:, 0], [0.1, 0.4, 0.3], atol=1e-15)
     assert np.allclose(h_next, h + d_time, atol=1e-15)
 
@@ -331,7 +335,7 @@ def test_evolve_under_a_tape_concatenates_state_and_control_once(monkeypatch, rn
                         lambda x, *a, **kw: calls.append(x.shape[0]) or dense(x, *a, **kw))
     h, u = rng.normal(size=(6, 8)), rng.normal(size=(6, 4))
     clusters = np.array([0, 1, 2, 2, 1, 2])
-    *_, fields = evolve_state(model, h, u, u, np.full((6, 1), 0.5), clusters)
+    *_, fields = evolve_state(model, h, u, u, np.full((6, 1), 0.5), clusters, keep=True)
     assert calls == [1] * 4 + [2] * 4 + [3] * 4
     inp = np.concatenate([h, u], axis=1)
     for g, rows, x, *_ in fields:
@@ -432,6 +436,30 @@ def test_override_errors_name_row_and_step():
         run_rows(model, override=[[(0, 1.0, 1), (0, 5.0, 5)], [(0, 4.0, 4)]])
     with pytest.raises(DataError, match=r"override length 0 outside 1\.\.4 \(row 1, step 0\)$"):
         run_rows(model, override=[[(0, 4.0, 4)], [(0, 0.0, 0)]])
+    malformed = [  # (override, row, step): category -1, C and 1.5; a pair; a NaN len_cont
+        ([[(0, 4.0, 4)], [(-1, 4.0, 4)]], 1, 0),
+        ([[(0, 1.0, 1), (3, 3.0, 3)], [(0, 4.0, 4)]], 0, 1),
+        ([[(1.5, 4.0, 4)], [(0, 4.0, 4)]], 0, 0),
+        ([[(0, 4.0, 4)], [(0, 4.0)]], 1, 0),
+        ([[(0, 2.0, 2), (0, np.nan, 2)], [(0, 4.0, 4)]], 0, 1),
+    ]
+    for override, r, k in malformed:
+        message = (rf"^override step {re.escape(repr(override[r][k]))} is not a \(category in "
+                   rf"0\.\.2, finite len_cont, integral len_int\) triple \(row {r}, step {k}\)$")
+        with pytest.raises(DataError, match=message):
+            run_rows(model, override=override)
+
+
+def test_nonfinite_noise_names_its_loop_step():
+    """Frozen Gumbel noise that is infinite only at step 2 stops the loop
+    there, at the scale distribution it makes non-finite."""
+    model = LeapTS(toy_config(horizon=12, look_back=16, n_variates=3, n_clusters=3))
+    noise = [np.zeros((6, 3)) for _ in range(4)]
+    noise[2][:, 1] = np.inf
+    override = [[(0, 4.0, 4)] * 3] * 6
+    message = r"^schedule step 2: non-finite values in scale distribution$"
+    with pytest.raises(NumericError, match=message), np.errstate(invalid="ignore"):
+        run_rows(model, n_windows=2, mode="soft", frozen_noise=noise, override=override)
 
 
 def test_horizon_one_single_step():
@@ -858,15 +886,26 @@ def test_loop_node_gradients_match_the_per_op_tape(shape, mode):
         assert scale > 0.0 or name.startswith("len_head") and mode in ("override", "forced")
 
 
+_STAGE_OF_FAULT = {
+    "summary_w": "segment summary pre-activation",
+    "len_head_short_b": "short length head output",
+    "category_proj": "category logits",
+    "ctrl_field_g1_w1": "state update",
+    "time_field_g2_b0": "cluster 2 drift field pre-activation",
+    "seg_head_long_w": "written forecast",
+}
+
+
 @pytest.mark.parametrize("tape", [False, True], ids=["no-tape", "tape"])
 @pytest.mark.parametrize("name, value", [
     ("summary_w", np.inf), ("len_head_short_b", np.nan), ("category_proj", np.nan),
     ("ctrl_field_g1_w1", np.inf), ("time_field_g2_b0", -np.inf), ("seg_head_long_w", np.inf),
 ])
 def test_nonfinite_step_names_the_op_the_per_op_tape_named(name, value, tape):
-    """A non-finite value inside a step is found at the step boundary and
-    named by rescanning the step's parts: the same `NumericError` message as
-    the per-op composition raises at the failing op."""
+    """Detection parity: a non-finite parameter that the per-op composition
+    (tests/tape_ops.py) stops at is caught by the loop too, with and
+    without a tape. The loop's `NumericError` names the loop step and the
+    stage that made the first non-finite value."""
     model = LeapTS(toy_config(look_back=16, horizon=12, n_variates=3, n_clusters=3, seed=2))
     model.cluster_of_variate = np.arange(3)
     model.store[name].data.flat[0] = value
@@ -877,4 +916,4 @@ def test_nonfinite_step_names_the_op_the_per_op_tape_named(name, value, tape):
             with pytest.raises(NumericError) as err, Tape() if tape else contextlib.nullcontext():
                 run_rows(model, n_windows=2, mode="train", rng=np.random.default_rng(0))
         messages.append(str(err.value))
-    assert messages[0] == messages[1]
+    assert messages[0] == f"schedule step 0: non-finite values in {_STAGE_OF_FAULT[name]}"

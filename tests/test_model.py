@@ -1,8 +1,12 @@
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leapts.autodiff import Tape, Tensor
 from leapts.errors import ConfigError, DataError, NumericError, ShapeError
@@ -21,6 +25,10 @@ def test_config_validation():
         ModelConfig(look_back=8, horizon=8, n_variates=1, mask_temp=0.0)
     with pytest.raises(ConfigError):
         ModelConfig(look_back=8, horizon=8, n_variates=1, dt_min=2.0, dt_max=1.0)
+    for width in ("hidden_dim", "latent_dim", "summary_dim", "control_dim", "field_hidden"):
+        for value in (0, -1):
+            with pytest.raises(ConfigError, match=f"requires {width} >= 1$"):
+                ModelConfig(look_back=8, horizon=8, n_variates=1, **{width: value})
 
 
 def encode(model, window):
@@ -201,6 +209,30 @@ def test_checkpoint_rejects_malformed_file(tmp_path, corrupt, match):
     with pytest.raises(DataError, match=match) as info:
         LeapTS.load(path)
     assert str(path) in str(info.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["replace", "insert", "truncate"]),
+       byte=st.integers(0, 255))
+def test_corrupted_checkpoint_loads_or_raises_data_error(data, kind, byte):
+    """One byte replaced or inserted, or the file cut short anywhere: the
+    checkpoint either loads or raises `DataError` naming the file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        LeapTS(toy_config()).save(path)
+        blob = bytearray(path.read_bytes())
+        i = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        if kind == "replace":
+            blob[i] = byte
+        elif kind == "insert":
+            blob.insert(i, byte)
+        else:
+            del blob[i:]
+        path.write_bytes(bytes(blob))
+        try:
+            LeapTS.load(path)
+        except DataError as exc:
+            assert str(path) in str(exc)
 
 
 def test_ablation_param_counts():

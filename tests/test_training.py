@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from leapts import training
 from leapts.data import Dataset, make_windows
 from leapts.errors import ConfigError, DataError
 from leapts.forward import predict_batch
@@ -195,6 +196,17 @@ def test_divergence_aborts_with_last_good_state():
     # the restored parameters still produce finite forecasts
     preds, _ = predict_batch(model, np.zeros((1, 24, 1)))
     assert np.all(np.isfinite(preds))
+
+
+def test_nonfinite_validation_loss_is_a_divergence_with_a_reason(monkeypatch):
+    """The validation loss is a weighted sum over batches that can overflow
+    while every batch is finite: the report then says where and why."""
+    monkeypatch.setattr(training, "_epoch_loss", lambda *a, **kw: np.inf)
+    model = LeapTS(toy_config(n_variates=1, look_back=24, horizon=8, seed=6))
+    _, report = train(model, sine_dataset(t=300),
+                      TrainConfig(batch_size=64, max_epochs=3, normalize=False))
+    assert report.diverged and not report.epochs
+    assert report.divergence == "epoch 0, validation: non-finite validation loss"
 
 
 def test_gumbel_anneal_keeps_the_best_epochs_temperature():
