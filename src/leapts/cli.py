@@ -49,7 +49,7 @@ def _load_config_file(path) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"config file {path}: invalid JSON ({exc})") from None
     if not isinstance(cfg, dict):
         raise DataError(f"config file {path}: expected a JSON object")

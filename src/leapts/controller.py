@@ -117,8 +117,7 @@ def length_candidates(h: np.ndarray, anchors: ScaleAnchors, length_heads):
         raw.append(r)
         sig.append(s)
         cols.append(s * (hi - lo) + lo)
-    lengths = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=-1)
-    return lengths, raw, sig
+    return np.concatenate(cols, axis=-1), raw, sig
 
 
 def route_lengths(
@@ -129,10 +128,8 @@ def route_lengths(
 
     "soft" mode mixes the lengths by the scale distribution; the other
     modes route through the hard choice (its gradient passes straight
-    through to ``soft``). A single category's length is taken as is.
+    through to ``soft``).
     """
-    if lengths.shape[1] == 1:
-        return lengths, soft, np.zeros(lengths.shape[0], dtype=np.int64)
     route = soft if mode == "soft" else hard  # hard is the one-hot of soft's argmax
     return (lengths * route).sum(axis=-1, keepdims=True), route, soft.argmax(axis=-1)
 

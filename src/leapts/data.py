@@ -66,12 +66,12 @@ def load_csv(path, name: str = "", frequency: str = "", split_fractions=(0.6, 0.
     """Read a headered numeric CSV; a leading time column (named like 't'
     or 'date', or non-numeric) is dropped from the values."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
+            header, *rows = list(csv.reader(fh)) or [None]
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if header is None:
+        raise DataError(f"{path}: empty file")
     if not rows:
         raise DataError(f"{path}: no data rows")
     width = len(header)

@@ -9,19 +9,16 @@ pass reads; `step_vjp` is that reverse pass, written by hand. The loop is
 batched over rows (one row = one variate of one window), and each row
 schedules its own path: a row leaves the batch at the end of the step
 that carries its cursor past the horizon, so every row in a step is still
-running. Each row runs only its own cluster's field MLPs. Without a tape
-each row runs only the segment head its routing chose (under hard
-routing); under a tape every row runs every head, as the straight-through
-route gradient needs each head's output.
+running. Each row runs only its own cluster's field MLPs and, under hard
+routing, only the segment head its routing chose. A tape changes no
+value: it only decides what `step` saves.
 
 `run_schedule_rows` composes `step` in every mode. Under a tape the whole
 loop is one tape node: its output is the forecast [R x P], its parents
 the initial state and the parameters the loop reads, and its backward
-walks the saved steps in reverse through `step_vjp`, adding each
-contribution in the order the per-op tape did. Values are those of the
-per-op composition bit for bit. A step checks its values as it makes
-them; the first non-finite one raises `NumericError` naming the loop step
-and the stage (docs/formats.md lists the stages).
+walks the saved steps in reverse through `step_vjp`. A step checks its
+values as it makes them; the first non-finite one raises `NumericError`
+naming the loop step and the stage (docs/formats.md lists the stages).
 """
 
 from __future__ import annotations
@@ -125,13 +122,11 @@ def _heads(model: LeapTS, kind: str):
 
 def routed_segment(model: LeapTS, h: np.ndarray, route: np.ndarray, chosen=None):
     """Full-horizon segment [R x P]: the sum over categories c of
-    route[:, c] * seg_head_c(h). A single category's head is taken as is.
+    route[:, c] * seg_head_c(h).
 
     ``chosen`` [R] gives each row's category when routing is hard (``route``
-    one-hot); each category's head then runs on its own rows only. Without
-    it every head runs on every row, as the straight-through route gradient
-    of row r and category c is seg_head_c(h[r]). Returns (segment, the
-    per-head outputs, or None when ``chosen`` is given).
+    one-hot): each category's head then runs on its own rows only, which is
+    that sum exactly. Without it (soft routing) every head runs on every row.
     """
     heads = _heads(model, "seg_head")
     if chosen is not None:
@@ -140,15 +135,12 @@ def routed_segment(model: LeapTS, h: np.ndarray, route: np.ndarray, chosen=None)
             rows = np.flatnonzero(chosen == c)
             if len(rows):
                 parts.append((rows, _dense(h if len(rows) == n else h[rows], w, b)[0]))
-        return _rows_to(parts, n, model.config.horizon), None
-    segment, cols = None, []
+        return _rows_to(parts, n, model.config.horizon)
+    segment = None
     for c, (w, b) in enumerate(heads):
-        seg_c = _dense(h, w, b)[0]
-        cols.append(seg_c)
-        if len(heads) > 1:
-            seg_c = seg_c * route[:, c : c + 1]
+        seg_c = _dense(h, w, b)[0] * route[:, c : c + 1]
         segment = seg_c if segment is None else segment + seg_c
-    return segment, cols
+    return segment
 
 
 def write_segment(segment: np.ndarray, mask: np.ndarray, accum: np.ndarray):
@@ -241,8 +233,8 @@ def step(model: LeapTS, state: tuple, mode: str, tau: float, noise=None, decisio
     ``tau`` is the Gumbel temperature and ``noise`` this step's Gumbel draw
     for these rows (None: noiseless). ``decision`` = (category, len_cont,
     len_int) per row forces the step (override or forced completion);
-    otherwise the length heads decide. With ``taped`` every segment head
-    runs on every row and the arrays `step_vjp` reads are kept.
+    otherwise the length heads decide. ``taped`` changes no value: it only
+    keeps the arrays `step_vjp` reads.
 
     Returns (next state, trace columns (category, soft, sel, len_int, mask,
     segment, ctrl_delta, time_delta), saved arrays or None).
@@ -277,10 +269,8 @@ def step(model: LeapTS, state: tuple, mode: str, tau: float, noise=None, decisio
 
     # segment for the selected category, soft-masked into the horizon;
     # hard routing: route is one-hot and cat_idx names its category
-    hard_route = C == 1 or mode != "soft" or decision is not None
-    segment, seg_cols = routed_segment(
-        model, h, route, cat_idx if hard_route and not taped else None
-    )
+    hard_route = mode != "soft" or decision is not None
+    segment = routed_segment(model, h, route, cat_idx if hard_route else None)
     mask = soft_mask(sel, cursor, P, cfg.mask_temp)
     accum_next, masked = write_segment(segment, mask, accum)
     _check("written forecast", accum_next)
@@ -300,8 +290,8 @@ def step(model: LeapTS, state: tuple, mode: str, tau: float, noise=None, decisio
 
     saved = None
     if taped:
-        saved = (mode, tau, decision is None, h, soft, route, lengths, sig, seg_cols, segment,
-                 mask, masked, summary, ctx, u, fields)  # what step_vjp reads
+        saved = (tau, decision is None, h, soft, route, lengths, sig, segment, mask, masked,
+                 summary, ctx, u, fields)  # what step_vjp reads
     next_state = (h_next, accum_next, cursor + len_int, u, soft, summary,
                   (len_int / P)[:, None].astype(np.float64), row_clusters)
     return next_state, (cat_idx, soft, sel, len_int, mask, segment, d_ctrl, d_time), saved
@@ -312,96 +302,76 @@ def step_vjp(model: LeapTS, saved: tuple, g_accum: np.ndarray, g_next: tuple, gr
 
     ``g_accum`` is the cotangent of the step's accumulated forecast rows and
     ``g_next`` those of (h_next, u, soft, summary) from the rest of the
-    loop, each None where nothing after the step reads it. Parameter
+    loop, zeros where nothing after the step reads them. Parameter
     cotangents are added into ``grads`` (name -> array). Returns the
-    cotangents of (h, prev_u, prev_soft, prev_summary), None where none.
+    cotangents of (h, prev_u, prev_soft, prev_summary).
 
-    Contributions to a value read more than once are added in the reverse
-    of the order in which the per-op tape recorded its readers.
+    The route's cotangent passes to ``soft`` under soft and hard routing
+    alike (straight through for the hard one-hot). Its segment part for
+    category c, g_segment · seg_head_c(h), is computed from the head's
+    weights, as hard routing runs only each row's chosen head.
     """
-    (mode, tau, learned, h, soft, route, lengths, sig, seg_cols, segment, mask, masked, summary,
-     ctx, u, fields) = saved
+    tau, learned, h, soft, route, lengths, sig, segment, mask, masked, summary, ctx, u, fields = saved
     cfg, store, anchors = model.config, model.store, model.anchors
     C, H = anchors.n_categories, cfg.hidden_dim
     g_hn, g_un, g_softn, g_sumn = g_next
     n = h.shape[0]
-    gh = g_u_prev = g_soft_prev = g_sum_prev = None
 
     # controlled-Euler update, control signal and summary: read by the rest
     # of the loop only
-    if g_hn is not None:
-        g_inp, g_du = None, None
-        for g, rows, x, f1, fld, t1, du_g, dtau_g in reversed(fields):
-            g_d = g_hn if rows is None else g_hn[rows]
-            ctrl, time = f"ctrl_field_g{g}_", f"time_field_g{g}_"
-            g_t1 = _dense_vjp(grads, store, time, t1, None, g_d * dtau_g, layer="1")
-            r, nu = du_g.shape
-            g_fld = np.einsum("rm,rn->rmn", g_d, du_g).reshape(r, -1)
-            g_du_g = np.einsum("rmn,rm->rn", fld.reshape(r, -1, nu), g_d)
-            g_x = _dense_vjp(grads, store, time, x, t1, g_t1, tanh=True, layer="0")
-            g_f1 = _dense_vjp(grads, store, ctrl, f1, None, g_fld, layer="1")
-            g_x += _dense_vjp(grads, store, ctrl, x, f1, g_f1, tanh=True, layer="0")
-            if rows is None:
-                g_inp, g_du = g_x, g_du_g
-            else:
-                if g_inp is None:
-                    g_inp, g_du = np.zeros((n, x.shape[1])), np.zeros((n, du_g.shape[1]))
-                g_inp[rows], g_du[rows] = g_x, g_du_g
-        gh = g_hn + g_inp[:, :H]
-        g_u = g_inp[:, H:] if g_un is None else g_un + g_inp[:, H:]
-        g_u = g_u + g_du
-        g_u_prev = -g_du
-        g_ctx = _dense_vjp(grads, store, "control_", ctx, u, g_u, tanh=True)
-        g_soft_prev, g_sum_prev = g_ctx[:, 2 : 2 + C], g_ctx[:, 2 + C :]
-    g_masked = g_accum
-    if g_sumn is not None:
-        g_masked = _dense_vjp(grads, store, "summary_", masked, summary, g_sumn, tanh=True)
-        g_masked += g_accum
+    g_inp, g_du = None, None
+    for g, rows, x, f1, fld, t1, du_g, dtau_g in reversed(fields):
+        g_d = g_hn if rows is None else g_hn[rows]
+        ctrl, time = f"ctrl_field_g{g}_", f"time_field_g{g}_"
+        g_t1 = _dense_vjp(grads, store, time, t1, None, g_d * dtau_g, layer="1")
+        r, nu = du_g.shape
+        g_fld = np.einsum("rm,rn->rmn", g_d, du_g).reshape(r, -1)
+        g_du_g = np.einsum("rmn,rm->rn", fld.reshape(r, -1, nu), g_d)
+        g_x = _dense_vjp(grads, store, time, x, t1, g_t1, tanh=True, layer="0")
+        g_f1 = _dense_vjp(grads, store, ctrl, f1, None, g_fld, layer="1")
+        g_x += _dense_vjp(grads, store, ctrl, x, f1, g_f1, tanh=True, layer="0")
+        if rows is None:
+            g_inp, g_du = g_x, g_du_g
+        else:
+            if g_inp is None:
+                g_inp, g_du = np.zeros((n, x.shape[1])), np.zeros((n, du_g.shape[1]))
+            g_inp[rows], g_du[rows] = g_x, g_du_g
+    gh = g_hn + g_inp[:, :H]
+    g_u = g_un + g_inp[:, H:] + g_du
+    g_ctx = _dense_vjp(grads, store, "control_", ctx, u, g_u, tanh=True)
+    g_masked = _dense_vjp(grads, store, "summary_", masked, summary, g_sumn, tanh=True)
+    g_masked += g_accum
 
     # masked write, segment heads, soft mask
     g_segment = g_masked * mask
     names = anchors.category_names()
-    g_route_sl = np.empty((n, C)) if learned and C > 1 else None
     for c in reversed(range(C)):
-        g_c = g_segment
-        if C > 1:
-            g_c = g_segment * route[:, c : c + 1]
-            if g_route_sl is not None:
-                g_route_sl[:, c : c + 1] = (g_segment * seg_cols[c]).sum(axis=1, keepdims=True)
-        g_h = _dense_vjp(grads, store, f"seg_head_{names[c]}_", h, None, g_c)
-        if gh is None:
-            gh = g_h
-        else:
-            gh += g_h
+        g_c = g_segment * route[:, c : c + 1]
+        gh += _dense_vjp(grads, store, f"seg_head_{names[c]}_", h, None, g_c)
 
     # length heads and routing (only when the heads decided the step)
-    g_soft = g_softn if C > 1 else None
+    g_soft = g_softn
     if learned:
         g_mask = g_masked * segment
         g_sel = (g_mask * mask * (1.0 - mask) * (1.0 / cfg.mask_temp)).sum(axis=1, keepdims=True)
-        g_lengths = g_sel
+        g_lengths = g_sel * route
         if C > 1:
-            g_lr = np.broadcast_to(g_sel, (n, C)).copy()
-            g_lengths, g_route_lr = g_lr * route, g_lr * lengths
-            if mode == "soft":
-                g_soft = g_route_sl if g_soft is None else g_soft + g_route_sl
-                g_soft = g_soft + g_route_lr
-            else:
-                g_route = g_route_sl + g_route_lr
-                g_soft = g_route if g_soft is None else g_soft + g_route
+            g_route = g_sel * lengths
+            for c, (w, b) in enumerate(_heads(model, "seg_head")):
+                g_route[:, c] += (g_segment @ w.T * h).sum(axis=1) + g_segment @ b
+            g_soft = g_soft + g_route
         for c in reversed(range(C)):
             lo, hi = float(anchors.mins[c]), float(anchors.maxs[c])
-            g_l = g_lengths if C == 1 else g_lengths[:, c : c + 1]
-            g_raw = g_l * (hi - lo) * sig[c] * (1.0 - sig[c])
+            g_raw = g_lengths[:, c : c + 1] * (hi - lo) * sig[c] * (1.0 - sig[c])
             gh += _dense_vjp(grads, store, f"len_head_{names[c]}_", h, None, g_raw)
 
-    # Gumbel softmax over the category logits
-    if g_soft is not None:
+    # Gumbel softmax over the category logits (one category draws nothing)
+    if C > 1:
         dot = (g_soft * soft).sum(axis=-1, keepdims=True)
         g_logits = soft * (g_soft - dot) * (1.0 / tau)
         _accumulate(grads, "category_proj", h.T @ g_logits)
         gh += g_logits @ store["category_proj"].data.T
-    return gh, g_u_prev, g_soft_prev, g_sum_prev
+    return gh, -g_du, g_ctx[:, 2 : 2 + C], g_ctx[:, 2 + C :]
 
 
 # -- variate clustering ----------------------------------------------------
@@ -684,11 +654,13 @@ def run_schedule_rows(
     names = _loop_param_names(model)
 
     def backward(g_out):
-        grads, g_next = {}, (None, None, None, None)
+        # the last step's rows all leave it, so these zero rows widen to its rows
+        grads = {}
+        g_next = tuple(np.zeros((0, w)) for w in (cfg.hidden_dim, cfg.control_dim, C,
+                                                   cfg.summary_dim))
         for rows, keep, saved in reversed(steps):
             if keep is not None:
-                g_next = tuple(None if g is None else _rows_to([(keep, g)], len(rows), g.shape[1])
-                               for g in g_next)
+                g_next = tuple(_rows_to([(keep, g)], len(rows), g.shape[1]) for g in g_next)
             g_next = step_vjp(model, saved, g_out[rows], g_next, grads)
         return (g_next[0], *(grads.get(name) for name in names))
 

@@ -26,6 +26,19 @@ CHECKPOINT_MAGIC = "LEAPTS1"
 ABLATIONS = ("none", "no_sched", "no_high_level")
 
 
+def _check_types(cfg, ints, bools=()):
+    """`ConfigError` unless the ``ints`` fields hold integers, not bools (for
+    ``enc_hidden`` a sequence of them), made Python ints; ``bools``, bools."""
+    for name in (*ints, *bools):
+        v = getattr(cfg, name)
+        vs = tuple(v) if name == "enc_hidden" else (v,)
+        if not all(isinstance(x, bool) == (name in bools) and isinstance(x, (int, np.integer))
+                   for x in vs):
+            raise ConfigError(f"invalid {type(cfg).__name__}: {name} has the wrong type ({v!r})")
+        if name in ints:
+            setattr(cfg, name, tuple(map(int, vs)) if name == "enc_hidden" else int(v))
+
+
 @dataclass
 class ModelConfig:
     look_back: int
@@ -53,7 +66,9 @@ class ModelConfig:
             self.dt_min = 1.0 / self.horizon
         if self.max_steps is None:
             self.max_steps = self.horizon
-        self.enc_hidden = tuple(int(w) for w in self.enc_hidden)
+        _check_types(self, ("look_back", "horizon", "n_variates", "hidden_dim", "latent_dim",
+                            "summary_dim", "control_dim", "enc_hidden", "field_hidden",
+                            "n_clusters", "max_steps", "seed"), ("window_norm",))
         checks = [
             (self.look_back >= 1, "look_back >= 1"),
             (self.horizon >= 1, "horizon >= 1"),

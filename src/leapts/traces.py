@@ -133,16 +133,17 @@ def write_trace_jsonl(traces, path):
 
 
 def read_trace_jsonl(path) -> list[ScheduleTrace]:
-    """Traces of a JSONL file; a malformed record, or a field value of another
-    type than its annotation, is a `DataError` naming the file and the line."""
+    """Traces of a JSONL file; a malformed record (not UTF-8 JSON), or a field
+    value of another type than its annotation, is a `DataError` naming the
+    file and the line."""
     traces: dict[tuple[int, int], ScheduleTrace] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode("utf-8"))
                 schema = rec.pop("schema", TRACE_SCHEMA)
                 if schema != TRACE_SCHEMA:
                     raise ValueError(f"unsupported trace schema {schema!r}")

@@ -15,7 +15,7 @@ from .engine import cluster_variates
 from .errors import ConfigError, DataError, NumericError
 from .forward import forward_loss, predict_batch
 from .metrics import MetricReport
-from .model import ABLATIONS, LeapTS
+from .model import ABLATIONS, LeapTS, _check_types
 from .optim import adam_step
 
 __all__ = [
@@ -44,6 +44,8 @@ class TrainConfig:
     max_batches_per_epoch: int | None = None
 
     def __post_init__(self):
+        ints = ("batch_size", "max_epochs", "patience", "seed", "stride", "max_batches_per_epoch")
+        _check_types(self, ints[:-1] if self.max_batches_per_epoch is None else ints, ("normalize",))
         if not 0 < self.lr:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.patience < 1:

@@ -320,6 +320,24 @@ def test_out_of_memory_exits_2_with_a_hint(tiny_csv, capsys, tmp_path, monkeypat
     assert out == "" and not (tmp_path / "m.ckpt").exists()
 
 
+@pytest.mark.parametrize("which", ["data", "config"])
+def test_non_utf8_input_exits_2(tiny_csv, tiny_ckpt, capsys, tmp_path, which):
+    """One 0xff byte in the data CSV or the config file: exit 2 naming the
+    file, no traceback."""
+    bad = tmp_path / ("bad.csv" if which == "data" else "bad.json")
+    text = tiny_csv.read_bytes() if which == "data" else b'{"model": {"hidden_dim": 8}}'
+    bad.write_bytes(text[:20] + b"\xff" + text[21:])
+    data, extra = (bad, []) if which == "data" else (tiny_csv, ["--config", str(bad)])
+    code, _, err = run_cli(capsys, "train", "--data", str(data), "--L", "24", "--P", "6",
+                           "--out", str(tmp_path / "m.ckpt"), "--epochs", "1", *extra)
+    assert code == 2
+    assert str(bad) in err and "Traceback" not in err
+    if which == "data":
+        code, _, err = run_cli(capsys, "eval", "--ckpt", str(tiny_ckpt), "--data", str(bad))
+        assert code == 2
+        assert str(bad) in err and "Traceback" not in err
+
+
 def test_config_file_with_flag_override(tiny_csv, capsys, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"model": {"hidden_dim": 8}, "train": {"max_epochs": 1, "lr": 0.001}}))
@@ -359,9 +377,18 @@ def test_config_file_unknown_key_rejected(tiny_csv, capsys, tmp_path):
         ({"train": {"lr": "fast"}}, "wrong type"),
         ({"model": 3}, "JSON object"),
         ({"model": {"control_dim": 0}}, "control_dim >= 1"),
+        ({"model": {"hidden_dim": 8.5}}, "hidden_dim has the wrong type (8.5)"),
+        ({"model": {"max_steps": 1.5}}, "max_steps has the wrong type (1.5)"),
+        ({"model": {"enc_hidden": [2.7]}}, "enc_hidden has the wrong type ([2.7])"),
+        ({"model": {"seed": True}}, "seed has the wrong type (True)"),
+        ({"train": {"batch_size": 8.5}}, "batch_size has the wrong type (8.5)"),
+        ({"train": {"stride": 1.5}}, "stride has the wrong type (1.5)"),
+        ({"train": {"normalize": "no"}}, "normalize has the wrong type ('no')"),
     ],
     ids=["look_back", "horizon", "n_variates", "model_value_type", "encoder_width_type",
-         "train_value_type", "section_not_object", "control_dim_zero"],
+         "train_value_type", "section_not_object", "control_dim_zero", "width_float",
+         "max_steps_float", "encoder_width_float", "seed_bool", "batch_size_float",
+         "stride_float", "normalize_str"],
 )
 def test_config_file_rejected(tiny_csv, capsys, tmp_path, cfg, fragment):
     """Flags and the data set look_back, horizon and n_variates; a file

@@ -181,7 +181,7 @@ def test_single_category_length_taken_as_is():
     lengths, _, _ = length_candidates(np.zeros((2, 4)), anchors, heads)
     soft = np.ones((2, 1))
     sel, route, chosen = route_lengths(lengths, soft, np.ones((2, 1)), mode="train")
-    assert sel is lengths and route is soft
+    assert np.array_equal(sel, lengths) and np.array_equal(route, soft)
     assert np.array_equal(chosen, [0, 0])
 
 

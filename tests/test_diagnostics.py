@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leapts.data import Dataset, make_windows
 from leapts.diagnostics import (
@@ -327,6 +331,32 @@ def test_read_trace_rejects_malformed_record(tmp_path, line, reason):
     path.write_text(f"{good}\n\n{line}\n")
     with pytest.raises(DataError, match=rf"trace\.jsonl, line 3: bad trace record: .*{reason}"):
         read_trace_jsonl(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["replace", "insert", "truncate"]),
+       byte=st.integers(0, 255))
+def test_corrupted_trace_loads_or_raises_data_error(data, kind, byte):
+    """One byte replaced or inserted (a non-UTF-8 one too), or the file cut
+    short anywhere: the trace file either loads or raises `DataError`
+    naming the file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        write_trace_jsonl([make_trace(0, 0.5, [(0, 0.5), (2, 0.25)]),
+                           make_trace(1, 0.1, [(1, 1.0)])], path)
+        blob = bytearray(path.read_bytes())
+        i = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        if kind == "replace":
+            blob[i] = byte
+        elif kind == "insert":
+            blob.insert(i, byte)
+        else:
+            del blob[i:]
+        path.write_bytes(bytes(blob))
+        try:
+            read_trace_jsonl(path)
+        except DataError as exc:
+            assert str(path) in str(exc)
 
 
 def test_override_rejects_no_sched(small_windows):

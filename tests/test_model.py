@@ -12,6 +12,7 @@ from leapts.autodiff import Tape, Tensor
 from leapts.errors import ConfigError, DataError, NumericError, ShapeError
 from leapts.forward import forecast, predict_batch
 from leapts.model import LeapTS, ModelConfig
+from leapts.training import TrainConfig
 
 from conftest import toy_config
 
@@ -29,6 +30,19 @@ def test_config_validation():
         for value in (0, -1):
             with pytest.raises(ConfigError, match=f"requires {width} >= 1$"):
                 ModelConfig(look_back=8, horizon=8, n_variates=1, **{width: value})
+    wrong = {"hidden_dim": 8.5, "field_hidden": 2.5, "n_clusters": 1.0, "max_steps": 1.5,
+             "seed": True, "enc_hidden": (2.7,), "window_norm": "no", "horizon": np.float64(8)}
+    for name, value in wrong.items():
+        with pytest.raises(ConfigError, match=rf"{name} has the wrong type \("):
+            ModelConfig(**{"look_back": 8, "horizon": 8, "n_variates": 1, name: value})
+    for name, value in {"batch_size": 8.5, "stride": 1.5, "max_batches_per_epoch": 2.0,
+                        "patience": False, "normalize": 0}.items():
+        with pytest.raises(ConfigError, match=rf"{name} has the wrong type \("):
+            TrainConfig(**{name: value})
+    cfg = ModelConfig(look_back=np.int64(8), horizon=8, n_variates=1, enc_hidden=[np.int32(4)])
+    assert type(cfg.look_back) is int and cfg.enc_hidden == (4,)
+    assert type(cfg.enc_hidden[0]) is int
+    assert TrainConfig(batch_size=np.int64(4)).batch_size == 4
 
 
 def encode(model, window):
@@ -196,9 +210,10 @@ def _transpose_enc_w0(header, body):
         (lambda h, b: (h, b + b"\0"), "trailing bytes"),
         (lambda h, b: ({**h, "clusters": [0, 1]}, b), "clusters"),
         (lambda h, b: ({**h, "data_norm": {"mean": [0.0], "std": [1.0]}}, b), "data_norm"),
+        (lambda h, b: ({**h, "config": {**h["config"], "hidden_dim": 8.0}}, b), "wrong type"),
     ],
     ids=["no_config", "unknown_config_key", "missing_param", "shape_mismatch",
-         "trailing_bytes", "cluster_out_of_range", "data_norm_width"],
+         "trailing_bytes", "cluster_out_of_range", "data_norm_width", "float_width"],
 )
 def test_checkpoint_rejects_malformed_file(tmp_path, corrupt, match):
     path = tmp_path / "model.ckpt"
