@@ -3,8 +3,9 @@
 A coarse single-pass forecast is refined by a scheduling branch that
 repeatedly picks a temporal scale and advancement length, writes a
 soft-masked segment into the horizon, and evolves its controller state
-through cluster-shared controlled dynamics. Everything runs on a small
-built-in reverse-mode autodiff engine over float64 numpy arrays.
+through cluster-shared controlled dynamics. The model is float64 numpy
+array code with one hand-written reverse pass, which a small tape
+(``autodiff``) records as one node next to the Huber loss.
 """
 
 from .autodiff import Tape, Tensor, huber_loss

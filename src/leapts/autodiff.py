@@ -1,13 +1,14 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A ``Tape`` records the operations of one forward pass; ``Tape.backward``
-walks the records in reverse and accumulates gradients into the leaves.
-Tapes are single-use and confined to one thread. When no tape is active,
-operations run as plain numpy (fast inference path, nothing recorded).
+A ``Tape`` records the nodes of one forward pass; ``Tape.backward`` walks
+them in reverse and accumulates gradients into the leaves. Tapes are
+single-use and confined to one thread. When no tape is active nothing is
+recorded.
 
-A node may stand for a whole computation with a hand-written backward: a
-dense layer (`linear`), the mean Huber loss, and the scheduling loop
-(``engine.run_schedule_rows`` records one node through ``_record``).
+Each node stands for a whole computation with a hand-written reverse pass,
+recorded through ``_record``. A training batch records two: the model
+(``forward.forward_rows``, whose reverse pass covers the encoder, coarse
+head, scheduling loop and fusion) and the mean Huber loss.
 
 Everything is float64: finite-difference gradient checks are the primary
 correctness tool of this project and need the headroom.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import NumericError, ShapeError, TapeError
 
-__all__ = ["Tensor", "Tape", "add", "mul", "linear", "sigmoid", "huber_loss"]
+__all__ = ["Tensor", "Tape", "huber_loss"]
 
 _LOCAL = threading.local()
 
@@ -103,35 +104,17 @@ class Tensor:
         return f"Tensor(shape={self.shape}, grad={'yes' if self.requires_grad else 'no'})"
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _record(op: str, out_data: np.ndarray, parents, fn, pre=None, scan=True) -> Tensor:
-    """Scan one array for non-finite values (the pre-activation ``pre`` if
-    given, else the result; none for ops that only copy), then record."""
-    if scan and not np.all(np.isfinite(out_data if pre is None else pre)):
-        what = "result" if pre is None else "pre-activation"
-        raise NumericError(f"{op}: non-finite values in {what}")
+def _record(op: str, out_data: np.ndarray, parents, fn, scan=True) -> Tensor:
+    """Scan the result for non-finite values (unless ``scan`` is off, for a
+    node that checked its own values), then record."""
+    if scan and not np.all(np.isfinite(out_data)):
+        raise NumericError(f"{op}: non-finite values in result")
     out = Tensor(out_data)
     tape = _active_tape()
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
         tape.nodes.append(_Node(out, tuple(parents), fn))
     return out
-
-
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Reduce gradient ``g`` back to ``shape`` after numpy broadcasting."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -149,73 +132,10 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return y
 
 
-# -- primitives ----------------------------------------------------------
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out = a.data + b.data
-    except ValueError:
-        raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}") from None
-    return _record(
-        "add",
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-    )
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}") from None
-    return _record(
-        "mul",
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
-    )
-
-
-def linear(x, w, b, act=None) -> Tensor:
-    """Dense layer ``act(x @ w + b)`` as one node; ``act`` is None or "tanh".
-
-    ``x`` is [R x n], ``w`` [n x m] and ``b`` [m]. The backward makes the
-    numpy calls of ``tanh(add(matmul(x, w), b))`` in the same order, so its
-    gradients equal the composition's bit for bit. With tanh the pre-activation
-    is scanned, as tanh would saturate an overflow to a finite value.
-    """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if act not in (None, "tanh"):
-        raise ValueError(f"linear: act must be None or 'tanh', got {act!r}")
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} not aligned")
-    pre = x.data @ w.data
-    pre += b.data
-    y = np.tanh(pre) if act == "tanh" else pre
-
-    def fn(g):
-        if act == "tanh":
-            g = g * (1.0 - y * y)
-        return (g @ w.data.T, x.data.T @ g, g.sum(axis=0))
-
-    return _record("linear", y, (x, w, b), fn, pre=pre if act == "tanh" else None)
-
-
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    y = _stable_sigmoid(a.data)
-    return _record("sigmoid", y, (a,), lambda g: (g * y * (1.0 - y),))
-
-
 def huber_loss(pred: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
     """Mean Huber loss as one node: 0.5*r^2 where |r| <= delta, else
     delta*(|r| - delta/2), r = pred - target. The gradient with respect to
     ``pred`` is clip(r, -delta, delta) / n."""
-    pred, target = _as_tensor(pred), _as_tensor(target)
     if pred.shape != target.shape:
         raise ShapeError(f"huber_loss: {pred.shape} vs {target.shape}")
     if delta <= 0:

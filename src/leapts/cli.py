@@ -183,6 +183,8 @@ def _parse_override(text):
 
 
 def cmd_eval(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     model, _, windows = _load_for_eval(args)
     if args.override:
         kind, val = _parse_override(args.override)

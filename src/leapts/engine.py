@@ -13,12 +13,12 @@ running. Each row runs only its own cluster's field MLPs and, under hard
 routing, only the segment head its routing chose. A tape changes no
 value: it only decides what `step` saves.
 
-`run_schedule_rows` composes `step` in every mode. Under a tape the whole
-loop is one tape node: its output is the forecast [R x P], its parents
-the initial state and the parameters the loop reads, and its backward
-walks the saved steps in reverse through `step_vjp`. A step checks its
-values as it makes them; the first non-finite one raises `NumericError`
-naming the loop step and the stage (docs/formats.md lists the stages).
+`run_schedule_rows` composes `step` in every mode and, under a tape,
+returns the saved steps; `schedule_vjp` walks them in reverse through
+`step_vjp`. The model's one tape node (``forward.forward_rows``) calls it
+in its reverse pass. A step checks its values as it makes them; the first
+non-finite one raises `NumericError` naming the loop step and the stage
+(docs/formats.md lists the stages).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, _stable_sigmoid
+from .autodiff import _stable_sigmoid
 from .controller import (
     gumbel_softmax_select,
     length_candidates,
@@ -37,7 +37,7 @@ from .controller import (
     route_lengths,
 )
 from .errors import DataError, NumericError
-from .model import LeapTS
+from .model import LeapTS, _check, _dense
 from .traces import ScheduleTrace, TraceStep, decompose_update
 
 __all__ = [
@@ -54,17 +54,11 @@ __all__ = [
     "series_features",
     "cluster_variates",
     "run_schedule_rows",
+    "schedule_vjp",
 ]
 
 
 # -- the operations of one scheduling step, batched over rows ---------------
-
-
-def _dense(x, w, b, tanh=False):
-    """``x @ w + b``, through tanh if asked: (output, pre-activation)."""
-    pre = x @ w
-    pre += b
-    return (np.tanh(pre) if tanh else pre), pre
 
 
 def _dense_vjp(grads, store, prefix, x, y, g, tanh=False, layer=""):
@@ -83,11 +77,6 @@ def _accumulate(grads, name, g):
         grads[name] += g
     else:
         grads[name] = g
-
-
-def _check(what: str, a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a)):
-        raise NumericError(f"non-finite values in {what}")
 
 
 def _rows_to(parts, n: int, width: int) -> np.ndarray:
@@ -495,16 +484,9 @@ def _pack_override(override: list, R: int, C: int) -> tuple[np.ndarray, ...]:
     return cats, table[:, :, 1], lens, n_steps
 
 
-def _loop_param_names(model: LeapTS) -> list[str]:
-    """Names of the parameters the scheduling loop reads: all but those of the
-    encoder, the coarse head, the initial state and the fusion gate."""
-    skeleton = ("enc_", "coarse_", "state_init_", "fuse_logit")
-    return [name for name in model.store.names() if not name.startswith(skeleton)]
-
-
 def run_schedule_rows(
     model: LeapTS,
-    h: Tensor,
+    h: np.ndarray,
     row_clusters: np.ndarray,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
@@ -516,8 +498,7 @@ def run_schedule_rows(
 ):
     """Run the scheduling loop for R rows, one `step` at a time. A row leaves
     the batch once its cursor passes the horizon; outputs are in the
-    original row order. Under a tape the loop records one node (see the
-    module docstring).
+    original row order. ``h`` is the initial state [R x hidden_dim].
 
     ``mode``: "train" (Gumbel noise + hard routing), "eval" (noiseless,
     hard routing), "soft" (noiseless or frozen-noise, fully differentiable
@@ -531,7 +512,8 @@ def run_schedule_rows(
     a row that has left the batch reads as finished, with its final state.
 
     Returns (accumulated forecast rows [R x P], traces or None,
-    recorded noise list usable as ``frozen_noise``: one [R x C] draw per step).
+    recorded noise list usable as ``frozen_noise``: one [R x C] draw per step,
+    the saved steps `schedule_vjp` reads: empty without a tape).
     """
     if mode not in ("train", "eval", "soft"):
         raise ValueError(f"unknown schedule mode {mode!r}")
@@ -547,7 +529,7 @@ def run_schedule_rows(
     if override is not None:
         o_cat, o_cont, o_int, o_steps = _pack_override(override, R, C)
 
-    state = (h.data, np.zeros((R, P)), np.ones(R, dtype=np.int64), np.zeros((R, cfg.control_dim)),
+    state = (h, np.zeros((R, P)), np.ones(R, dtype=np.int64), np.zeros((R, cfg.control_dim)),
              np.full((R, C), 1.0 / C), np.zeros((R, cfg.summary_dim)), np.zeros((R, 1)),
              row_clusters)
 
@@ -648,21 +630,20 @@ def run_schedule_rows(
         if keep is not None:
             live = live[keep]
 
-    if not taped:
-        return Tensor(out), traces, noise_record
+    return out, traces, noise_record, steps
 
-    names = _loop_param_names(model)
 
-    def backward(g_out):
-        # the last step's rows all leave it, so these zero rows widen to its rows
-        grads = {}
-        g_next = tuple(np.zeros((0, w)) for w in (cfg.hidden_dim, cfg.control_dim, C,
-                                                   cfg.summary_dim))
-        for rows, keep, saved in reversed(steps):
-            if keep is not None:
-                g_next = tuple(_rows_to([(keep, g)], len(rows), g.shape[1]) for g in g_next)
-            g_next = step_vjp(model, saved, g_out[rows], g_next, grads)
-        return (g_next[0], *(grads.get(name) for name in names))
-
-    parents = (h, *(model.store[name] for name in names))
-    return ad._record("schedule", out, parents, backward, scan=False), traces, noise_record
+def schedule_vjp(model: LeapTS, steps: list, g_out: np.ndarray, grads: dict) -> np.ndarray:
+    """Reverse pass of `run_schedule_rows` from its saved ``steps``: walks
+    them in reverse through `step_vjp`. ``g_out`` is the cotangent of the
+    forecast rows; parameter cotangents are added into ``grads``. Returns
+    the cotangent of the initial state."""
+    cfg, C = model.config, model.anchors.n_categories
+    # the last step's rows all leave it, so these zero rows widen to its rows
+    g_next = tuple(np.zeros((0, w)) for w in (cfg.hidden_dim, cfg.control_dim, C,
+                                               cfg.summary_dim))
+    for rows, keep, saved in reversed(steps):
+        if keep is not None:
+            g_next = tuple(_rows_to([(keep, g)], len(rows), g.shape[1]) for g in g_next)
+        g_next = step_vjp(model, saved, g_out[rows], g_next, grads)
+    return g_next[0]

@@ -3,7 +3,11 @@ single-window forecasting surface.
 
 Rows are ordered window-major: row = window * n_variates + variate. With
 ``window_norm`` each row is standardized by its own look-back statistics
-and predictions are mapped back to the original scale inside the graph.
+and predictions are mapped back to the original scale inside the model.
+
+Under a tape the whole model is one node, written as array code with one
+hand-written reverse pass: the encoder, the coarse head, the initial state,
+the scheduling loop (`engine.schedule_vjp`) and the fusion gate.
 """
 
 from __future__ import annotations
@@ -11,11 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, _stable_sigmoid
 from .data import zscore_stats
-from .engine import run_schedule_rows
+from .engine import _dense_vjp, run_schedule_rows, schedule_vjp
 from .errors import NumericError, ShapeError
-from .model import ForecastPair, LeapTS
+from .model import ForecastPair, LeapTS, _check
 
 __all__ = ["forward_rows", "forward_loss", "forecast", "predict_batch"]
 
@@ -46,8 +50,10 @@ def forward_rows(
 
     Returns a dict with row tensors ``coarse``, ``sched``, ``fused``
     ([B*N x P]) plus ``traces`` and ``noise`` from the scheduling loop.
+    Under a tape ``fused`` is the output of the model's one node, whose
+    parents are the parameters.
     """
-    cfg = model.config
+    cfg, store = model.config, model.store
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3 or inputs.shape[1:] != (cfg.look_back, cfg.n_variates):
         raise ShapeError(
@@ -61,20 +67,19 @@ def forward_rows(
     if cfg.window_norm:
         mu, sd = zscore_stats(hist, axis=1)
         hist = (hist - mu) / sd
-    else:
-        mu = sd = None
 
-    z = model.encode_rows(Tensor(hist))
+    acts = model.encode_rows(hist)
+    z = acts[-1]
     coarse = model.coarse_rows(z)
 
-    traces, noise = None, None
+    h1 = traces = noise = None
     if model.ablation == "no_sched":
-        sched = Tensor(np.zeros((b * cfg.n_variates, cfg.horizon)))
+        sched = np.zeros((b * cfg.n_variates, cfg.horizon))
         fused = coarse
     else:
         h1 = model.init_state_rows(z)
         row_clusters = np.tile(model.cluster_of_variate, b)
-        sched, traces, noise = run_schedule_rows(
+        sched, traces, noise, steps = run_schedule_rows(
             model,
             h1,
             row_clusters,
@@ -87,13 +92,38 @@ def forward_rows(
             gumbel_temp=gumbel_temp,
         )
         fused = model.fuse(coarse, sched)
+    loop_out = sched
 
     if cfg.window_norm:
-        coarse = ad.add(ad.mul(coarse, sd), mu)
-        sched = ad.mul(sched, sd)
-        fused = ad.add(ad.mul(fused, sd), mu)
+        coarse = coarse * sd + mu
+        _check("rescaled coarse forecast", coarse)
+        sched = sched * sd
+        _check("rescaled scheduled forecast", sched)
+        fused = fused * sd + mu
+        _check("rescaled fused forecast", fused)
 
-    return {"coarse": coarse, "sched": sched, "fused": fused, "traces": traces, "noise": noise}
+    def backward(g):
+        # sums in the order of the per-op composition (tests/tape_ops.py), so
+        # the bits match it: the gate's two reductions, z's two parts
+        grads = {}
+        if cfg.window_norm:
+            g = g * sd
+        g_z = _dense_vjp(grads, store, "coarse_", z, None, g)
+        if h1 is not None:
+            gate = _stable_sigmoid(store["fuse_logit"].data)
+            g_gate = (g * loop_out).sum(axis=0).sum(axis=0, keepdims=True)
+            grads["fuse_logit"] = g_gate * gate * (1.0 - gate)
+            g_h1 = schedule_vjp(model, steps, g * gate, grads)
+            g_z = _dense_vjp(grads, store, "state_init_", z, h1, g_h1, tanh=True) + g_z
+        for i in reversed(range(len(acts))):
+            x = hist if i == 0 else acts[i - 1]
+            g_z = _dense_vjp(grads, store, "enc_", x, acts[i], g_z, tanh=i < len(acts) - 1,
+                             layer=str(i))
+        return tuple(grads.get(name) for name in store.params)
+
+    fused = ad._record("model", fused, tuple(store.params.values()), backward, scan=False)
+    return {"coarse": Tensor(coarse), "sched": Tensor(sched), "fused": fused, "traces": traces,
+            "noise": noise}
 
 
 def forward_loss(

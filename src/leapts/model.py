@@ -14,10 +14,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import _stable_sigmoid
 from .controller import ScaleAnchors, scale_anchors
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .optim import ParamStore
 
 __all__ = ["ModelConfig", "ForecastPair", "LeapTS", "ABLATIONS"]
@@ -80,6 +79,7 @@ class ModelConfig:
             (self.gumbel_temp > 0, "gumbel_temp > 0"),
             (0 < self.dt_min <= self.dt_max, "0 < dt_min <= dt_max"),
             (self.max_steps >= 1, "max_steps >= 1"),
+            (self.seed >= 0, "seed >= 0"),
             (all(w >= 1 for w in self.enc_hidden), "encoder widths >= 1"),
         ]
         for ok, msg in checks:
@@ -106,11 +106,16 @@ def _mlp_params(store, rng, prefix, dims):
         store.add(f"{prefix}_b{i}", np.zeros(b))
 
 
-def _mlp_apply(store, prefix, x: Tensor, n_layers: int) -> Tensor:
-    for i in range(n_layers):
-        act = "tanh" if i < n_layers - 1 else None
-        x = ad.linear(x, store[f"{prefix}_w{i}"], store[f"{prefix}_b{i}"], act)
-    return x
+def _dense(x, w, b, tanh=False):
+    """``x @ w + b``, through tanh if asked: (output, pre-activation)."""
+    pre = x @ w
+    pre += b
+    return (np.tanh(pre) if tanh else pre), pre
+
+
+def _check(what: str, a: np.ndarray) -> None:
+    if not np.all(np.isfinite(a)):
+        raise NumericError(f"non-finite values in {what}")
 
 
 class LeapTS:
@@ -185,32 +190,48 @@ class LeapTS:
             )
 
     # -- forward operations over rows ------------------------------------
+    # Each checks the value it makes; `NumericError` names the stage.
 
-    def encode_rows(self, histories: Tensor) -> Tensor:
-        """Shared encoder over rows: [R x L] -> [R x latent_dim]."""
-        return _mlp_apply(self.store, "enc", histories, len(self.config.enc_hidden) + 1)
+    def encode_rows(self, histories: np.ndarray) -> list[np.ndarray]:
+        """Shared encoder over rows [R x L]: each layer's output, the last
+        one the latents [R x latent_dim]."""
+        s, n = self.store, len(self.config.enc_hidden) + 1
+        acts, x = [], histories
+        for i in range(n):
+            tanh = i < n - 1
+            x, pre = _dense(x, s[f"enc_w{i}"].data, s[f"enc_b{i}"].data, tanh)
+            _check(f"encoder layer {i} {'pre-activation' if tanh else 'output'}", pre)
+            acts.append(x)
+        return acts
 
-    def coarse_rows(self, z_rows: Tensor) -> Tensor:
+    def coarse_rows(self, z_rows: np.ndarray) -> np.ndarray:
         """Linear projection per row: [R x latent_dim] -> [R x P]."""
-        return ad.linear(z_rows, self.store["coarse_w"], self.store["coarse_b"])
+        coarse = _dense(z_rows, self.store["coarse_w"].data, self.store["coarse_b"].data)[0]
+        _check("coarse forecast", coarse)
+        return coarse
 
-    def init_state_rows(self, z_rows: Tensor) -> Tensor:
+    def init_state_rows(self, z_rows: np.ndarray) -> np.ndarray:
         """Initial controller state: tanh of a learned projection of z."""
         s = self.store
-        return ad.linear(z_rows, s["state_init_w"], s["state_init_b"], "tanh")
+        h, pre = _dense(z_rows, s["state_init_w"].data, s["state_init_b"].data, tanh=True)
+        _check("initial state pre-activation", pre)
+        return h
 
     @property
     def alpha(self) -> float:
         if "fuse_logit" not in self.store:
             return 0.0
-        return float(ad._stable_sigmoid(self.store["fuse_logit"].data)[0])
+        return float(_stable_sigmoid(self.store["fuse_logit"].data)[0])
 
-    def fuse(self, coarse: Tensor, sched: Tensor) -> Tensor:
+    def fuse(self, coarse: np.ndarray, sched: np.ndarray) -> np.ndarray:
         """fused = coarse + sigmoid(fuse_logit) * sched, elementwise."""
         if coarse.shape != sched.shape:
             raise ShapeError(f"fuse: {coarse.shape} vs {sched.shape}")
-        gate = ad.sigmoid(self.store["fuse_logit"])
-        return ad.add(coarse, ad.mul(sched, gate))
+        gate = _stable_sigmoid(self.store["fuse_logit"].data)
+        _check("fusion gate", gate)
+        fused = coarse + sched * gate
+        _check("fused forecast", fused)
+        return fused
 
     # -- persistence ------------------------------------------------------
 

@@ -56,6 +56,8 @@ class ScenarioSpec:
             self.dt = SCENARIO_DT[self.scenario]
         if self.total_steps < 1 or self.dt <= 0:
             raise ConfigError("need total_steps >= 1 and dt > 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

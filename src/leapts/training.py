@@ -48,6 +48,8 @@ class TrainConfig:
         _check_types(self, ints[:-1] if self.max_batches_per_epoch is None else ints, ("normalize",))
         if not 0 < self.lr:
             raise ConfigError(f"lr must be positive, got {self.lr}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.batch_size < 1 or self.max_epochs < 1:

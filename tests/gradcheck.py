@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .optim import ParamStore
+from leapts.optim import ParamStore
 
 __all__ = ["finite_difference_grads", "max_relative_error"]
 

@@ -1,35 +1,116 @@
-"""Per-op tape oracle: the autodiff primitives that ``leapts`` no longer
-needs, and the scheduling loop composed of them one tape node per
-operation, as it ran before the loop became one node.
+"""Per-op tape oracle: autodiff primitives that ``leapts`` does not use,
+and the whole model composed of them one tape node per operation: the
+encoder, the coarse head, the initial state, the scheduling loop, the
+fusion gate, ``window_norm`` and the Huber loss, as the model ran before it
+became one node with a hand-written reverse pass.
 
-Tests compare the library's one-node loop (``engine.step`` and
-``engine.step_vjp``) with this composition: same forecasts, traces and
-noise, gradients within rounding. Nothing here is imported by ``src/``.
+Tests compare the library's one-node model (``forward.forward_rows``, whose
+reverse pass runs ``engine.step_vjp`` over the loop) with this
+composition: same forecasts, traces and noise, gradients within rounding.
+Nothing here is imported by ``src/``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from leapts.autodiff import (
-    Tensor,
-    _as_tensor,
-    _record,
-    _stable_sigmoid,
-    _unbroadcast,
-    add,
-    linear,
-    mul,
-    sigmoid,
-)
+from leapts.autodiff import Tensor, _record, _stable_sigmoid, huber_loss
 from leapts.controller import round_and_clip_rows
+from leapts.data import zscore_stats
 from leapts.engine import StepDebug, _pack_override
-from leapts.errors import ConfigError, DataError, ShapeError
-from leapts.model import LeapTS, _mlp_apply
+from leapts.errors import ConfigError, DataError, NumericError, ShapeError
+from leapts.forward import _rows_from_batch
+from leapts.model import LeapTS
 from leapts.traces import ScheduleTrace, TraceStep, decompose_update
 
 
 # -- primitives --------------------------------------------------------------
+
+
+def _as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _record_pre(op: str, out_data, parents, fn, pre) -> Tensor:
+    """`_record` for an op that scans its pre-activation, not its result: a
+    saturating function would map an overflow to a finite value."""
+    if not np.all(np.isfinite(pre)):
+        raise NumericError(f"{op}: non-finite values in pre-activation")
+    return _record(op, out_data, parents, fn, scan=False)
+
+
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """Reduce gradient ``g`` back to ``shape`` after numpy broadcasting."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def add(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    try:
+        out = a.data + b.data
+    except ValueError:
+        raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}") from None
+    return _record(
+        "add",
+        out,
+        (a, b),
+        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+    )
+
+
+def mul(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    try:
+        out = a.data * b.data
+    except ValueError:
+        raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}") from None
+    return _record(
+        "mul",
+        out,
+        (a, b),
+        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
+    )
+
+
+def linear(x, w, b, act=None) -> Tensor:
+    """Dense layer ``act(x @ w + b)`` as one node; ``act`` is None or "tanh".
+
+    ``x`` is [R x n], ``w`` [n x m] and ``b`` [m]. The backward makes the
+    numpy calls of ``tanh(add(matmul(x, w), b))`` in the same order, so its
+    gradients equal the composition's bit for bit. With tanh the pre-activation
+    is scanned, as tanh would saturate an overflow to a finite value.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if act not in (None, "tanh"):
+        raise ValueError(f"linear: act must be None or 'tanh', got {act!r}")
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} not aligned")
+    pre = x.data @ w.data
+    pre += b.data
+    y = np.tanh(pre) if act == "tanh" else pre
+
+    def fn(g):
+        if act == "tanh":
+            g = g * (1.0 - y * y)
+        return (g @ w.data.T, x.data.T @ g, g.sum(axis=0))
+
+    if act == "tanh":
+        return _record_pre("linear", y, (x, w, b), fn, pre)
+    return _record("linear", y, (x, w, b), fn)
+
+
+def sigmoid(a) -> Tensor:
+    a = _as_tensor(a)
+    y = _stable_sigmoid(a.data)
+    return _record("sigmoid", y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
 def sub(a, b) -> Tensor:
@@ -87,7 +168,7 @@ def gated_sigmoid(sel, offs, scale: float, gate) -> Tensor:
     def fn(g):
         return (_unbroadcast(g * gate * y * (1.0 - y) * scale, sel.shape),)
 
-    return _record("gated_sigmoid", y * gate, (sel,), fn, pre=z)
+    return _record_pre("gated_sigmoid", y * gate, (sel,), fn, z)
 
 
 def softmax(a) -> Tensor:
@@ -205,6 +286,13 @@ def rowwise_matvec(fields: Tensor, vec: Tensor) -> Tensor:
 def detach(a: Tensor) -> Tensor:
     """Leaf copy of the value; gradients never flow through it."""
     return Tensor(a.data.copy())
+
+
+def _mlp_apply(store, prefix, x: Tensor, n_layers: int) -> Tensor:
+    for i in range(n_layers):
+        act = "tanh" if i < n_layers - 1 else None
+        x = linear(x, store[f"{prefix}_w{i}"], store[f"{prefix}_b{i}"], act)
+    return x
 
 
 # -- the scheduling loop, one tape node per operation --------------------------
@@ -562,3 +650,69 @@ def run_schedule_rows(
 
     return rows_to(done, R, P), traces, noise_record
 
+
+
+# -- the whole model, one tape node per operation ------------------------------
+
+
+def forward_rows(
+    model: LeapTS,
+    inputs: np.ndarray,
+    mode: str = "eval",
+    rng: np.random.Generator | None = None,
+    frozen_noise=None,
+    override=None,
+    trace_meta=None,
+    debug=None,
+    gumbel_temp=None,
+):
+    """``forward.forward_rows`` composed of the primitives above: the same
+    arguments and outputs, with every row tensor a per-op tape node."""
+    cfg, store = model.config, model.store
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 3 or inputs.shape[1:] != (cfg.look_back, cfg.n_variates):
+        raise ShapeError(
+            f"forward: expected [B x {cfg.look_back} x {cfg.n_variates}], got {inputs.shape}"
+        )
+    if not np.all(np.isfinite(inputs)):
+        raise NumericError("forward: non-finite values in input batch")
+    b = inputs.shape[0]
+    hist = _rows_from_batch(inputs)
+
+    if cfg.window_norm:
+        mu, sd = zscore_stats(hist, axis=1)
+        hist = (hist - mu) / sd
+    else:
+        mu = sd = None
+
+    z = _mlp_apply(store, "enc", Tensor(hist), len(cfg.enc_hidden) + 1)
+    coarse = linear(z, store["coarse_w"], store["coarse_b"])
+
+    traces, noise = None, None
+    if model.ablation == "no_sched":
+        sched = Tensor(np.zeros((b * cfg.n_variates, cfg.horizon)))
+        fused = coarse
+    else:
+        h1 = linear(z, store["state_init_w"], store["state_init_b"], "tanh")
+        row_clusters = np.tile(model.cluster_of_variate, b)
+        sched, traces, noise = run_schedule_rows(
+            model, h1, row_clusters, mode=mode, rng=rng, frozen_noise=frozen_noise,
+            override=override, trace_meta=trace_meta, debug=debug, gumbel_temp=gumbel_temp,
+        )
+        fused = add(coarse, mul(sched, sigmoid(store["fuse_logit"])))
+
+    if cfg.window_norm:
+        coarse = add(mul(coarse, sd), mu)
+        sched = mul(sched, sd)
+        fused = add(mul(fused, sd), mu)
+
+    return {"coarse": coarse, "sched": sched, "fused": fused, "traces": traces, "noise": noise}
+
+
+def forward_loss(model: LeapTS, inputs, targets, mode="train", rng=None, delta=1.0,
+                 frozen_noise=None, gumbel_temp=None):
+    """Huber loss of the per-op model's fused forecast against targets [B x P x N]."""
+    out = forward_rows(model, inputs, mode=mode, rng=rng, frozen_noise=frozen_noise,
+                       gumbel_temp=gumbel_temp)
+    target_rows = _rows_from_batch(np.asarray(targets, dtype=np.float64))
+    return huber_loss(out["fused"], Tensor(target_rows), delta=delta), out

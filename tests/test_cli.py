@@ -431,6 +431,29 @@ def test_train_rejects_invalid_train_config(tiny_csv, capsys, tmp_path, argv, cf
     assert out == "" and not ckpt.exists()
 
 
+@pytest.mark.parametrize("entry", ["gen", "train", "eval", "config_file"])
+def test_negative_seed_exits_2(tiny_csv, tiny_ckpt, capsys, tmp_path, entry):
+    """A negative seed is a config error (exit 2), not a traceback from the
+    random generator, in every command that takes one and in a config file."""
+    out = str(tmp_path / "out")
+    train = ["train", "--data", str(tiny_csv), "--L", "24", "--P", "6", "--out", out,
+             "--epochs", "1", "--max-batches", "1"]
+    if entry == "config_file":
+        cfg_path = tmp_path / "seed.json"
+        cfg_path.write_text(json.dumps({"model": {"seed": -1}}))
+    argv = {
+        "gen": ["gen", "--scenario", "3", "--out", out, "--steps", "100", "--seed", "-1"],
+        "train": [*train, "--seed", "-1"],
+        "eval": ["eval", "--ckpt", str(tiny_ckpt), "--data", str(tiny_csv),
+                 "--override", "monte_carlo:3", "--seed", "-1"],
+        "config_file": [*train, "--config", str(tmp_path / "seed.json")],
+    }[entry]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "seed" in err and ">= 0" in err and "Traceback" not in err
+    assert stdout == "" and not (tmp_path / "out").exists()
+
+
 def test_config_file_accepts_every_field_at_its_default(tiny_csv, capsys, tmp_path):
     flag_fields = {"look_back", "horizon", "n_variates"}
     model = {f.name: f.default for f in fields(ModelConfig) if f.name not in flag_fields}

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import leapts.autodiff as ad
 import tape_ops as ops
 from leapts.autodiff import Tape, Tensor
 from leapts.controller import (
@@ -201,7 +200,7 @@ def test_straight_through_gradient_matches_soft_path_fd():
         soft, hard = ops.gumbel_softmax_select(ops.matmul(Tensor(h_val), w), tau=1.0, noise=noise)
         lengths = ops.length_candidates(Tensor(np.zeros((1, 4))), anchors, heads)
         routed = ops.straight_through(soft, hard)
-        loss = ops.tsum(ad.mul(lengths, routed))
+        loss = ops.tsum(ops.mul(lengths, routed))
         tape.backward(loss)
     analytic = w.grad.copy()
 

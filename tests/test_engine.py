@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import leapts.autodiff as ad
 import leapts.engine as engine
 import tape_ops as ops
 import leapts.forward as forward
@@ -94,14 +93,13 @@ def test_soft_mask_gradient_flows_to_length():
     s["seg_head_single_b"].data[:] = 1.0  # a segment of ones: the forecast is the mask
     s["len_head_single_w"].data[:] = 0.0
     s["len_head_single_b"].data[:] = 0.0  # length 2.5 of [1, 4]
-    h = Tensor(np.zeros((1, 8)), requires_grad=True)
-    with Tape() as tape:
-        y, traces, _ = run_schedule_rows(model, h, one_cluster(1), trace_meta=(
-            np.zeros(1), np.zeros(1), np.zeros(1)))
-        model.store.zero_grads()
-        tape.backward(ops.tsum(y))
+    with Tape():
+        y, traces, _, steps = run_schedule_rows(model, np.zeros((1, 8)), one_cluster(1),
+                                                trace_meta=(np.zeros(1), np.zeros(1), np.zeros(1)))
+    grads = {}
+    engine.schedule_vjp(model, steps, np.ones_like(y), grads)
     assert [st.len_cont for st in traces[0].steps] == [2.5, 2.5]
-    assert s["len_head_single_b"].grad[0] > 0.0
+    assert grads["len_head_single_b"][0] > 0.0
 
 
 def _four_op_mask(sel, cursor, P, gamma):
@@ -109,7 +107,7 @@ def _four_op_mask(sel, cursor, P, gamma):
     tau = np.arange(1, P + 1, dtype=np.float64)
     indicator = (tau[None, :] >= cursor[:, None]).astype(np.float64)
     offs = tau[None, :] - cursor[:, None].astype(np.float64) + 0.5
-    return ad.mul(ad.sigmoid(ad.mul(ops.sub(sel, offs), 1.0 / gamma)), indicator)
+    return ops.mul(ops.sigmoid(ops.mul(ops.sub(sel, offs), 1.0 / gamma)), indicator)
 
 
 def test_soft_mask_matches_the_four_op_composition_bit_for_bit(rng):
@@ -381,13 +379,14 @@ def test_cluster_validates_inputs(rng):
 # -- the scheduling loop ---------------------------------------------------------
 
 
-def run_rows(model, n_windows=1, mode="eval", rng=None, seed=0, **kw):
+def run_rows(model, n_windows=1, mode="eval", rng=None, seed=0, fwd=forward_rows, **kw):
+    """``fwd`` (the model's forward, or the per-op oracle's) on random windows."""
     data_rng = np.random.default_rng(seed)
     x = data_rng.normal(size=(n_windows, model.config.look_back, model.config.n_variates))
     n = model.config.n_variates
     r = n_windows * n
     meta = (np.repeat(np.arange(n_windows), n), np.tile(np.arange(n), n_windows), np.zeros(r))
-    return forward_rows(model, x, mode=mode, rng=rng, trace_meta=meta, **kw)
+    return fwd(model, x, mode=mode, rng=rng, trace_meta=meta, **kw)
 
 
 def test_forced_lengths_two_steps():
@@ -569,7 +568,7 @@ def test_end_to_end_gradient_through_loop(rng):
     """Soft-mode full-loop gradients (including through the mask length)
     match finite differences."""
     from leapts.forward import _rows_from_batch
-    from leapts.gradcheck import finite_difference_grads, max_relative_error
+    from gradcheck import finite_difference_grads, max_relative_error
 
     cfg = toy_config(seed=3)
     model = LeapTS(cfg)
@@ -583,7 +582,7 @@ def test_end_to_end_gradient_through_loop(rng):
         out = forward_rows(model, x, mode="soft", frozen_noise=frozen)
         diff = ops.sub(out["fused"], Tensor(ty))
         model.store.zero_grads()
-        tape.backward(ad.mul(ops.tsum(ad.mul(diff, diff)), 1.0 / ty.size))
+        tape.backward(ops.mul(ops.tsum(ops.mul(diff, diff)), 1.0 / ty.size))
     analytic = model.store.grads()
 
     names = ["len_head_short_w", "category_proj", "ctrl_field_g0_b1", "summary_w", "fuse_logit"]
@@ -599,12 +598,12 @@ def test_end_to_end_gradient_through_loop(rng):
 
 
 def test_run_schedule_public_surface(toy_model):
-    z = toy_model.encode_rows(Tensor(np.random.default_rng(1).normal(size=(2, 24))))
+    z = toy_model.encode_rows(np.random.default_rng(1).normal(size=(2, 24)))[-1]
     h = toy_model.init_state_rows(z)
     meta = (np.zeros(2), np.arange(2), np.zeros(2))
     clusters = np.zeros(2, dtype=np.int64)
-    y, traces, noise = run_schedule_rows(toy_model, h, clusters, trace_meta=meta)
-    assert y.shape == (2, 8)
+    y, traces, noise, steps = run_schedule_rows(toy_model, h, clusters, trace_meta=meta)
+    assert y.shape == (2, 8) and steps == []  # no tape: nothing saved
     assert len(traces) == 2
     assert all(tr.steps[-1].cursor_after > 8 for tr in traces)
     assert len(noise) == max(tr.n_steps for tr in traces)
@@ -624,20 +623,33 @@ def _schedule(traces):
 def _each_row_alone(model, h, row_clusters, mode="eval", rng=None, frozen_noise=None,
                     override=None, trace_meta=None, debug=None, gumbel_temp=None):
     """`run_schedule_rows` on each row alone (R=1, so no row ever leaves
-    early), with the given noise sliced to that row; forecasts in row order."""
-    R = h.shape[0]
-    parts, traces = [], []
-    for r in range(R):
-        y, tr, _ = run_schedule_rows(
-            model, ops.tslice(h, [r]), row_clusters[[r]], mode=mode,
+    early), with the given noise sliced to that row; forecasts in row order,
+    and each row's saved steps for `_each_row_alone_vjp`."""
+    out, traces, steps = np.zeros((h.shape[0], model.config.horizon)), [], []
+    for r in range(h.shape[0]):
+        out[r], tr, _, row_steps = run_schedule_rows(
+            model, h[[r]], row_clusters[[r]], mode=mode,
             frozen_noise=None if frozen_noise is None else [
                 None if n is None else n[[r]] for n in frozen_noise],
             override=None if override is None else [override[r]],
             trace_meta=tuple(m[[r]] for m in trace_meta), gumbel_temp=gumbel_temp,
         )
-        parts.append((np.array([r]), y))
         traces += tr
-    return ops.rows_to(parts, R, model.config.horizon), traces, frozen_noise
+        steps.append(row_steps)
+    return out, traces, frozen_noise, steps
+
+
+def _each_row_alone_vjp(model, steps, g_out, grads):
+    """`engine.schedule_vjp` of each row alone, as `_each_row_alone` ran it;
+    each row's parameter cotangents are summed, then added into ``grads``
+    from the last row to the first."""
+    g_h = np.zeros((len(steps), model.config.hidden_dim))
+    for r in reversed(range(len(steps))):
+        row_grads = {}
+        g_h[r] = engine.schedule_vjp(model, steps[r], g_out[[r]], row_grads)[0]
+        for name, g in row_grads.items():
+            engine._accumulate(grads, name, g)
+    return g_h
 
 
 def _assert_close(got, want, what):
@@ -689,13 +701,14 @@ def test_batched_run_matches_each_row_run_alone(n_clusters, degenerate, case, wi
             out = run_rows(model, n_windows=n_windows, rng=np.random.default_rng(seed), seed=seed,
                            **{**kw, **extra})
             if tape:
-                t.backward(ops.tsum(ad.mul(out["fused"], weight)))
+                t.backward(ops.tsum(ops.mul(out["fused"], weight)))
         return out, model.store.grads() if tape else None
 
     free, _ = run(tape=False)
     taped, grads = run(tape=True)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(forward, "run_schedule_rows", _each_row_alone)
+        mp.setattr(forward, "schedule_vjp", _each_row_alone_vjp)
         alone, alone_grads = run(tape=True, frozen_noise=kw.get("frozen_noise", free["noise"]))
     assert free["fused"].data.shape == (rows, horizon)
     for out in (free, taped):
@@ -833,24 +846,29 @@ def test_tape_free_step_runs_only_the_routed_head_and_own_cluster_fields(monkeyp
     assert {name: seen[name] for name in layers} == want
 
 
-# -- the one-node loop against the per-op tape --------------------------------
+# -- the one-node model against the per-op tape --------------------------------
+
+_SHAPES = ("desk", "g3c3", "window_norm", "no_sched", "no_high_level")
 
 
 def _loop_case(shape, mode):
     """A fixed untrained model and the `run_rows` arguments of one loop mode:
-    "desk" is single level with one cluster, "g3c3" has three scales and
-    three clusters. Returns (model, n_windows, kwargs, the data rng)."""
+    "desk" is single level with one cluster; "g3c3" has three scales and
+    three clusters; "window_norm" is g3c3 with window normalization and a
+    two-layer encoder; "no_sched" and "no_high_level" are g3c3's ablations.
+    Returns (model, n_windows, kwargs, the data rng)."""
+    capped = 2 if mode == "forced" else None
     if shape == "desk":  # single level, one cluster
-        cfg = toy_config(look_back=48, horizon=12, n_variates=1, seed=5,
-                         max_steps=2 if mode == "forced" else None)
+        cfg = toy_config(look_back=48, horizon=12, n_variates=1, seed=5, max_steps=capped)
         n_windows = 8
     else:  # three scales, three clusters
+        extra = {"window_norm": True, "enc_hidden": (16, 8)} if shape == "window_norm" else {}
         cfg = toy_config(look_back=16, horizon=12, n_variates=3, n_clusters=3, seed=5,
-                         max_steps=2 if mode == "forced" else None)
+                         max_steps=capped, **extra)
         n_windows = 4
-    model = LeapTS(cfg)
+    model = LeapTS(cfg, ablation=shape if shape in ("no_sched", "no_high_level") else "none")
     model.cluster_of_variate = np.arange(cfg.n_variates) % cfg.n_clusters
-    assert model.anchors.degenerate == (shape == "desk")
+    assert model.anchors.degenerate == (shape in ("desk", "no_high_level"))
     rows, C = n_windows * cfg.n_variates, model.anchors.n_categories
     data_rng = np.random.default_rng(17)
     kw = {"mode": mode}
@@ -862,53 +880,75 @@ def _loop_case(shape, mode):
             for _ in range(rows)]}
     elif mode == "forced":
         kw["mode"] = "eval"
-        for name in model.anchors.category_names():
+        for name in model.anchors.category_names() if shape != "no_sched" else ():
             model.store[f"len_head_{name}_b"].data[:] = -3.0  # too short to finish in 2 steps
     return model, n_windows, kw, data_rng
 
 
-@pytest.mark.parametrize("mode", ["train", "eval", "soft", "override", "forced"])
-@pytest.mark.parametrize("shape", ["desk", "g3c3"])
+@pytest.mark.parametrize("shape, mode", [
+    *((shape, mode) for shape in _SHAPES if shape != "no_sched"
+      for mode in ("train", "eval", "soft", "override", "forced")),
+    ("no_sched", "eval"),
+])
 def test_loop_node_gradients_match_the_per_op_tape(shape, mode):
-    """The loop's one tape node (``step`` forward, ``step_vjp`` reverse)
-    against the same loop composed one tape node per operation
-    (tests/tape_ops.py): schedules and noise equal; forecasts and every
-    parameter's gradient equal bit for bit for a single category, within
-    1e-12 of the largest entry for three (the oracle sums every segment head
-    under a one-hot route where the loop runs only the chosen one). The
-    taped forecasts equal a tape-free run's bit for bit."""
+    """The model's one tape node (array forward, hand-written reverse pass
+    with ``step_vjp`` over the loop) against the same model composed one
+    tape node per operation (tests/tape_ops.py): schedules and noise equal;
+    forecasts and every parameter's gradient equal bit for bit for a single
+    category, within 1e-12 of the largest entry for three (the oracle sums
+    every segment head under a one-hot route where the loop runs only the
+    chosen one). The taped forecasts equal a tape-free run's bit for bit."""
     model, n_windows, kw, data_rng = _loop_case(shape, mode)
     cfg = model.config
     weight = data_rng.normal(size=(n_windows * cfg.n_variates, cfg.horizon))
 
-    def run():
+    def run(fwd):
         model.store.zero_grads()
         with Tape() as tape:
-            out = run_rows(model, n_windows=n_windows, rng=np.random.default_rng(3), **kw)
-            tape.backward(ops.tsum(ad.mul(out["fused"], weight)))
+            out = run_rows(model, n_windows=n_windows, rng=np.random.default_rng(3), fwd=fwd, **kw)
+            tape.backward(ops.tsum(ops.mul(out["fused"], weight)))
         return out, {k: g.copy() for k, g in model.store.grads().items()}, len(tape.nodes)
 
-    node, node_grads, n_nodes = run()
+    node, node_grads, n_nodes = run(forward_rows)
     free = run_rows(model, n_windows=n_windows, rng=np.random.default_rng(3), **kw)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(forward, "run_schedule_rows", ops.run_schedule_rows)
-        per_op, per_op_grads, per_op_nodes = run()
+    per_op, per_op_grads, per_op_nodes = run(ops.forward_rows)
     assert np.array_equal(node["fused"].data, free["fused"].data)
-    assert _schedule(node["traces"]) == _schedule(per_op["traces"])
-    assert any(s.forced for tr in node["traces"] for s in tr.steps) == (mode == "forced")
-    for a, b in zip(node["noise"], per_op["noise"]):
-        assert (a is None and b is None) or np.array_equal(a, b)
-    assert n_nodes == 10 and per_op_nodes > 50  # encoder 2, coarse, state, loop, fuse 3, loss 2
-    exact = shape == "desk"
-    pairs = [("fused", node["fused"].data, per_op["fused"].data)] + [
-        (name, node_grads[name], want) for name, want in per_op_grads.items()]
+    assert n_nodes == 3  # the model, the weighting and the sum
+    if shape == "no_sched":
+        assert node["traces"] is per_op["traces"] is None and per_op_nodes == 5
+    else:
+        assert _schedule(node["traces"]) == _schedule(per_op["traces"])
+        assert any(s.forced for tr in node["traces"] for s in tr.steps) == (mode == "forced")
+        for a, b in zip(node["noise"], per_op["noise"]):
+            assert (a is None and b is None) or np.array_equal(a, b)
+        assert per_op_nodes > 50
+    exact = model.anchors.n_categories == 1 or shape == "no_sched"
+    pairs = [(name, node[name].data, per_op[name].data) for name in ("coarse", "sched", "fused")]
+    pairs += [(name, node_grads[name], want) for name, want in per_op_grads.items()]
     for name, got, want in pairs:
         if exact:
             assert np.array_equal(got, want), name
         else:
             _assert_close(got, want, name)
-        assert np.abs(want).max() > 0.0 or name.startswith("len_head") and mode in (
-            "override", "forced")
+        unread = name.startswith("len_head") and mode in ("override", "forced")
+        assert np.abs(want).max() > 0.0 or unread or name == "sched" and shape == "no_sched"
+
+
+@pytest.mark.parametrize("shape", ["no_sched", "no_high_level", "window_norm"])
+def test_tape_changes_no_forecast_bit_in_any_variant(shape):
+    """Both ablations and window normalization: taped and tape-free coarse,
+    scheduled and fused forecasts and schedules are bit-identical in every
+    loop mode."""
+    for mode in ("train", "eval", "soft", "override", "forced"):
+        model, n_windows, kw, _ = _loop_case(shape, mode)
+        free = run_rows(model, n_windows=n_windows, rng=np.random.default_rng(3), **kw)
+        with Tape() as tape:
+            taped = run_rows(model, n_windows=n_windows, rng=np.random.default_rng(3), **kw)
+        assert len(tape.nodes) == 1, mode
+        for name in ("coarse", "sched", "fused"):
+            assert np.array_equal(taped[name].data, free[name].data), (mode, name)
+        if shape != "no_sched":
+            assert _schedule(taped["traces"]) == _schedule(free["traces"]), mode
 
 
 _STAGE_OF_FAULT = {
@@ -935,10 +975,9 @@ def test_nonfinite_step_names_the_op_the_per_op_tape_named(name, value, tape):
     model.cluster_of_variate = np.arange(3)
     model.store[name].data.flat[0] = value
     messages = []
-    for loop in (run_schedule_rows, ops.run_schedule_rows):
-        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
-            mp.setattr(forward, "run_schedule_rows", loop)
+    for fwd in (forward_rows, ops.forward_rows):
+        with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError) as err, Tape() if tape else contextlib.nullcontext():
-                run_rows(model, n_windows=2, mode="train", rng=np.random.default_rng(0))
+                run_rows(model, n_windows=2, mode="train", rng=np.random.default_rng(0), fwd=fwd)
         messages.append(str(err.value))
     assert messages[0] == f"schedule step 0: non-finite values in {_STAGE_OF_FAULT[name]}"

@@ -1,6 +1,7 @@
 import json
 import tempfile
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leapts.autodiff import Tape, Tensor
 from leapts.errors import ConfigError, DataError, NumericError, ShapeError
-from leapts.forward import forecast, predict_batch
+from leapts.autodiff import Tape
+from leapts.forward import forecast, forward_rows, predict_batch
 from leapts.model import LeapTS, ModelConfig
 from leapts.training import TrainConfig
 
@@ -39,6 +40,10 @@ def test_config_validation():
                         "patience": False, "normalize": 0}.items():
         with pytest.raises(ConfigError, match=rf"{name} has the wrong type \("):
             TrainConfig(**{name: value})
+    with pytest.raises(ConfigError, match="requires seed >= 0$"):
+        ModelConfig(look_back=8, horizon=8, n_variates=1, seed=-1)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1$"):
+        TrainConfig(seed=-1)
     cfg = ModelConfig(look_back=np.int64(8), horizon=8, n_variates=1, enc_hidden=[np.int32(4)])
     assert type(cfg.look_back) is int and cfg.enc_hidden == (4,)
     assert type(cfg.enc_hidden[0]) is int
@@ -47,7 +52,7 @@ def test_config_validation():
 
 def encode(model, window):
     """Latents [N x latent_dim] of one window [L x N], one row per variate."""
-    return model.encode_rows(Tensor(window.T)).data
+    return model.encode_rows(window.T)[-1]
 
 
 def test_encode_shape_contract():
@@ -65,11 +70,30 @@ def test_encode_rejects_bad_input(toy_model):
         predict_batch(toy_model, bad)
 
 
-def test_dense_layer_is_one_tape_node(toy_model, rng):
-    """The two-layer encoder records two nodes: bias and tanh ride in `linear`."""
-    with Tape() as tape:
-        toy_model.encode_rows(Tensor(rng.normal(size=(3, 24))))
-    assert len(tape.nodes) == 2
+_SKELETON_FAULTS = [  # (parameter, value, the stage it makes non-finite)
+    ("enc_w0", np.inf, "encoder layer 0 pre-activation"),
+    ("enc_b1", np.nan, "encoder layer 1 output"),
+    ("coarse_w", np.inf, "coarse forecast"),
+    ("state_init_b", np.nan, "initial state pre-activation"),
+    ("fuse_logit", np.nan, "fusion gate"),
+    ("coarse_b", 1e308, "rescaled coarse forecast"),  # with window_norm: times sd > 1
+]
+
+
+def test_skeleton_stage_names_its_numeric_error(rng):
+    """A non-finite value made outside the scheduling loop raises
+    `NumericError` naming the stage that made it, with and without a tape."""
+    x = 5.0 * rng.normal(size=(2, 24, 2))
+    for name, value, stage in _SKELETON_FAULTS:
+        model = LeapTS(toy_config(window_norm=stage.startswith("rescaled")))
+        model.store[name].data.flat[0] = value
+        for taped in (False, True):
+            with pytest.raises(NumericError, match=f"^non-finite values in {stage}$"), \
+                    np.errstate(over="ignore", invalid="ignore"), Tape() if taped else nullcontext():
+                forward_rows(model, x, mode="eval")
+    with pytest.raises(NumericError, match="^non-finite values in fused forecast$"):
+        with np.errstate(over="ignore"):
+            LeapTS(toy_config()).fuse(np.full((1, 1), 1.7e308), np.full((1, 1), 1.7e308))
 
 
 def test_zero_window_gives_equal_rows(toy_model):
@@ -93,38 +117,38 @@ def test_variate_permutation_permutes_latents(rng):
 
 
 def test_coarse_zero_latent_zero_forecast(toy_model):
-    out = toy_model.coarse_rows(Tensor(np.zeros((2, 8))))
-    assert np.array_equal(out.data, np.zeros((2, 8)))
+    out = toy_model.coarse_rows(np.zeros((2, 8)))
+    assert np.array_equal(out, np.zeros((2, 8)))
 
 
 def test_coarse_shape_and_linearity(rng):
     model = LeapTS(ModelConfig(look_back=96, horizon=60, n_variates=7, hidden_dim=16))
     z = rng.normal(size=(7, 16))
-    one = model.coarse_rows(Tensor(z))
-    two = model.coarse_rows(Tensor(2.0 * z))
+    one = model.coarse_rows(z)
+    two = model.coarse_rows(2.0 * z)
     assert one.shape == (7, 60)
-    assert np.allclose(two.data, 2.0 * one.data, atol=1e-12)  # biases init to zero
+    assert np.allclose(two, 2.0 * one, atol=1e-12)  # biases init to zero
 
 
 def test_fuse_identity_and_gate(toy_model, rng):
-    coarse = Tensor(np.array([[1.0, 1.0]]))
-    sched = Tensor(np.array([[2.0, 2.0]]))
+    coarse = np.array([[1.0, 1.0]])
+    sched = np.array([[2.0, 2.0]])
     assert toy_model.alpha == 0.5  # logit initialized at zero
     fused = toy_model.fuse(coarse, sched)
-    assert np.array_equal(fused.data, [[2.0, 2.0]])
+    assert np.array_equal(fused, [[2.0, 2.0]])
 
     toy_model.store["fuse_logit"].data[:] = -40.0  # gate closed
     fused = toy_model.fuse(coarse, sched)
-    assert np.allclose(fused.data, coarse.data, atol=1e-15)
+    assert np.allclose(fused, coarse, atol=1e-15)
     assert 0.0 < toy_model.alpha < 1.0
 
 
 def test_alpha_is_the_gate_fuse_applies():
     model = LeapTS(toy_config())
-    zeros, ones = Tensor(np.zeros((1, 1))), Tensor(np.ones((1, 1)))
+    zeros, ones = np.zeros((1, 1)), np.ones((1, 1))
     for logit in (-3.7, 0.0, 5.0):
         model.store["fuse_logit"].data[:] = logit
-        assert model.alpha == model.fuse(zeros, ones).data[0, 0]
+        assert model.alpha == model.fuse(zeros, ones)[0, 0]
     model.store["fuse_logit"].data[:] = -800.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -138,13 +162,13 @@ def test_fusion_identity_full_forward(rng):
 
 
 def test_init_state_zero_and_bounded(toy_model, rng):
-    h0 = toy_model.init_state_rows(Tensor(np.zeros((2, 8))))
-    assert np.array_equal(h0.data, np.zeros((2, 8)))
-    h = toy_model.init_state_rows(Tensor(rng.normal(size=(2, 8))))
-    assert np.abs(h.data).max() < 1.0
+    h0 = toy_model.init_state_rows(np.zeros((2, 8)))
+    assert np.array_equal(h0, np.zeros((2, 8)))
+    h = toy_model.init_state_rows(rng.normal(size=(2, 8)))
+    assert np.abs(h).max() < 1.0
     # float64 tanh saturates to exactly 1 for huge inputs; still bounded
-    h = toy_model.init_state_rows(Tensor(rng.normal(scale=1e6, size=(2, 8))))
-    assert np.abs(h.data).max() <= 1.0
+    h = toy_model.init_state_rows(rng.normal(scale=1e6, size=(2, 8)))
+    assert np.abs(h).max() <= 1.0
 
 
 def test_forward_outputs_finite_over_random_inputs(rng):
