@@ -117,14 +117,15 @@ def _record(op: str, out_data: np.ndarray, parents, fn, scan=True) -> Tensor:
     return out
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+def _stable_sigmoid(x: np.ndarray, out=None, work=None) -> np.ndarray:
+    """Sigmoid of ``x`` into ``out`` (may be ``x``), ``work`` as scratch."""
     if x.ndim == 0:  # ufuncs return scalars on 0-d input; the in-place steps need an array
         return _stable_sigmoid(x.reshape(1)).reshape(())
     # exp(min(x, 0)) / (1 + exp(-|x|)) is 1/d where x >= 0 (also -0.0) and
     # e/d elsewhere, bit for bit; neither exp overflows, NaN stays NaN
-    y = np.minimum(x, 0.0)
+    d = np.abs(x, out=work)
+    y = np.minimum(x, 0.0, out=out)
     np.exp(y, out=y)
-    d = np.abs(x)
     np.negative(d, out=d)
     np.exp(d, out=d)
     d += 1.0

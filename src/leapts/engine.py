@@ -11,7 +11,9 @@ schedules its own path: a row leaves the batch at the end of the step
 that carries its cursor past the horizon, so every row in a step is still
 running. Each row runs only its own cluster's field MLPs and, under hard
 routing, only the segment head its routing chose. A tape changes no
-value: it only decides what `step` saves.
+value: it only decides what `step` saves. Tape-free, each step writes
+into [rows x horizon] work arrays the loop makes once per call; under a
+tape each step makes its own, as it saves them.
 
 `run_schedule_rows` composes `step` in every mode and, under a tape,
 returns the saved steps; `schedule_vjp` walks them in reverse through
@@ -61,15 +63,15 @@ __all__ = [
 # -- the operations of one scheduling step, batched over rows ---------------
 
 
-def _dense_vjp(grads, store, prefix, x, y, g, tanh=False, layer=""):
+def _dense_vjp(grads, store, prefix, x, y, g, tanh=False, layer="", dx=True):
     """Reverse of `_dense` with parameters ``{prefix}w{layer}`` and
     ``{prefix}b{layer}``: adds their cotangents into ``grads``, returns the
-    cotangent of ``x``."""
+    cotangent of ``x`` (None without ``dx``, when nothing reads it)."""
     if tanh:
         g = g * (1.0 - y * y)
     _accumulate(grads, f"{prefix}w{layer}", x.T @ g)
     _accumulate(grads, f"{prefix}b{layer}", g.sum(axis=0))
-    return g @ store[f"{prefix}w{layer}"].data.T
+    return g @ store[f"{prefix}w{layer}"].data.T if dx else None
 
 
 def _accumulate(grads, name, g):
@@ -90,17 +92,22 @@ def _rows_to(parts, n: int, width: int) -> np.ndarray:
     return out
 
 
-def soft_mask(sel: np.ndarray, cursor: np.ndarray, P: int, gamma: float) -> np.ndarray:
+def soft_mask(sel: np.ndarray, cursor: np.ndarray, P: int, gamma: float, out=None, work=None,
+              started=None) -> np.ndarray:
     """Sigmoid gate over the horizon per row [R x P]: exactly 0 before the
     row's cursor (so everywhere on a finished row, cursor P+1), then a
-    smooth cutoff ``gamma`` wide centered ``sel`` [R x 1] past the cursor."""
+    smooth cutoff ``gamma`` wide centered ``sel`` [R x 1] past the cursor.
+    It is written into ``out``, with ``work`` as scratch and the started
+    gate in the bool array ``started`` (None: fresh arrays)."""
     tau = np.arange(1, P + 1, dtype=np.float64)
-    started = tau[None, :] >= cursor[:, None]  # a bool gate multiplies as 0.0/1.0
-    offs = tau[None, :] - cursor[:, None].astype(np.float64)
-    offs += 0.5
-    z = sel - offs
+    started = np.greater_equal(tau[None, :], cursor[:, None], out=started)
+    z = np.subtract(tau[None, :], cursor[:, None].astype(np.float64), out=out)  # offsets
+    z += 0.5
+    np.subtract(sel, z, out=z)
     z *= 1.0 / gamma
-    return _stable_sigmoid(z) * started
+    mask = _stable_sigmoid(z, out=z, work=work)
+    mask *= started  # a bool gate multiplies as 0.0/1.0
+    return mask
 
 
 def _heads(model: LeapTS, kind: str):
@@ -109,33 +116,43 @@ def _heads(model: LeapTS, kind: str):
     return [(s[f"{kind}_{n}_w"].data, s[f"{kind}_{n}_b"].data) for n in names]
 
 
-def routed_segment(model: LeapTS, h: np.ndarray, route: np.ndarray, chosen=None):
+def routed_segment(model: LeapTS, h: np.ndarray, route: np.ndarray, chosen=None, out=None,
+                   work=None):
     """Full-horizon segment [R x P]: the sum over categories c of
     route[:, c] * seg_head_c(h).
 
     ``chosen`` [R] gives each row's category when routing is hard (``route``
     one-hot): each category's head then runs on its own rows only, which is
     that sum exactly. Without it (soft routing) every head runs on every row.
+    The segment is written into ``out``, with ``work`` [R x P] as scratch
+    (None: fresh arrays).
     """
     heads = _heads(model, "seg_head")
+    n = h.shape[0]
+    segment = np.empty((n, model.config.horizon)) if out is None else out
     if chosen is not None:
-        n, parts = h.shape[0], []
         for c, (w, b) in enumerate(heads):
             rows = np.flatnonzero(chosen == c)
-            if len(rows):
-                parts.append((rows, _dense(h if len(rows) == n else h[rows], w, b)[0]))
-        return _rows_to(parts, n, model.config.horizon)
-    segment = None
+            if len(rows) == n:
+                _dense(h, w, b, out=segment)
+            elif len(rows):  # each row has one head, so every row of segment is written
+                part = None if work is None else work[: len(rows)]
+                segment[rows] = _dense(h[rows], w, b, out=part)[0]
+        return segment
     for c, (w, b) in enumerate(heads):
-        seg_c = _dense(h, w, b)[0] * route[:, c : c + 1]
-        segment = seg_c if segment is None else segment + seg_c
+        seg_c = _dense(h, w, b, out=work if c else segment)[0]
+        seg_c *= route[:, c : c + 1]
+        if c:
+            segment += seg_c
     return segment
 
 
-def write_segment(segment: np.ndarray, mask: np.ndarray, accum: np.ndarray):
-    """Masked write: returns (accum + segment * mask, segment * mask)."""
-    masked = segment * mask
-    return accum + masked, masked
+def write_segment(segment: np.ndarray, mask: np.ndarray, accum: np.ndarray, out=None):
+    """Masked write: adds segment * mask into ``accum`` in place and returns
+    (accum, segment * mask), the latter written into ``out`` if given."""
+    masked = np.multiply(segment, mask, out=out)
+    accum += masked
+    return accum, masked
 
 
 def summarize_segment(masked_segment, summary_w, summary_b):
@@ -215,7 +232,7 @@ def evolve_state(model: LeapTS, h, u, du, dtau, row_clusters: np.ndarray, keep: 
 
 
 def step(model: LeapTS, state: tuple, mode: str, tau: float, noise=None, decision=None,
-         taped: bool = False):
+         taped: bool = False, work=None):
     """One scheduling step over the rows of ``state`` = (h, accum, cursor,
     prev_u, prev_soft, prev_summary, prev_len_norm, row_clusters).
 
@@ -224,6 +241,11 @@ def step(model: LeapTS, state: tuple, mode: str, tau: float, noise=None, decisio
     len_int) per row forces the step (override or forced completion);
     otherwise the length heads decide. ``taped`` changes no value: it only
     keeps the arrays `step_vjp` reads.
+
+    ``work`` = (started, mask, segment, masked): the [n x P] arrays (bool,
+    then float) the step writes into, None for fresh ones; the forecast
+    accumulates in ``state``'s array. Mask and segment columns written into
+    ``work`` are valid until the next step.
 
     Returns (next state, trace columns (category, soft, sel, len_int, mask,
     segment, ctrl_delta, time_delta), saved arrays or None).
@@ -257,11 +279,13 @@ def step(model: LeapTS, state: tuple, mode: str, tau: float, noise=None, decisio
         len_int = round_and_clip_rows(sel[:, 0], cursor, P)
 
     # segment for the selected category, soft-masked into the horizon;
-    # hard routing: route is one-hot and cat_idx names its category
+    # hard routing: route is one-hot and cat_idx names its category; the
+    # masked write's array is the scratch of the two calls before it
     hard_route = mode != "soft" or decision is not None
-    segment = routed_segment(model, h, route, cat_idx if hard_route else None)
-    mask = soft_mask(sel, cursor, P, cfg.mask_temp)
-    accum_next, masked = write_segment(segment, mask, accum)
+    started, mask, segment, masked = (None,) * 4 if work is None else work
+    segment = routed_segment(model, h, route, cat_idx if hard_route else None, segment, masked)
+    mask = soft_mask(sel, cursor, P, cfg.mask_temp, mask, masked, started)
+    accum_next, masked = write_segment(segment, mask, accum, masked)
     _check("written forecast", accum_next)
 
     # feedback and state evolution (uses the previous step's outcomes)
@@ -529,7 +553,8 @@ def run_schedule_rows(
     if override is not None:
         o_cat, o_cont, o_int, o_steps = _pack_override(override, R, C)
 
-    state = (h, np.zeros((R, P)), np.ones(R, dtype=np.int64), np.zeros((R, cfg.control_dim)),
+    out = np.zeros((R, P))  # accumulates until rows leave; each writes its own as it leaves
+    state = (h, out, np.ones(R, dtype=np.int64), np.zeros((R, cfg.control_dim)),
              np.full((R, C), 1.0 / C), np.zeros((R, cfg.summary_dim)), np.zeros((R, 1)),
              row_clusters)
 
@@ -542,9 +567,11 @@ def run_schedule_rows(
         ]
     noise_record: list = []
     live = np.arange(R)  # original row of each row still in the batch
-    out = np.zeros((R, P))  # forecast rows of the rows that have left
     h_out = np.zeros(h.shape)  # final states of the rows that have left
     steps = []  # under a tape: (live rows, rows kept after the step or None, saved)
+    # tape-free, each step writes into the first rows of these (the floats
+    # one block); under a tape each step makes its own, as it saves them
+    work = None if taped else (np.empty((R, P), dtype=bool), *np.empty((3, R, P)))
 
     def spread(x, left):  # [R x ...] in original row order, `left` on rows that left
         full = np.array(np.broadcast_to(left, (R,) + x.shape[1:]), dtype=x.dtype)
@@ -584,7 +611,8 @@ def run_schedule_rows(
         h_before = state[0]
         try:
             state, cols, saved = step(model, state, mode, tau,
-                                      None if noise is None else noise[live], decision, taped)
+                                      None if noise is None else noise[live], decision, taped,
+                                      None if work is None else tuple(a[:n] for a in work))
         except NumericError as exc:
             raise NumericError(f"schedule step {k}: {exc}") from None
         cat_idx, soft, sel, len_int, mask, segment, d_ctrl, d_time = cols

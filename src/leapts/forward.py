@@ -118,7 +118,7 @@ def forward_rows(
         for i in reversed(range(len(acts))):
             x = hist if i == 0 else acts[i - 1]
             g_z = _dense_vjp(grads, store, "enc_", x, acts[i], g_z, tanh=i < len(acts) - 1,
-                             layer=str(i))
+                             layer=str(i), dx=i > 0)  # nothing reads the histories' cotangent
         return tuple(grads.get(name) for name in store.params)
 
     fused = ad._record("model", fused, tuple(store.params.values()), backward, scan=False)

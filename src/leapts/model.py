@@ -106,15 +106,16 @@ def _mlp_params(store, rng, prefix, dims):
         store.add(f"{prefix}_b{i}", np.zeros(b))
 
 
-def _dense(x, w, b, tanh=False):
-    """``x @ w + b``, through tanh if asked: (output, pre-activation)."""
-    pre = x @ w
+def _dense(x, w, b, tanh=False, out=None):
+    """``x @ w + b``, through tanh if asked: (output, pre-activation). The
+    pre-activation is written into ``out`` if given."""
+    pre = np.matmul(x, w, out=out)
     pre += b
     return (np.tanh(pre) if tanh else pre), pre
 
 
 def _check(what: str, a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericError(f"non-finite values in {what}")
 
 
