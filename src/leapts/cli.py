@@ -185,6 +185,9 @@ def _parse_override(text):
 def cmd_eval(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    for flag, given in (("--trace", args.trace), ("--full-metrics", args.full_metrics)):
+        if args.override and given:  # an override run reports neither
+            raise ConfigError(f"--override cannot be combined with {flag}")
     model, _, windows = _load_for_eval(args)
     if args.override:
         kind, val = _parse_override(args.override)

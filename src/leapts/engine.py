@@ -4,7 +4,7 @@ controlled state evolution.
 
 One scheduling step is written once, as functions on numpy arrays:
 `step` composes the row-batched operations below and returns the next
-loop state, the trace columns and, under a tape, the arrays its reverse
+loop state, the step's columns and, under a tape, the arrays its reverse
 pass reads; `step_vjp` is that reverse pass, written by hand. The loop is
 batched over rows (one row = one variate of one window), and each row
 schedules its own path: a row leaves the batch at the end of the step
@@ -18,9 +18,11 @@ tape each step makes its own, as it saves them.
 `run_schedule_rows` composes `step` in every mode and, under a tape,
 returns the saved steps; `schedule_vjp` walks them in reverse through
 `step_vjp`. The model's one tape node (``forward.forward_rows``) calls it
-in its reverse pass. A step checks its values as it makes them; the first
-non-finite one raises `NumericError` naming the loop step and the stage
-(docs/formats.md lists the stages).
+in its reverse pass. What the loop decided leaves it as one `StepRecord`
+per step, when the caller asks for them; schedule traces are built from
+those records after the loop (``traces.build_traces``). A step checks its
+values as it makes them; the first non-finite one raises `NumericError`
+naming the loop step and the stage (docs/formats.md lists the stages).
 """
 
 from __future__ import annotations
@@ -38,9 +40,8 @@ from .controller import (
     round_and_clip_rows,
     route_lengths,
 )
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .model import LeapTS, _check, _dense
-from .traces import ScheduleTrace, TraceStep, decompose_update
 
 __all__ = [
     "soft_mask",
@@ -55,6 +56,7 @@ __all__ = [
     "ClusterAssignment",
     "series_features",
     "cluster_variates",
+    "StepRecord",
     "run_schedule_rows",
     "schedule_vjp",
 ]
@@ -247,7 +249,7 @@ def step(model: LeapTS, state: tuple, mode: str, tau: float, noise=None, decisio
     accumulates in ``state``'s array. Mask and segment columns written into
     ``work`` are valid until the next step.
 
-    Returns (next state, trace columns (category, soft, sel, len_int, mask,
+    Returns (next state, the step's columns (category, soft, sel, len_int, mask,
     segment, ctrl_delta, time_delta), saved arrays or None).
     """
     h, accum, cursor, prev_u, prev_soft, prev_summary, prev_len_norm, row_clusters = state
@@ -455,19 +457,21 @@ def cluster_variates(values: np.ndarray, n_clusters: int, seed: int = 0) -> Clus
 # -- the scheduling loop ----------------------------------------------------
 
 
-@dataclass
-class StepDebug:
-    """Per-step internals captured for verification."""
+class StepRecord(NamedTuple):
+    """What one loop step decided for the rows that ran it (``rows``, in
+    original row order); ``cursor`` is before the step. No column is a view
+    of the loop's work arrays."""
 
-    mask: np.ndarray
-    segment: np.ndarray
+    step: int
+    rows: np.ndarray
+    cursor: np.ndarray
+    category: np.ndarray
+    soft: np.ndarray
+    sel: np.ndarray  # [n x 1]
     len_int: np.ndarray
-    cursor_before: np.ndarray
-    h_before: np.ndarray
-    h_after: np.ndarray
     ctrl_delta: np.ndarray
     time_delta: np.ndarray
-    active: np.ndarray
+    forced: bool
 
 
 def _is_triple(step) -> bool:
@@ -516,8 +520,7 @@ def run_schedule_rows(
     rng: np.random.Generator | None = None,
     frozen_noise: list | None = None,
     override: list | None = None,
-    trace_meta: tuple | None = None,
-    debug: list | None = None,
+    records: list | None = None,
     gumbel_temp: float | None = None,
 ):
     """Run the scheduling loop for R rows, one `step` at a time. A row leaves
@@ -531,25 +534,24 @@ def run_schedule_rows(
 
     ``override`` forces decisions: per row, a list of
     (category, len_cont, len_int) tuples consumed one per step.
-    ``trace_meta`` = (window_ids, variate_ids, volatilities) enables trace
-    collection. ``debug``: a list that receives `StepDebug` records [R x ...];
-    a row that has left the batch reads as finished, with its final state.
+    ``records``: a list that receives one `StepRecord` per step, over the
+    rows that ran it (``traces.build_traces`` makes the schedule traces
+    from them).
 
-    Returns (accumulated forecast rows [R x P], traces or None,
-    recorded noise list usable as ``frozen_noise``: one [R x C] draw per step,
-    the saved steps `schedule_vjp` reads: empty without a tape).
+    Returns (accumulated forecast rows [R x P], the saved steps
+    `schedule_vjp` reads: empty without a tape, recorded noise list usable
+    as ``frozen_noise``: one [R x C] draw per step).
     """
     if mode not in ("train", "eval", "soft"):
-        raise ValueError(f"unknown schedule mode {mode!r}")
+        raise ConfigError(f"unknown schedule mode {mode!r}")
     cfg = model.config
     anchors = model.anchors
     P, C = cfg.horizon, anchors.n_categories
     if mode == "train" and C > 1 and rng is None and frozen_noise is None:
-        raise ValueError("train mode needs an rng (or frozen noise) for category selection")
+        raise ConfigError("train mode needs an rng (or frozen noise) for category selection")
     tau = cfg.gumbel_temp if gumbel_temp is None else gumbel_temp
     taped = ad._active_tape() is not None
     R = h.shape[0]
-    cat_names = anchors.category_names()
     if override is not None:
         o_cat, o_cont, o_int, o_steps = _pack_override(override, R, C)
 
@@ -558,25 +560,12 @@ def run_schedule_rows(
              np.full((R, C), 1.0 / C), np.zeros((R, cfg.summary_dim)), np.zeros((R, 1)),
              row_clusters)
 
-    traces = None
-    if trace_meta is not None:
-        wins, vars_, vols = trace_meta
-        traces = [
-            ScheduleTrace(window=int(wins[r]), variate=int(vars_[r]), volatility=float(vols[r]))
-            for r in range(R)
-        ]
     noise_record: list = []
     live = np.arange(R)  # original row of each row still in the batch
-    h_out = np.zeros(h.shape)  # final states of the rows that have left
     steps = []  # under a tape: (live rows, rows kept after the step or None, saved)
     # tape-free, each step writes into the first rows of these (the floats
     # one block); under a tape each step makes its own, as it saves them
     work = None if taped else (np.empty((R, P), dtype=bool), *np.empty((3, R, P)))
-
-    def spread(x, left):  # [R x ...] in original row order, `left` on rows that left
-        full = np.array(np.broadcast_to(left, (R,) + x.shape[1:]), dtype=x.dtype)
-        full[live] = x
-        return full
 
     k = 0
     while len(live):
@@ -608,40 +597,16 @@ def run_schedule_rows(
             len_int = P - cursor + 1
             decision = (np.full(n, C - 1, dtype=np.int64), len_int.astype(np.float64), len_int)
 
-        h_before = state[0]
         try:
             state, cols, saved = step(model, state, mode, tau,
                                       None if noise is None else noise[live], decision, taped,
                                       None if work is None else tuple(a[:n] for a in work))
         except NumericError as exc:
             raise NumericError(f"schedule step {k}: {exc}") from None
-        cat_idx, soft, sel, len_int, mask, segment, d_ctrl, d_time = cols
-        h_next = state[0]
-
-        if debug is not None:
-            debug.append(
-                StepDebug(
-                    mask=spread(mask, 0.0),
-                    segment=spread(segment, 0.0),
-                    len_int=spread(len_int, 0),
-                    cursor_before=spread(cursor, P + 1),
-                    h_before=spread(h_before, h_out),
-                    h_after=spread(h_next, h_out),
-                    ctrl_delta=spread(d_ctrl, 0.0),
-                    time_delta=spread(d_time, 0.0),
-                    active=spread(np.ones(n, dtype=bool), False),
-                )
-            )
-        if traces is not None:
-            ctrl_mags = np.abs(d_ctrl).sum(axis=1)
-            time_mags = np.abs(d_time).sum(axis=1)
-            ctrl_ratios, time_ratios = decompose_update(d_ctrl, d_time)
-            columns = (live, cat_idx, soft, sel[:, 0], len_int, cursor,
-                       ctrl_mags, time_mags, ctrl_ratios, time_ratios)
-            for r, c, sft, lc, li, cb, cm, tm, cr, tr in zip(*(a.tolist() for a in columns)):
-                traces[r].steps.append(TraceStep(
-                    k, c, cat_names[c], sft, lc, li, cb, cb + li, cm, tm, cr, tr, forced
-                ))
+        if records is not None:
+            cat_idx, soft, sel, len_int, _, _, d_ctrl, d_time = cols  # mask, segment: work arrays
+            records.append(StepRecord(k, live, cursor, cat_idx, soft, sel, len_int, d_ctrl,
+                                      d_time, forced))
         k += 1
 
         # the rows whose cursor has passed the horizon leave the batch
@@ -650,7 +615,6 @@ def run_schedule_rows(
         if np.any(left):
             gone, keep = np.flatnonzero(left), np.flatnonzero(~left)
             out[live[gone]] = state[1][gone]
-            h_out[live[gone]] = h_next[gone]
             if len(keep):
                 state = tuple(x[keep] for x in state)
         if taped:
@@ -658,7 +622,7 @@ def run_schedule_rows(
         if keep is not None:
             live = live[keep]
 
-    return out, traces, noise_record, steps
+    return out, steps, noise_record
 
 
 def schedule_vjp(model: LeapTS, steps: list, g_out: np.ndarray, grads: dict) -> np.ndarray:

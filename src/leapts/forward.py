@@ -20,6 +20,7 @@ from .data import zscore_stats
 from .engine import _dense_vjp, run_schedule_rows, schedule_vjp
 from .errors import NumericError, ShapeError
 from .model import ForecastPair, LeapTS, _check
+from .traces import build_traces
 
 __all__ = ["forward_rows", "forward_loss", "forecast", "predict_batch"]
 
@@ -48,10 +49,15 @@ def forward_rows(
     """Run the full model on a window batch [B x L x N]; ``gumbel_temp`` is
     the Gumbel softmax temperature (None: the config's).
 
+    ``trace_meta`` = (window ids, variate ids, volatilities) per row asks
+    for schedule traces. ``debug``: a list that receives the scheduling
+    loop's `engine.StepRecord`s, one per step, over the rows that ran it
+    (the keyword keeps the name benchmarks/train_desk.py passes).
+
     Returns a dict with row tensors ``coarse``, ``sched``, ``fused``
-    ([B*N x P]) plus ``traces`` and ``noise`` from the scheduling loop.
-    Under a tape ``fused`` is the output of the model's one node, whose
-    parents are the parameters.
+    ([B*N x P]) plus ``traces`` (None without ``trace_meta``) and ``noise``
+    from the scheduling loop. Under a tape ``fused`` is the output of the
+    model's one node, whose parents are the parameters.
     """
     cfg, store = model.config, model.store
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -79,7 +85,8 @@ def forward_rows(
     else:
         h1 = model.init_state_rows(z)
         row_clusters = np.tile(model.cluster_of_variate, b)
-        sched, traces, noise, steps = run_schedule_rows(
+        records = [] if debug is None and trace_meta is not None else debug
+        sched, steps, noise = run_schedule_rows(
             model,
             h1,
             row_clusters,
@@ -87,10 +94,11 @@ def forward_rows(
             rng=rng,
             frozen_noise=frozen_noise,
             override=override,
-            trace_meta=trace_meta,
-            debug=debug,
+            records=records,
             gumbel_temp=gumbel_temp,
         )
+        if trace_meta is not None:
+            traces = build_traces(records, trace_meta, model.anchors.category_names())
         fused = model.fuse(coarse, sched)
     loop_out = sched
 

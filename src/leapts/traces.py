@@ -1,7 +1,9 @@
 """Schedule traces: the per-step record of every scheduling decision.
 
-Each trace covers one (window, variate) pair. Serialization is JSON
-Lines, one record per scheduling step, schema ``leapts-trace-v1``.
+Each trace covers one (window, variate) pair; `build_traces` makes them
+from the scheduling loop's step records (``engine.StepRecord``) after the
+loop. Serialization is JSON Lines, one record per scheduling step, schema
+``leapts-trace-v1``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ __all__ = [
     "TraceStep",
     "ScheduleTrace",
     "decompose_update",
+    "build_traces",
     "write_trace_jsonl",
     "read_trace_jsonl",
 ]
@@ -69,6 +72,26 @@ class ScheduleTrace:
 
     def total_int_length(self) -> int:
         return sum(s.len_int for s in self.steps)
+
+
+def build_traces(records, meta, category_names) -> list[ScheduleTrace]:
+    """One `ScheduleTrace` per row from the scheduling loop's step
+    ``records`` (``engine.StepRecord``), with ``meta`` = (window ids,
+    variate ids, volatilities) per row. Each column is joined over the
+    records first, then split into `TraceStep`s in one pass."""
+    traces = [ScheduleTrace(int(w), int(v), float(vol)) for w, v, vol in zip(*meta)]
+    if not records:
+        return traces
+    columns = (np.concatenate(col) for col in zip(*(
+        (rec.rows, np.full(len(rec.rows), rec.step), rec.category, rec.soft, rec.sel[:, 0],
+         rec.len_int, rec.cursor, np.abs(rec.ctrl_delta).sum(axis=1),
+         np.abs(rec.time_delta).sum(axis=1), *decompose_update(rec.ctrl_delta, rec.time_delta),
+         np.full(len(rec.rows), rec.forced))
+        for rec in records)))
+    for r, k, c, sft, lc, li, cb, cm, tm, cr, tr, f in zip(*(a.tolist() for a in columns)):
+        traces[r].steps.append(TraceStep(k, c, category_names[c], sft, lc, li, cb, cb + li, cm,
+                                         tm, cr, tr, f))
+    return traces
 
 
 def _is_number(v) -> bool:

@@ -17,11 +17,11 @@ import numpy as np
 from leapts.autodiff import Tensor, _record, _stable_sigmoid, huber_loss
 from leapts.controller import round_and_clip_rows
 from leapts.data import zscore_stats
-from leapts.engine import StepDebug, _pack_override
+from leapts.engine import StepRecord, _pack_override
 from leapts.errors import ConfigError, DataError, NumericError, ShapeError
 from leapts.forward import _rows_from_batch
 from leapts.model import LeapTS
-from leapts.traces import ScheduleTrace, TraceStep, decompose_update
+from leapts.traces import build_traces
 
 
 # -- primitives --------------------------------------------------------------
@@ -477,8 +477,7 @@ def run_schedule_rows(
     rng: np.random.Generator | None = None,
     frozen_noise: list | None = None,
     override: list | None = None,
-    trace_meta: tuple | None = None,
-    debug: list | None = None,
+    records: list | None = None,
     gumbel_temp: float | None = None,
 ):
     """Run the scheduling loop for R rows. A row leaves the batch once its
@@ -491,21 +490,19 @@ def run_schedule_rows(
 
     ``override`` forces decisions: per row, a list of
     (category, len_cont, len_int) tuples consumed one per step.
-    ``trace_meta`` = (window_ids, variate_ids, volatilities) enables trace
-    collection. ``debug``: a list that receives `StepDebug` records [R x ...];
-    a row that has left the batch reads as finished, with its final state.
+    ``records``: a list that receives one `engine.StepRecord` per step.
 
-    Returns (accumulated forecast rows [R x P], traces or None,
-    recorded noise list usable as ``frozen_noise``: one [R x C] draw per step).
+    Returns (accumulated forecast rows [R x P], recorded noise list usable
+    as ``frozen_noise``: one [R x C] draw per step).
     """
     if mode not in ("train", "eval", "soft"):
-        raise ValueError(f"unknown schedule mode {mode!r}")
+        raise ConfigError(f"unknown schedule mode {mode!r}")
     cfg = model.config
     store = model.store
     anchors = model.anchors
     P, C = cfg.horizon, anchors.n_categories
     if mode == "train" and C > 1 and rng is None and frozen_noise is None:
-        raise ValueError("train mode needs an rng (or frozen noise) for category selection")
+        raise ConfigError("train mode needs an rng (or frozen noise) for category selection")
     R = h.shape[0]
     cat_names = anchors.category_names()
     heads = [(store[f"len_head_{n}_w"], store[f"len_head_{n}_b"]) for n in cat_names]
@@ -519,22 +516,9 @@ def run_schedule_rows(
     prev_summary = Tensor(np.zeros((R, cfg.summary_dim)))
     prev_len_norm = np.zeros((R, 1))
 
-    traces = None
-    if trace_meta is not None:
-        wins, vars_, vols = trace_meta
-        traces = [
-            ScheduleTrace(window=int(wins[r]), variate=int(vars_[r]), volatility=float(vols[r]))
-            for r in range(R)
-        ]
     noise_record: list = []
     live = np.arange(R)  # original row of each row still in the batch
     done = []  # (original rows, their forecast rows) of the rows that have left
-    h_out = np.zeros(h.shape)  # final states of the rows that have left
-
-    def spread(x, left):  # [R x ...] in original row order, `left` on rows that left
-        full = np.array(np.broadcast_to(left, (R,) + x.shape[1:]), dtype=x.dtype)
-        full[live] = x
-        return full
 
     k = 0
     while len(live):
@@ -602,30 +586,9 @@ def run_schedule_rows(
         du, dtau = increments(u, prev_u, prev_len_norm, cfg.dt_min, cfg.dt_max)
         h_next, d_ctrl, d_time = evolve_state(model, h, u, du, dtau, row_clusters)
 
-        if debug is not None:
-            debug.append(
-                StepDebug(
-                    mask=spread(mask.data, 0.0),
-                    segment=spread(segment.data, 0.0),
-                    len_int=spread(len_int, 0),
-                    cursor_before=spread(cursor, P + 1),
-                    h_before=spread(h.data, h_out),
-                    h_after=spread(h_next.data, h_out),
-                    ctrl_delta=spread(d_ctrl.data, 0.0),
-                    time_delta=spread(d_time.data, 0.0),
-                    active=spread(np.ones(n, dtype=bool), False),
-                )
-            )
-        if traces is not None:
-            ctrl_mags = np.abs(d_ctrl.data).sum(axis=1)
-            time_mags = np.abs(d_time.data).sum(axis=1)
-            ctrl_ratios, time_ratios = decompose_update(d_ctrl.data, d_time.data)
-            columns = (live, cat_idx, soft.data, sel.data[:, 0], len_int, cursor,
-                       ctrl_mags, time_mags, ctrl_ratios, time_ratios)
-            for r, c, sft, lc, li, cb, cm, tm, cr, tr in zip(*(a.tolist() for a in columns)):
-                traces[r].steps.append(TraceStep(
-                    k, c, cat_names[c], sft, lc, li, cb, cb + li, cm, tm, cr, tr, forced
-                ))
+        if records is not None:
+            records.append(StepRecord(k, live, cursor, cat_idx, soft.data, sel.data, len_int,
+                                      d_ctrl.data, d_time.data, forced))
 
         h = h_next
         prev_u = u
@@ -640,7 +603,6 @@ def run_schedule_rows(
         if np.any(left):
             gone, keep = np.flatnonzero(left), np.flatnonzero(~left)
             done.append((live[gone], _take_rows(accum, gone)))
-            h_out[live[gone]] = h.data[gone]
             live = live[keep]
             if len(live):
                 h, accum, prev_u, prev_soft, prev_summary, prev_len_norm, cursor, row_clusters = (
@@ -648,7 +610,7 @@ def run_schedule_rows(
                                                   prev_len_norm, cursor, row_clusters)
                 )
 
-    return rows_to(done, R, P), traces, noise_record
+    return rows_to(done, R, P), noise_record
 
 
 
@@ -695,10 +657,13 @@ def forward_rows(
     else:
         h1 = linear(z, store["state_init_w"], store["state_init_b"], "tanh")
         row_clusters = np.tile(model.cluster_of_variate, b)
-        sched, traces, noise = run_schedule_rows(
+        records = [] if debug is None and trace_meta is not None else debug
+        sched, noise = run_schedule_rows(
             model, h1, row_clusters, mode=mode, rng=rng, frozen_noise=frozen_noise,
-            override=override, trace_meta=trace_meta, debug=debug, gumbel_temp=gumbel_temp,
+            override=override, records=records, gumbel_temp=gumbel_temp,
         )
+        if trace_meta is not None:
+            traces = build_traces(records, trace_meta, model.anchors.category_names())
         fused = add(coarse, mul(sched, sigmoid(store["fuse_logit"])))
 
     if cfg.window_norm:

@@ -20,6 +20,7 @@ from leapts.diagnostics import trace_override
 from leapts.engine import soft_mask
 from leapts.forward import forward_rows, _rows_from_batch
 from gradcheck import finite_difference_grads, max_relative_error
+from step_records import debug_run
 from leapts.metrics import metrics
 from leapts.model import LeapTS, ModelConfig
 from leapts.synth import ScenarioSpec, gen_scenario1, gen_scenario2, gen_scenario3, integrate_ode
@@ -114,9 +115,8 @@ def test_criterion_2_soft_mask_hard_limit():
         )
         model = LeapTS(cfg)
         forced = [[(0, 3.0, 3), (1, 4.0, 4), (0, 1.0, 1)]] * 2
-        debug = []
         x = np.random.default_rng(0).normal(size=(1, 16, 2))
-        out = forward_rows(model, x, override=forced, debug=debug)
+        out, debug = debug_run(forward_rows, model, x, override=forced)
         paste = np.zeros((2, 8))
         for step in debug:
             for r in range(2):
@@ -197,9 +197,8 @@ def test_criterion_6_decomposition_identity():
             )
             model = LeapTS(cfg)
             x = rng.normal(size=(2, 16, 2))
-            debug = []
             meta = (np.repeat(np.arange(2), 2), np.tile(np.arange(2), 2), np.zeros(4))
-            out = forward_rows(model, x, mode="eval", trace_meta=meta, debug=debug)
+            out, debug = debug_run(forward_rows, model, x, mode="eval", trace_meta=meta)
             assert debug
             for step in debug:
                 assert np.array_equal(
@@ -341,12 +340,11 @@ def test_criterion_11_scheduling_loop_safety():
             )
             model = LeapTS(cfg)
             x = rng.normal(scale=float(rng.uniform(0.2, 5.0)), size=(1, L, n))
-            debug = []
             mode = "train" if trial % 2 else "eval"
             meta = (np.zeros(n), np.arange(n), np.zeros(n))
-            out = forward_rows(
-                model, x, mode=mode, rng=np.random.default_rng(trial),
-                trace_meta=meta, debug=debug,
+            out, debug = debug_run(
+                forward_rows, model, x, mode=mode, rng=np.random.default_rng(trial),
+                trace_meta=meta,
             )
             for tr in out["traces"]:
                 assert tr.n_steps <= P

@@ -18,6 +18,8 @@ import leapts.training as training
 from leapts.autodiff import Tape
 from leapts.model import LeapTS
 
+from conftest import toy_config
+
 BENCHMARKS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
 TRACER = BENCHMARKS / "tracer.py"
 
@@ -86,3 +88,25 @@ def test_workloads_import_and_run_the_calls_train_desk_makes():
     train_desk._gradcheck(run, x, y, 1)
     assert len(run.checks) > 5
     assert [c for c in run.checks if not c[1]] == []
+
+
+def test_schedule_span_and_step_records_keep_what_the_benchmark_reads():
+    """The tracer's ``engine.schedule`` span takes ``rows`` from the
+    positional state ``h`` of `run_schedule_rows` and ``loop_steps`` from
+    the noise list at index 2 of its return, one per step record; the
+    records ``forward_rows`` fills as ``debug`` carry the integer lengths
+    that train-desk's gradient check compares."""
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    tracer_module.install_layer_spans(tracer)
+    model = LeapTS(toy_config(look_back=16, horizon=12, n_variates=3, n_clusters=3))
+    x = np.random.default_rng(0).normal(size=(4, 16, 3))
+    records = []
+    try:
+        forward.forward_rows(model, x, mode="train", rng=np.random.default_rng(1), debug=records)
+    finally:
+        tracer.patches.restore()
+    (span,) = tracer.select("engine.schedule")
+    assert span.info == {"rows": 12, "loop_steps": len(records)} and len(records) > 1
+    for rec in records:
+        assert rec.len_int.dtype == np.int64 and rec.len_int.shape == rec.rows.shape

@@ -225,6 +225,21 @@ def test_eval_override_fixed_semantics(tiny_csv, tiny_ckpt, capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", [("--trace", "t.jsonl"), ("--full-metrics",)],
+                         ids=["trace", "full-metrics"])
+def test_eval_override_refuses_trace_and_full_metrics(tiny_csv, tiny_ckpt, capsys, tmp_path, flag):
+    """An override run writes no trace and reports no full metrics, so
+    asking for either with ``--override`` is a config error (exit 2)."""
+    flag = (flag[0], *(str(tmp_path / f) for f in flag[1:]))
+    code, out, err = run_cli(
+        capsys, "eval", "--ckpt", str(tiny_ckpt), "--data", str(tiny_csv),
+        "--override", "fixed:4", *flag,
+    )
+    assert code == 2
+    assert f"--override cannot be combined with {flag[0]}" in err and "Traceback" not in err
+    assert out == "" and not (tmp_path / "t.jsonl").exists()
+
+
 def test_eval_trace_writes_schema_records(tiny_csv, tiny_ckpt, capsys, tmp_path):
     trace_path = tmp_path / "steps.jsonl"
     code, out, _ = run_cli(

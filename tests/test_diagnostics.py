@@ -17,12 +17,14 @@ from leapts.diagnostics import (
     sample_partition,
     trace_override,
 )
+from leapts.engine import StepRecord
 from leapts.errors import DataError
 from leapts.model import LeapTS
 from leapts.synth import ScenarioSpec, gen_scenario3
 from leapts.traces import (
     ScheduleTrace,
     TraceStep,
+    build_traces,
     decompose_update,
     read_trace_jsonl,
     write_trace_jsonl,
@@ -30,6 +32,7 @@ from leapts.traces import (
 from leapts.training import evaluate
 
 from conftest import toy_config
+from step_records import per_step_traces
 
 
 def make_trace(window, vol, cats_and_ratios):
@@ -357,6 +360,54 @@ def test_corrupted_trace_loads_or_raises_data_error(data, kind, byte):
             read_trace_jsonl(path)
         except DataError as exc:
             assert str(path) in str(exc)
+
+
+_EDGE_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300]),
+                        st.floats(-1e300, 1e300))  # finite: magnitudes and ratios stay finite
+
+
+@st.composite
+def _step_records(draw):
+    """Step records as the loop makes them: rows that ran step k in
+    original order (each row runs 1..4 steps, so rows leave at different
+    steps), cursors that advance by each row's integer lengths, C in 1..3
+    and a forced flag per step; plus per-row meta and category names."""
+    C, H, n_var, R = (draw(st.integers(1, hi)) for hi in (3, 3, 3, 6))
+
+    def floats(*shape):
+        return np.array(draw(st.lists(_EDGE_FLOATS, min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape))))).reshape(shape)
+
+    n_steps = np.array(draw(st.lists(st.integers(1, 4), min_size=R, max_size=R)))
+    cursor, records = np.ones(R, dtype=np.int64), []
+    for k in range(n_steps.max()):
+        rows = np.flatnonzero(n_steps > k)
+        n = len(rows)
+        len_int = np.array(draw(st.lists(st.integers(1, 50), min_size=n, max_size=n)))
+        category = np.array(draw(st.lists(st.integers(0, C - 1), min_size=n, max_size=n)))
+        records.append(StepRecord(k, rows, cursor[rows], category, floats(n, C), floats(n, 1),
+                                  len_int, floats(n, H), floats(n, H), draw(st.booleans())))
+        cursor = cursor.copy()
+        cursor[rows] += len_int
+    meta = (np.arange(R) // n_var, np.arange(R) % n_var, floats(R))
+    return records, meta, ("single",) if C == 1 else ("short", "mid", "long")[:C]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_step_records())
+def test_traces_built_from_step_records_round_trip_through_jsonl(case):
+    """`build_traces` equals the per-step builder the loop ran before it
+    (tests/step_records.py), and its traces read back from JSONL as they
+    were written, bit for bit: the reprs compare signed zeros and types."""
+    records, meta, names = case
+    built = build_traces(records, meta, names)
+    oracle = per_step_traces(records, meta, names)
+    assert built == oracle and repr(built) == repr(oracle)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.jsonl"
+        write_trace_jsonl(built, path)
+        back = read_trace_jsonl(path)
+    assert back == built and repr(back) == repr(built)
 
 
 def test_override_rejects_no_sched(small_windows):

@@ -28,11 +28,13 @@ from leapts.engine import (
     summarize_segment,
     write_segment,
 )
-from leapts.errors import DataError, NumericError
+from leapts.errors import ConfigError, DataError, NumericError
 from leapts.forward import forward_rows, predict_batch
 from leapts.model import LeapTS, ModelConfig
+from leapts.traces import build_traces
 
 from conftest import toy_config
+from step_records import StepDebug, debug_run
 
 
 def sigmoid(x):
@@ -95,11 +97,12 @@ def test_soft_mask_gradient_flows_to_length():
     s["seg_head_single_b"].data[:] = 1.0  # a segment of ones: the forecast is the mask
     s["len_head_single_w"].data[:] = 0.0
     s["len_head_single_b"].data[:] = 0.0  # length 2.5 of [1, 4]
+    records = []
     with Tape():
-        y, traces, _, steps = run_schedule_rows(model, np.zeros((1, 8)), one_cluster(1),
-                                                trace_meta=(np.zeros(1), np.zeros(1), np.zeros(1)))
+        y, steps, _ = run_schedule_rows(model, np.zeros((1, 8)), one_cluster(1), records=records)
     grads = {}
     engine.schedule_vjp(model, steps, np.ones_like(y), grads)
+    traces = build_traces(records, (np.zeros(1), np.zeros(1), np.zeros(1)), ["single"])
     assert [st.len_cont for st in traces[0].steps] == [2.5, 2.5]
     assert grads["len_head_single_b"][0] > 0.0
 
@@ -203,8 +206,7 @@ def test_cold_start_temporal_increment_is_lower_clip():
     cfg = toy_config(seed=2)
     model = LeapTS(cfg)
     stub_fields(model, 0, f_const=0.0, g_const=1.0)
-    debug = []
-    run_rows(model, debug=debug)
+    _, debug = debug_run(run_rows, model)
     first = debug[0]
     assert np.allclose(first.h_after - first.h_before, cfg.dt_min, atol=1e-15)
 
@@ -450,6 +452,18 @@ def test_override_errors_name_row_and_step():
             run_rows(model, override=override)
 
 
+def test_bad_loop_mode_and_train_mode_without_noise_are_config_errors():
+    """Both are a caller's configuration, not data: `ConfigError`, which
+    is also a `ValueError`, from the model's forward and the oracle's."""
+    model = LeapTS(toy_config(horizon=12, look_back=16, n_variates=3))
+    assert not model.anchors.degenerate  # three scales: train mode draws noise
+    for fwd in (forward_rows, ops.forward_rows):
+        with pytest.raises(ConfigError, match=r"^unknown schedule mode 'bogus'$"):
+            run_rows(model, mode="bogus", fwd=fwd)
+        with pytest.raises(ConfigError, match=r"^train mode needs an rng"):
+            run_rows(model, mode="train", fwd=fwd)
+
+
 def test_nonfinite_noise_names_its_loop_step():
     """Frozen Gumbel noise that is infinite only at step 2 stops the loop
     there, at the scale distribution it makes non-finite."""
@@ -494,8 +508,7 @@ def test_schedule_invariants_over_random_models(rng):
             seed=int(rng.integers(0, 10_000)),
         )
         model = LeapTS(cfg)
-        debug = []
-        out = run_rows(model, mode="train", rng=np.random.default_rng(trial), debug=debug)
+        out, debug = debug_run(run_rows, model, mode="train", rng=np.random.default_rng(trial))
         for tr in out["traces"]:
             assert tr.n_steps <= cfg.horizon
             assert tr.total_int_length() >= cfg.horizon
@@ -528,8 +541,7 @@ def test_hard_limit_equivalence_with_paste_oracle():
     cfg = toy_config(horizon=8, look_back=16, mask_temp=1e-3, seed=4)
     model = LeapTS(cfg)
     forced = [[(0, 3.0, 3), (1, 4.0, 4), (0, 1.0, 1)]] * 2
-    debug = []
-    out = run_rows(model, override=forced, debug=debug)
+    out, debug = debug_run(run_rows, model, override=forced)
     sched = out["sched"].data
     oracle = hard_paste_oracle(debug, n_rows=2, horizon=8)
     assert np.abs(oracle - sched).max() < 1e-5
@@ -545,16 +557,14 @@ def test_hard_limit_equivalence_natural_schedule():
         [(s.category, float(s.len_int), s.len_int) for s in tr.steps]
         for tr in probe["traces"]
     ]
-    debug = []
-    out = run_rows(model, override=forced, debug=debug)
+    out, debug = debug_run(run_rows, model, override=forced)
     oracle = hard_paste_oracle(debug, n_rows=2, horizon=8)
     assert np.abs(oracle - out["sched"].data).max() < 1e-5
 
 
 def test_decomposition_identity_exact(rng):
     model = LeapTS(toy_config(seed=8))
-    debug = []
-    out = run_rows(model, n_windows=2, debug=debug)
+    out, debug = debug_run(run_rows, model, n_windows=2)
     assert len(debug) >= 1
     for step in debug:
         reconstructed = step.h_before + (step.ctrl_delta + step.time_delta)
@@ -604,7 +614,9 @@ def test_run_schedule_public_surface(toy_model):
     h = toy_model.init_state_rows(z)
     meta = (np.zeros(2), np.arange(2), np.zeros(2))
     clusters = np.zeros(2, dtype=np.int64)
-    y, traces, noise, steps = run_schedule_rows(toy_model, h, clusters, trace_meta=meta)
+    records = []
+    y, steps, noise = run_schedule_rows(toy_model, h, clusters, records=records)
+    traces = build_traces(records, meta, toy_model.anchors.category_names())
     assert y.shape == (2, 8) and steps == []  # no tape: nothing saved
     assert len(traces) == 2
     assert all(tr.steps[-1].cursor_after > 8 for tr in traces)
@@ -623,22 +635,24 @@ def _schedule(traces):
 
 
 def _each_row_alone(model, h, row_clusters, mode="eval", rng=None, frozen_noise=None,
-                    override=None, trace_meta=None, debug=None, gumbel_temp=None):
+                    override=None, records=None, gumbel_temp=None):
     """`run_schedule_rows` on each row alone (R=1, so no row ever leaves
     early), with the given noise sliced to that row; forecasts in row order,
-    and each row's saved steps for `_each_row_alone_vjp`."""
-    out, traces, steps = np.zeros((h.shape[0], model.config.horizon)), [], []
+    each row's saved steps for `_each_row_alone_vjp`, and each row's
+    records, row after row, under its original row index."""
+    out, steps = np.zeros((h.shape[0], model.config.horizon)), []
     for r in range(h.shape[0]):
-        out[r], tr, _, row_steps = run_schedule_rows(
+        row_records = []
+        out[r], row_steps, _ = run_schedule_rows(
             model, h[[r]], row_clusters[[r]], mode=mode,
             frozen_noise=None if frozen_noise is None else [
                 None if n is None else n[[r]] for n in frozen_noise],
             override=None if override is None else [override[r]],
-            trace_meta=tuple(m[[r]] for m in trace_meta), gumbel_temp=gumbel_temp,
+            records=row_records, gumbel_temp=gumbel_temp,
         )
-        traces += tr
+        records += [rec._replace(rows=np.full(1, r)) for rec in row_records]
         steps.append(row_steps)
-    return out, traces, frozen_noise, steps
+    return out, steps, frozen_noise
 
 
 def _each_row_alone_vjp(model, steps, g_out, grads, spread=None):
@@ -773,8 +787,7 @@ def test_tape_free_loop_drops_finished_rows(monkeypatch):
     runs = {}
     for tape in (False, True):
         rows.clear()
-        debug = []
-        runs[tape] = _staggered_run(staggered, tape=tape, debug=debug)
+        runs[tape], debug = debug_run(_staggered_run, staggered, tape=tape)
         assert rows == [4, 3, 2, 1]
         assert [tr.window for tr in runs[tape]["traces"]] == [0, 1, 2, 3]
         assert [[s.len_int for s in tr.steps] for tr in runs[tape]["traces"]] == staggered
@@ -914,21 +927,25 @@ def test_loop_node_gradients_match_the_per_op_tape(shape, mode):
     forecasts and every parameter's gradient equal bit for bit for a single
     category, within 1e-12 of the largest entry for three (the oracle sums
     every segment head under a one-hot route where the loop runs only the
-    chosen one). The taped forecasts equal a tape-free run's bit for bit."""
+    chosen one). The taped forecasts equal a tape-free run's bit for bit.
+    Both loops emit the same step records: the schedule columns equal, the
+    float columns within the forecasts' tolerance."""
     model, n_windows, kw, data_rng = _loop_case(shape, mode)
     cfg = model.config
     weight = data_rng.normal(size=(n_windows * cfg.n_variates, cfg.horizon))
 
     def run(fwd):
         model.store.zero_grads()
+        records = []
         with Tape() as tape:
-            out = run_rows(model, n_windows=n_windows, rng=np.random.default_rng(3), fwd=fwd, **kw)
+            out = run_rows(model, n_windows=n_windows, rng=np.random.default_rng(3), fwd=fwd,
+                           debug=records, **kw)
             tape.backward(ops.tsum(ops.mul(out["fused"], weight)))
-        return out, {k: g.copy() for k, g in model.store.grads().items()}, len(tape.nodes)
+        return out, {k: g.copy() for k, g in model.store.grads().items()}, len(tape.nodes), records
 
-    node, node_grads, n_nodes = run(forward_rows)
+    node, node_grads, n_nodes, node_records = run(forward_rows)
     free = run_rows(model, n_windows=n_windows, rng=np.random.default_rng(3), **kw)
-    per_op, per_op_grads, per_op_nodes = run(ops.forward_rows)
+    per_op, per_op_grads, per_op_nodes, per_op_records = run(ops.forward_rows)
     assert np.array_equal(node["fused"].data, free["fused"].data)
     assert n_nodes == 3  # the model, the weighting and the sum
     if shape == "no_sched":
@@ -940,6 +957,13 @@ def test_loop_node_gradients_match_the_per_op_tape(shape, mode):
             assert (a is None and b is None) or np.array_equal(a, b)
         assert per_op_nodes > 50
     exact = model.anchors.n_categories == 1 or shape == "no_sched"
+    assert len(node_records) == len(per_op_records) == len(node["noise"] or ())
+    for got, want in zip(node_records, per_op_records):
+        for name, a in got._asdict().items():
+            if exact or name not in ("soft", "sel", "ctrl_delta", "time_delta"):
+                assert np.array_equal(a, getattr(want, name)), name
+            else:
+                _assert_close(a, getattr(want, name), name)
     pairs = [(name, node[name].data, per_op[name].data) for name in ("coarse", "sched", "fused")]
     pairs += [(name, node_grads[name], want) for name, want in per_op_grads.items()]
     for name, got, want in pairs:
@@ -973,7 +997,7 @@ def test_tape_free_calls_and_debug_records_share_no_work_array(monkeypatch):
     arrays it makes once per call. A second `predict_batch` call on other
     windows leaves the first call's forecasts and traces as they were, and
     in every loop mode a debug run records what a run whose steps each make
-    fresh arrays records."""
+    fresh arrays records. No step record holds memory of a work array."""
     model, n_windows, kw, data_rng = _loop_case("g3c3", "eval")
     n = model.config.n_variates
     meta = (np.repeat(np.arange(n_windows), n), np.tile(np.arange(n), n_windows),
@@ -988,18 +1012,31 @@ def test_tape_free_calls_and_debug_records_share_no_work_array(monkeypatch):
     step, shrank = engine.step, []
     for mode in ("train", "eval", "soft", "override", "forced"):
         model, n_windows, kw, _ = _loop_case("g3c3", mode)
-        records = {}
+        runs = {}
         for fresh in (False, True):
+            work = []
+
+            def stepping(*args):
+                work.extend(args[7])  # the [n x P] views this step may write into
+                return step(*args[:7]) if fresh else step(*args)  # fresh: as under a tape
+
+            records = []
             with monkeypatch.context() as mp:
-                if fresh:  # each step makes its own arrays, as under a tape
-                    mp.setattr(engine, "step", lambda *args: step(*args[:7]))
-                records[fresh] = []
-                run_rows(model, n_windows=n_windows, rng=np.random.default_rng(3),
-                         debug=records[fresh], **kw)
-        assert len(records[False]) == len(records[True]) > 1, mode
-        shrank.append(records[True][-1].active.sum() < records[True][0].active.sum())
-        for shared, own in zip(records[False], records[True]):
-            for field in dataclasses.fields(engine.StepDebug):
+                mp.setattr(engine, "step", stepping)
+                _, debug = debug_run(run_rows, model, n_windows=n_windows,
+                                     rng=np.random.default_rng(3), records=records, **kw)
+            for rec in records:
+                for name, a in rec._asdict().items():
+                    assert not any(np.shares_memory(a, w) for w in work), (mode, name)
+            runs[fresh] = records, debug
+        (records, debug), (own_records, own_debug) = runs[False], runs[True]
+        assert len(records) == len(own_records) > 1, mode
+        shrank.append(len(records[-1].rows) < len(records[0].rows))
+        for shared, own in zip(records, own_records):
+            for name, a in shared._asdict().items():
+                assert np.array_equal(a, getattr(own, name)), (mode, name)
+        for shared, own in zip(debug, own_debug):
+            for field in dataclasses.fields(StepDebug):
                 a, b = getattr(shared, field.name), getattr(own, field.name)
                 assert np.array_equal(a, b), (mode, field.name)
     assert any(shrank)  # rows left the batch early, so later steps wrote fewer rows
