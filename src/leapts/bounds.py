@@ -40,6 +40,9 @@ class BoundInstance:
     P: int
 
     def __post_init__(self):
+        for name in ("lam", "eps_a", "eps_p"):  # NaN terms stall the partition walk
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lam < 1.0:
             raise ConfigError(f"lambda must be >= 1, got {self.lam}")
         if self.eps_a <= 0:

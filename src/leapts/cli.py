@@ -125,6 +125,8 @@ def _build_configs(args, n_variates):
     try:
         mcfg = ModelConfig(look_back=args.L, horizon=args.P, n_variates=n_variates, **model_kw)
         return mcfg, TrainConfig(**train_kw)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:  # a value of the wrong type met a check
         raise DataError(f"config file: value of the wrong type ({exc})") from None
 

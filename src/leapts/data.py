@@ -29,6 +29,8 @@ class Dataset:
             raise DataError(f"dataset values must be [T x N], got {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise DataError("dataset contains non-finite values")
+        if not all(0 <= f < np.inf for f in self.split_fractions):
+            raise DataError(f"split fractions must be finite and >= 0, got {self.split_fractions}")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise DataError(f"split fractions must sum to 1, got {self.split_fractions}")
 

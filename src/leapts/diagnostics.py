@@ -1,6 +1,7 @@
 """Scheduling analysis: control/temporal decomposition ratios, volatility
 binning, category statistics, and externally imposed scheduling traces
-(random partitions or fixed steps)."""
+(random partitions or fixed steps), forecast through the evaluation pass
+of `training`."""
 
 from __future__ import annotations
 
@@ -11,10 +12,11 @@ import numpy as np
 from .controller import ScaleAnchors
 from .data import WindowBatch
 from .errors import DataError
-from .forward import predict_batch
-from .metrics import MetricReport, mae, mse
+from .forward import predict_batch  # noqa: F401  (benchmarks/tracer.py wraps this name)
+from .metrics import MetricReport
 from .model import LeapTS
 from .traces import ScheduleTrace
+from .training import _forecast_pass
 
 __all__ = [
     "VolatilityBin",
@@ -91,6 +93,8 @@ def ratio_summary(traces: list[ScheduleTrace]) -> dict:
 
 # -- imposed scheduling traces ----------------------------------------------
 
+_OVERRIDE_BATCH = 512  # windows per forecast call under an override
+
 
 def sample_partition(P: int, rng: np.random.Generator) -> list[int]:
     """Random ordered partition: draw uniform lengths in [1, remaining]
@@ -139,8 +143,8 @@ def trace_override(
 
     if mode == "fixed":
         steps = partition_to_steps(fixed_partition(P, int(value)), model.anchors)
-        preds = _predict_forced_rows(model, windows.inputs, [steps] * (b * n))
-        return MetricReport(mse=mse(preds, windows.targets), mae=mae(preds, windows.targets))
+        pooled = _forecast_pass(model, windows, _OVERRIDE_BATCH, override=[steps] * (b * n))
+        return MetricReport(mse=pooled.mse, mae=pooled.mae)
 
     if mode == "monte_carlo":
         n_draws = int(value)
@@ -148,28 +152,12 @@ def trace_override(
             raise DataError(f"monte_carlo: need >= 1 draw, got {n_draws}")
         if rng is None:
             rng = np.random.default_rng(0)
-        mses, maes = [], []
+        runs = []
         for _ in range(n_draws):
-            forced = [
-                partition_to_steps(sample_partition(P, rng), model.anchors) for _ in range(b)
-            ]
+            forced = [partition_to_steps(sample_partition(P, rng), model.anchors) for _ in range(b)]
             override = [steps for steps in forced for _ in range(n)]
-            preds = _predict_forced_rows(model, windows.inputs, override)
-            mses.append(mse(preds, windows.targets))
-            maes.append(mae(preds, windows.targets))
-        return MetricReport(mse=float(np.mean(mses)), mae=float(np.mean(maes)))
+            runs.append(_forecast_pass(model, windows, _OVERRIDE_BATCH, override=override))
+        return MetricReport(mse=float(np.mean([r.mse for r in runs])),
+                            mae=float(np.mean([r.mae for r in runs])))
 
     raise DataError(f"unknown override mode {mode!r}")
-
-
-def _predict_forced_rows(model, inputs, override_rows, chunk: int = 512):
-    """Predictions under forced schedules, one override sequence per row
-    (window-major, as in ``forward_rows``)."""
-    n = model.config.n_variates
-    preds = []
-    for lo in range(0, inputs.shape[0], chunk):
-        hi = min(lo + chunk, inputs.shape[0])
-        override = override_rows[lo * n : hi * n]
-        p, _ = predict_batch(model, inputs[lo:hi], mode="eval", override=override)
-        preds.append(p)
-    return np.concatenate(preds, axis=0)

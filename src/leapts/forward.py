@@ -1,9 +1,11 @@
 """End-to-end forward passes: batched training/eval paths and the
 single-window forecasting surface.
 
-Rows are ordered window-major: row = window * n_variates + variate. With
-``window_norm`` each row is standardized by its own look-back statistics
-and predictions are mapped back to the original scale inside the model.
+Rows are ordered window-major: row = window * n_variates + variate; given
+the first window's id, `_trace_rows` derives each row's trace ids and
+volatility. With ``window_norm`` each row is standardized by its own
+look-back statistics and predictions are mapped back to the original
+scale inside the model.
 
 Under a tape the whole model is one node, written as array code with one
 hand-written reverse pass: the encoder, the coarse head, the initial state,
@@ -35,6 +37,15 @@ def _batch_from_rows(rows: np.ndarray, b: int, n: int) -> np.ndarray:
     return rows.reshape(b, n, -1).transpose(0, 2, 1)
 
 
+def _trace_rows(inputs: np.ndarray, first_window: int):
+    """(window ids from ``first_window``, variate ids, volatilities: the std
+    of the look-back's first differences) of a batch [B x L x N]'s rows."""
+    b, _, n = inputs.shape
+    vols = np.diff(inputs, axis=1).std(axis=1)
+    return (np.repeat(np.arange(first_window, first_window + b), n), np.tile(np.arange(n), b),
+            vols.reshape(-1))
+
+
 def forward_rows(
     model: LeapTS,
     inputs: np.ndarray,
@@ -42,20 +53,20 @@ def forward_rows(
     rng: np.random.Generator | None = None,
     frozen_noise=None,
     override=None,
-    trace_meta=None,
+    traces_from: int | None = None,
     debug=None,
     gumbel_temp=None,
 ):
     """Run the full model on a window batch [B x L x N]; ``gumbel_temp`` is
     the Gumbel softmax temperature (None: the config's).
 
-    ``trace_meta`` = (window ids, variate ids, volatilities) per row asks
-    for schedule traces. ``debug``: a list that receives the scheduling
+    ``traces_from``, the id of the batch's first window, asks for one
+    schedule trace per row. ``debug``: a list that receives the scheduling
     loop's `engine.StepRecord`s, one per step, over the rows that ran it
     (the keyword keeps the name benchmarks/train_desk.py passes).
 
     Returns a dict with row tensors ``coarse``, ``sched``, ``fused``
-    ([B*N x P]) plus ``traces`` (None without ``trace_meta``) and ``noise``
+    ([B*N x P]) plus ``traces`` (None without ``traces_from``) and ``noise``
     from the scheduling loop. Under a tape ``fused`` is the output of the
     model's one node, whose parents are the parameters.
     """
@@ -85,7 +96,7 @@ def forward_rows(
     else:
         h1 = model.init_state_rows(z)
         row_clusters = np.tile(model.cluster_of_variate, b)
-        records = [] if debug is None and trace_meta is not None else debug
+        records = [] if debug is None and traces_from is not None else debug
         sched, steps, noise = run_schedule_rows(
             model,
             h1,
@@ -97,8 +108,9 @@ def forward_rows(
             records=records,
             gumbel_temp=gumbel_temp,
         )
-        if trace_meta is not None:
-            traces = build_traces(records, trace_meta, model.anchors.category_names())
+        if traces_from is not None:
+            traces = build_traces(records, _trace_rows(inputs, traces_from),
+                                  model.anchors.category_names())
         fused = model.fuse(coarse, sched)
     loop_out = sched
 
@@ -161,12 +173,8 @@ def forecast(
 ) -> tuple[ForecastPair, list | None]:
     """Forecast one window [L x N]; returns ([P x N] pair, traces)."""
     window = np.asarray(window, dtype=np.float64)
-    meta = None
-    if collect_traces:
-        n = model.config.n_variates
-        vols = window[1:] - window[:-1]
-        meta = (np.full(n, window_id), np.arange(n), vols.std(axis=0))
-    out = forward_rows(model, window[None], mode=mode, rng=rng, trace_meta=meta)
+    out = forward_rows(model, window[None], mode=mode, rng=rng,
+                       traces_from=window_id if collect_traces else None)
 
     def unbatch(t):
         return _batch_from_rows(t.data, 1, model.config.n_variates)[0]
@@ -186,9 +194,11 @@ def predict_batch(
     mode: str = "eval",
     rng=None,
     override=None,
-    trace_meta=None,
+    traces_from: int | None = None,
 ) -> tuple[np.ndarray, list | None]:
-    """Fused forecasts [B x P x N] for a window batch (no tape needed)."""
-    out = forward_rows(model, inputs, mode=mode, rng=rng, override=override, trace_meta=trace_meta)
+    """Fused forecasts [B x P x N] for a window batch (no tape needed), and
+    its schedule traces when ``traces_from`` gives the first window's id."""
+    out = forward_rows(model, inputs, mode=mode, rng=rng, override=override,
+                       traces_from=traces_from)
     b, n = inputs.shape[0], model.config.n_variates
     return _batch_from_rows(out["fused"].data, b, n), out["traces"]

@@ -54,8 +54,10 @@ class ScenarioSpec:
             raise ConfigError(f"unknown scenario {self.scenario}; expected 1, 2, or 3")
         if self.dt is None:
             self.dt = SCENARIO_DT[self.scenario]
-        if self.total_steps < 1 or self.dt <= 0:
-            raise ConfigError("need total_steps >= 1 and dt > 0")
+        if self.total_steps < 1:
+            raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}")
+        if not 0 < self.dt < np.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

@@ -1,5 +1,8 @@
 """Training loop: batched Huber-loss optimization with Adam, validation
-early stopping, divergence recovery, and the ablation variants."""
+early stopping, divergence recovery, and the ablation variants; and the one
+batched forecast pass (`_forecast_pass`) that `evaluate`, `evaluate_full`
+and `diagnostics.trace_override` share. It calls ``predict_batch`` through
+this module's global, the name the benchmark rebinds to time forecasts."""
 
 from __future__ import annotations
 
@@ -46,16 +49,16 @@ class TrainConfig:
     def __post_init__(self):
         ints = ("batch_size", "max_epochs", "patience", "seed", "stride", "max_batches_per_epoch")
         _check_types(self, ints[:-1] if self.max_batches_per_epoch is None else ints, ("normalize",))
-        if not 0 < self.lr:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size and max_epochs must be >= 1")
-        if self.huber_delta <= 0:
-            raise ConfigError(f"huber_delta must be positive, got {self.huber_delta}")
+        if not 0 < self.huber_delta < np.inf:
+            raise ConfigError(f"huber_delta must be positive and finite, got {self.huber_delta}")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
         if self.gumbel_tau_end is not None and not self.gumbel_tau_end > 0:
@@ -125,23 +128,34 @@ def _epoch_loss(model, windows: WindowBatch, delta: float, gumbel_temp=None,
     return total / count
 
 
-def _batched_predictions(model: LeapTS, windows: WindowBatch, batch: int, collect_traces: bool):
-    """Yield (window count, fused forecasts [b x P x N], traces or None) per
-    batch of windows, in order."""
-    if collect_traces and model.ablation == "no_sched":
+def _forecast_pass(model: LeapTS, windows: WindowBatch, batch: int, traces: list | None = None,
+                   override=None, each_batch=None) -> MetricReport:
+    """The one evaluation pass: forecast ``windows`` in batches of ``batch``
+    through ``predict_batch`` and pool MSE/MAE and their per-horizon curves.
+    ``traces``: a list that receives each row's schedule trace. ``override``:
+    one forced schedule per row, window-major. ``each_batch(lo, preds)``
+    sees each batch's forecasts [b x P x N], ``lo`` its first window."""
+    if traces is not None and model.ablation == "no_sched":
         raise DataError("traces: the no_sched variant has no scheduling branch")
     n = model.config.n_variates
+    sums = np.zeros((2, model.config.horizon))  # squared and absolute errors per horizon step
     for lo in range(0, windows.n_windows, batch):
         hi = min(lo + batch, windows.n_windows)
-        inputs = windows.inputs[lo:hi]
-        meta = None
-        if collect_traces:
-            vols = np.diff(inputs, axis=1).std(axis=1)  # [b x N]
-            wins = np.repeat(np.arange(lo, hi), n)
-            variates = np.tile(np.arange(n), hi - lo)
-            meta = (wins, variates, vols.reshape(-1))
-        preds, tr = predict_batch(model, inputs, mode="eval", trace_meta=meta)
-        yield hi - lo, preds, tr
+        preds, tr = predict_batch(
+            model, windows.inputs[lo:hi], mode="eval",
+            override=None if override is None else override[lo * n : hi * n],
+            traces_from=None if traces is None else lo,
+        )
+        err = preds - windows.targets[lo:hi]
+        sums[0] += (err**2).mean(axis=(0, 2)) * (hi - lo)
+        sums[1] += np.abs(err).mean(axis=(0, 2)) * (hi - lo)
+        if traces is not None:
+            traces.extend(tr)
+        if each_batch is not None:
+            each_batch(lo, preds)
+    per_mse, per_mae = sums / windows.n_windows
+    return MetricReport(mse=float(per_mse.mean()), mae=float(per_mae.mean()),
+                        per_horizon_mse=per_mse.tolist(), per_horizon_mae=per_mae.tolist())
 
 
 def evaluate(
@@ -151,26 +165,8 @@ def evaluate(
     collect_traces: bool = False,
 ) -> tuple[MetricReport, list | None]:
     """Pooled MSE/MAE (plus per-horizon curves) over a window batch."""
-    sq_sum = np.zeros(model.config.horizon)
-    abs_sum = np.zeros(model.config.horizon)
-    count = 0
     traces = [] if collect_traces else None
-    for b, preds, tr in _batched_predictions(model, windows, batch, collect_traces):
-        err = preds - windows.targets[count : count + b]
-        sq_sum += (err**2).mean(axis=(0, 2)) * b
-        abs_sum += np.abs(err).mean(axis=(0, 2)) * b
-        count += b
-        if collect_traces:
-            traces.extend(tr)
-    per_mse = sq_sum / count
-    per_mae = abs_sum / count
-    report = MetricReport(
-        mse=float(per_mse.mean()),
-        mae=float(per_mae.mean()),
-        per_horizon_mse=per_mse.tolist(),
-        per_horizon_mae=per_mae.tolist(),
-    )
-    return report, traces
+    return _forecast_pass(model, windows, batch, traces), traces
 
 
 def evaluate_full(
@@ -182,31 +178,25 @@ def evaluate_full(
     batch: int = 256,
     traces: list | None = None,
 ) -> MetricReport:
-    """Window-averaged full metric report (SMAPE/MAPE/MASE and, given
-    reference values, OWA). Raises if any window has a degenerate MASE
-    scaling denominator; use ``evaluate`` for plain MSE/MAE. When
-    ``traces`` is a list, the schedule traces of the same forecast pass
-    are appended to it."""
+    """``evaluate``'s pooled report plus window-averaged SMAPE/MAPE/MASE
+    and, given reference values, OWA. Raises if any window has a
+    degenerate MASE scaling denominator; use ``evaluate`` for plain
+    MSE/MAE. When ``traces`` is a list, the schedule traces of the same
+    forecast pass are appended to it."""
     from .metrics import metrics as full_metrics
 
-    batches = list(_batched_predictions(model, windows, batch, traces is not None))
-    preds = np.concatenate([p for _, p, _ in batches], axis=0)
-    if traces is not None:
-        traces.extend(t for _, _, tr in batches for t in tr)
-    reports = [
-        full_metrics(
-            preds[i], windows.targets[i], windows.inputs[i], s=s,
-            smape_ref=smape_ref, mase_ref=mase_ref,
+    reports = []
+
+    def score(lo, preds):
+        reports.extend(
+            full_metrics(p, windows.targets[lo + i], windows.inputs[lo + i], s=s,
+                         smape_ref=smape_ref, mase_ref=mase_ref)
+            for i, p in enumerate(preds)
         )
-        for i in range(windows.n_windows)
-    ]
-    fields = ["mse", "mae", "smape", "mape", "mase"]
-    agg = {f: float(np.mean([getattr(r, f) for r in reports])) for f in fields}
-    out = MetricReport(
-        **agg,
-        per_horizon_mse=np.mean([r.per_horizon_mse for r in reports], axis=0).tolist(),
-        per_horizon_mae=np.mean([r.per_horizon_mae for r in reports], axis=0).tolist(),
-    )
+
+    out = _forecast_pass(model, windows, batch, traces, each_batch=score)
+    for f in ("smape", "mape", "mase"):
+        setattr(out, f, float(np.mean([getattr(r, f) for r in reports])))
     if smape_ref is not None and mase_ref is not None:
         out.owa = 0.5 * (out.smape / smape_ref + out.mase / mase_ref)
     return out

@@ -19,7 +19,7 @@ from leapts.controller import round_and_clip_rows
 from leapts.data import zscore_stats
 from leapts.engine import StepRecord, _pack_override
 from leapts.errors import ConfigError, DataError, NumericError, ShapeError
-from leapts.forward import _rows_from_batch
+from leapts.forward import _rows_from_batch, _trace_rows
 from leapts.model import LeapTS
 from leapts.traces import build_traces
 
@@ -624,7 +624,7 @@ def forward_rows(
     rng: np.random.Generator | None = None,
     frozen_noise=None,
     override=None,
-    trace_meta=None,
+    traces_from=None,
     debug=None,
     gumbel_temp=None,
 ):
@@ -657,13 +657,14 @@ def forward_rows(
     else:
         h1 = linear(z, store["state_init_w"], store["state_init_b"], "tanh")
         row_clusters = np.tile(model.cluster_of_variate, b)
-        records = [] if debug is None and trace_meta is not None else debug
+        records = [] if debug is None and traces_from is not None else debug
         sched, noise = run_schedule_rows(
             model, h1, row_clusters, mode=mode, rng=rng, frozen_noise=frozen_noise,
             override=override, records=records, gumbel_temp=gumbel_temp,
         )
-        if trace_meta is not None:
-            traces = build_traces(records, trace_meta, model.anchors.category_names())
+        if traces_from is not None:
+            traces = build_traces(records, _trace_rows(inputs, traces_from),
+                                  model.anchors.category_names())
         fused = add(coarse, mul(sched, sigmoid(store["fuse_logit"])))
 
     if cfg.window_norm:

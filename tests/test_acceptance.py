@@ -74,8 +74,7 @@ def test_criterion_1_gradient_integrity():
         frozen = [noise_rng.gumbel(size=(4, 3)) for _ in range(cfg.horizon + 1)]
 
         # guard: no continuous length sits near a rounding boundary
-        meta = (np.zeros(4), np.arange(4), np.zeros(4))
-        probe = forward_rows(model, x, mode="soft", frozen_noise=frozen, trace_meta=meta)
+        probe = forward_rows(model, x, mode="soft", frozen_noise=frozen, traces_from=0)
         margins = [abs((s.len_cont % 1.0) - 0.5) for tr in probe["traces"] for s in tr.steps]
         assert min(margins) > 1e-3
 
@@ -197,8 +196,7 @@ def test_criterion_6_decomposition_identity():
             )
             model = LeapTS(cfg)
             x = rng.normal(size=(2, 16, 2))
-            meta = (np.repeat(np.arange(2), 2), np.tile(np.arange(2), 2), np.zeros(4))
-            out, debug = debug_run(forward_rows, model, x, mode="eval", trace_meta=meta)
+            out, debug = debug_run(forward_rows, model, x, mode="eval", traces_from=0)
             assert debug
             for step in debug:
                 assert np.array_equal(
@@ -341,10 +339,9 @@ def test_criterion_11_scheduling_loop_safety():
             model = LeapTS(cfg)
             x = rng.normal(scale=float(rng.uniform(0.2, 5.0)), size=(1, L, n))
             mode = "train" if trial % 2 else "eval"
-            meta = (np.zeros(n), np.arange(n), np.zeros(n))
             out, debug = debug_run(
                 forward_rows, model, x, mode=mode, rng=np.random.default_rng(trial),
-                trace_meta=meta,
+                traces_from=0,
             )
             for tr in out["traces"]:
                 assert tr.n_steps <= P

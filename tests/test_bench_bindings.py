@@ -12,10 +12,12 @@ import types
 import numpy as np
 
 import leapts.cli  # noqa: F401  (loads every module the tracer wraps)
+import leapts.diagnostics as diagnostics
 import leapts.forward as forward
 import leapts.optim as optim
 import leapts.training as training
 from leapts.autodiff import Tape
+from leapts.data import Dataset, make_windows
 from leapts.model import LeapTS
 
 from conftest import toy_config
@@ -52,8 +54,33 @@ def test_layer_spans_install_and_restore_every_binding():
 
 def test_names_the_workloads_patch_are_the_ones_training_calls():
     assert training.predict_batch is forward.predict_batch
+    assert diagnostics.predict_batch is forward.predict_batch  # the tracer wraps it too
     assert training.forward_loss is forward.forward_loss
     assert training.adam_step is optim.adam_step
+
+
+def test_every_evaluation_forecasts_through_the_patched_training_name(monkeypatch):
+    """forecast-clustered times forecasts by rebinding ``training.predict_batch``;
+    `evaluate`, `evaluate_full` and `trace_override` all forecast through it."""
+    model = LeapTS(toy_config(n_variates=1, seed=5))
+    values = 5.0 + np.random.default_rng(0).normal(size=(120, 1)).cumsum(axis=0)
+    w = make_windows(Dataset(values=values, split_fractions=(1.0, 0.0, 0.0)), 24, 8, "train",
+                     stride=9)
+    calls = []
+    predict = training.predict_batch
+
+    def counting(model_, inputs, **kw):
+        calls.append(len(inputs))
+        return predict(model_, inputs, **kw)
+
+    monkeypatch.setattr(training, "predict_batch", counting)
+    for run, passes in ((lambda: training.evaluate(model, w, batch=4, collect_traces=True), 1),
+                        (lambda: training.evaluate_full(model, w, batch=4), 1),
+                        (lambda: diagnostics.trace_override(model, w, "fixed", 4), 1),
+                        (lambda: diagnostics.trace_override(model, w, "monte_carlo", 2), 2)):
+        calls.clear()
+        run()
+        assert sum(calls) == passes * w.n_windows, calls
 
 
 class _Checks:

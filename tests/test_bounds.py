@@ -64,6 +64,16 @@ def test_assumption_violations_rejected():
         BoundInstance(lam=2.0, eps_a=-1.0, eps_p=2.0, P=4)
 
 
+@pytest.mark.parametrize("field", ["lam", "eps_a", "eps_p"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameters_rejected(field, value):
+    """A NaN term never beats ``rest[c]`` in the dynamic program, so its
+    partition walk would not advance; infinities make non-JSON output."""
+    kw = {"lam": 1.1, "eps_a": 1.0, "eps_p": 1.5, "P": 4, field: value}
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        BoundInstance(**kw)
+
+
 def exhaustive_optimum(inst):
     """Oracle: the first composition (in enumeration order) with the least
     term, and min(direct, that term)."""

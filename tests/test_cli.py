@@ -2,11 +2,16 @@
 well under 30 seconds)."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
+import leapts
 import leapts.cli as cli
 import leapts.training as training
 from leapts.cli import main
@@ -135,6 +140,48 @@ def test_splits_rejects_non_numeric_values(tiny_csv, capsys, tmp_path):
     assert code == 2
     assert "error: --splits needs comma-separated numbers, got '0.5,x,0.2'" in err
     assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--eps-a", "nan"), ("--lambda", "nan"), ("--eps-p", "nan"), ("--lambda", "inf")],
+    ids=["eps-a-nan", "lambda-nan", "eps-p-nan", "lambda-inf"],
+)
+def test_bounds_rejects_non_finite_values_without_hanging(flag, value):
+    """Non-finite values exit 2. A NaN amplitude would stall the bound's
+    partition walk forever, so the CLI runs in its own process under a
+    timeout."""
+    argv = {"--lambda": "1.1", "--eps-a": "1", "--eps-p": "1.5", "--P": "4", flag: value}
+    src = pathlib.Path(leapts.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "leapts", "bounds", *(a for kv in argv.items() for a in kv)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "must be finite" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["train", "--delta", "nan"], "huber_delta"),
+        (["train", "--lr", "inf"], "lr"),
+        (["gen", "--scenario", "3", "--dt", "nan"], "dt"),
+        (["train", "--splits", "0.5,0.6,-0.1"], "split fractions"),
+        (["train", "--splits", "nan,0.5,0.5"], "split fractions"),
+    ],
+    ids=["delta-nan", "lr-inf", "dt-nan", "splits-negative", "splits-nan"],
+)
+def test_non_finite_settings_are_config_errors(tiny_csv, capsys, tmp_path, argv, field):
+    """A non-finite float setting or a bad split fraction exits 2 naming
+    it, before anything is written; it is not a numeric failure (3)."""
+    out_path = tmp_path / "out"
+    if argv[0] == "train":
+        argv = [*argv, "--data", str(tiny_csv), "--L", "24", "--P", "6", "--epochs", "1"]
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert f"error: {field} must be" in err and "Traceback" not in err
+    assert not out_path.exists()
 
 
 def test_bounds_sweep_rows_satisfy_theorem(capsys):

@@ -53,6 +53,14 @@ def test_dataset_validation():
         Dataset(values=np.array([[np.inf, 1.0]]))
 
 
+@pytest.mark.parametrize("fractions", [(0.5, 0.6, -0.1), (np.nan, 0.5, 0.5), (1.0, np.inf, -np.inf)])
+def test_split_fractions_must_be_finite_and_non_negative(fractions):
+    """These pass the sum check (NaN and inf - inf compare false) but break
+    the split bounds."""
+    with pytest.raises(DataError, match="split fractions must be finite and >= 0"):
+        Dataset(values=np.ones((10, 1)), split_fractions=fractions)
+
+
 # -- windows -------------------------------------------------------------------
 
 

@@ -146,8 +146,7 @@ def test_saturating_length_heads_change_step_counts():
         x = np.random.default_rng(0).normal(size=(3, 8, 2))
         from leapts.forward import predict_batch
 
-        meta = (np.repeat(np.arange(3), 2), np.tile(np.arange(2), 3), np.zeros(6))
-        _, traces = predict_batch(model, x, trace_meta=meta)
+        _, traces = predict_batch(model, x, traces_from=0)
         counts[label] = category_stats(traces)["mean_steps"]
     assert counts["low"] > counts["high"]
 
@@ -213,9 +212,8 @@ def test_fixed_full_horizon_single_step(small_model, small_windows):
     assert np.isfinite(report.mse)
     steps = partition_to_steps(fixed_partition(8, 8), small_model.anchors)
     n_w = small_windows.n_windows
-    meta = (np.arange(n_w), np.zeros(n_w, dtype=int), np.zeros(n_w))
     _, traces = predict_batch(
-        small_model, small_windows.inputs, override=[steps] * n_w, trace_meta=meta
+        small_model, small_windows.inputs, override=[steps] * n_w, traces_from=0
     )
     assert all(tr.n_steps == 1 for tr in traces)
 
@@ -225,9 +223,8 @@ def test_fixed_step_trace_lengths(small_model, small_windows):
 
     steps = partition_to_steps(fixed_partition(8, 3), small_model.anchors)
     n_w = small_windows.n_windows
-    meta = (np.arange(n_w), np.zeros(n_w, dtype=int), np.zeros(n_w))
     _, traces = predict_batch(
-        small_model, small_windows.inputs, override=[steps] * n_w, trace_meta=meta
+        small_model, small_windows.inputs, override=[steps] * n_w, traces_from=0
     )
     for tr in traces:
         lens = [s.len_int for s in tr.steps]
@@ -235,13 +232,18 @@ def test_fixed_step_trace_lengths(small_model, small_windows):
 
 
 def natural_and_replay_preds(model, windows, traces):
-    from leapts.diagnostics import _predict_forced_rows
+    """Plain forecasts, and those of the evaluation pass that `trace_override`
+    runs, in its batches, forced to replay ``traces``."""
+    from leapts.diagnostics import _OVERRIDE_BATCH
     from leapts.forward import predict_batch
+    from leapts.training import _forecast_pass
 
     natural, _ = predict_batch(model, windows.inputs)
     override = [[(s.category, s.len_cont, s.len_int) for s in tr.steps] for tr in traces]
-    replayed = _predict_forced_rows(model, windows.inputs, override)
-    return natural, replayed
+    replayed = []
+    _forecast_pass(model, windows, _OVERRIDE_BATCH, override=override,
+                   each_batch=lambda lo, preds: replayed.append(preds))
+    return natural, np.concatenate(replayed)
 
 
 def test_replay_reproduces_eval_bit_exactly(small_model, small_windows):

@@ -387,10 +387,7 @@ def run_rows(model, n_windows=1, mode="eval", rng=None, seed=0, fwd=forward_rows
     """``fwd`` (the model's forward, or the per-op oracle's) on random windows."""
     data_rng = np.random.default_rng(seed)
     x = data_rng.normal(size=(n_windows, model.config.look_back, model.config.n_variates))
-    n = model.config.n_variates
-    r = n_windows * n
-    meta = (np.repeat(np.arange(n_windows), n), np.tile(np.arange(n), n_windows), np.zeros(r))
-    return fwd(model, x, mode=mode, rng=rng, trace_meta=meta, **kw)
+    return fwd(model, x, mode=mode, rng=rng, traces_from=0, **kw)
 
 
 def test_forced_lengths_two_steps():
@@ -1000,12 +997,10 @@ def test_tape_free_calls_and_debug_records_share_no_work_array(monkeypatch):
     fresh arrays records. No step record holds memory of a work array."""
     model, n_windows, kw, data_rng = _loop_case("g3c3", "eval")
     n = model.config.n_variates
-    meta = (np.repeat(np.arange(n_windows), n), np.tile(np.arange(n), n_windows),
-            np.zeros(n_windows * n))
     x1, x2 = (data_rng.normal(size=(n_windows, model.config.look_back, n)) for _ in range(2))
-    first, traces = predict_batch(model, x1, trace_meta=meta)
+    first, traces = predict_batch(model, x1, traces_from=0)
     kept = first.copy(), copy.deepcopy(traces)
-    second, _ = predict_batch(model, x2, trace_meta=meta)
+    second, _ = predict_batch(model, x2, traces_from=0)
     assert not np.array_equal(second, first)
     assert np.array_equal(first, kept[0]) and traces == kept[1]
 

@@ -8,7 +8,7 @@ import pytest
 from leapts import training
 from leapts.data import Dataset, make_windows
 from leapts.errors import ConfigError, DataError
-from leapts.forward import predict_batch
+from leapts.forward import forecast, predict_batch
 from leapts.model import LeapTS, ModelConfig
 from leapts.synth import ScenarioSpec, generate
 from leapts.training import (
@@ -285,8 +285,7 @@ def test_no_high_level_single_category(rng):
     model = LeapTS(toy_config(seed=13), ablation="no_high_level")
     assert model.anchors.degenerate
     x = rng.normal(size=(2, 24, 2))
-    meta = (np.repeat(np.arange(2), 2), np.tile(np.arange(2), 2), np.zeros(4))
-    _, traces = predict_batch(model, x, trace_meta=meta)
+    _, traces = predict_batch(model, x, traces_from=0)
     cats = {s.category_name for tr in traces for s in tr.steps}
     assert cats == {"single"}
 
@@ -330,9 +329,28 @@ def test_evaluate_and_evaluate_full_agree_across_batch_sizes(rng):
     one, _ = evaluate(model, w, batch=w.n_windows)
     split, _ = evaluate(model, w, batch=3)
     assert split.mse == pytest.approx(one.mse, rel=1e-12)
-    full = evaluate_full(model, w, batch=3)
-    assert full.mse == pytest.approx(one.mse, rel=1e-12)
-    assert full.mae == pytest.approx(one.mae, rel=1e-12)
+    for batch, pooled in ((3, split), (w.n_windows, one)):
+        full = evaluate_full(model, w, batch=batch)
+        for f in ("mse", "mae", "per_horizon_mse", "per_horizon_mae"):
+            assert getattr(full, f) == getattr(pooled, f), (batch, f)
+
+
+def test_forecast_traces_a_window_as_evaluate_does(rng):
+    """``forecast(collect_traces=True, window_id=k)`` gives window k the
+    trace `evaluate` gives it one window a batch: the ids, the volatility and
+    the schedule. In larger batches the ids and volatilities are the same."""
+    model = LeapTS(toy_config(n_clusters=2, seed=4))
+    ds = Dataset(values=rng.normal(size=(120, 2)).cumsum(axis=0), split_fractions=(1.0, 0.0, 0.0))
+    w = make_windows(ds, 24, 8, "train", stride=11)
+    _, alone = evaluate(model, w, batch=1, collect_traces=True)
+    _, batched = evaluate(model, w, batch=3, collect_traces=True)
+    for k in (0, 4, w.n_windows - 1):
+        _, own = forecast(model, w.inputs[k], collect_traces=True, window_id=k)
+        assert [(t.window, t.variate) for t in own] == [(k, 0), (k, 1)]
+        assert own == alone[2 * k : 2 * k + 2]
+        assert own[1].volatility == pytest.approx(np.diff(w.inputs[k][:, 1]).std(), rel=1e-12)
+        assert [(t.window, t.variate, t.volatility) for t in batched[2 * k : 2 * k + 2]] == [
+            (t.window, t.variate, t.volatility) for t in own]
 
 
 def test_train_config_validation():
