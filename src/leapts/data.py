@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import os
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,49 +68,51 @@ class WindowBatch:
 
 def load_csv(path, name: str = "", frequency: str = "", split_fractions=(0.6, 0.2, 0.2)) -> Dataset:
     """Read a headered numeric CSV; a leading time column (named like 't'
-    or 'date', or non-numeric) is dropped from the values."""
+    or 'date', or non-numeric) is dropped from the values. Rows are checked
+    as they stream into one float64 buffer, so the first malformed row in
+    file order is the one reported."""
+    values, start_col = array("d"), None
     with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
         try:
-            header, *rows = list(csv.reader(fh)) or [None]
+            header = next(rows, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            width = len(header)
+            for line, row in enumerate(rows, 2):
+                if len(row) != width:
+                    raise DataError(f"{path}: row {line} has {len(row)} cells, expected {width}")
+                if start_col is None:  # a time column is named so, or text in the first row
+                    time_col = bool(header) and header[0].strip().lower() in TIME_COLUMN_NAMES
+                    start_col = int(time_col or (width > 1 and not _is_float(row[0])))
+                    if start_col == width:
+                        raise DataError(f"{path}: no numeric value columns")
+                try:
+                    values.extend(map(float, row[start_col:]))
+                except ValueError:
+                    j = next(j for j in range(start_col, width) if not _is_float(row[j]))
+                    raise DataError(
+                        f"{path}: non-numeric cell at row {line}, column {j + 1}: {row[j]!r}"
+                    ) from None
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if header is None:
-        raise DataError(f"{path}: empty file")
-    if not rows:
+    if start_col is None:
         raise DataError(f"{path}: no data rows")
-    width = len(header)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(f"{path}: row {i + 2} has {len(row)} cells, expected {width}")
-
-    drop_first = header and header[0].strip().lower() in TIME_COLUMN_NAMES
-    if not drop_first and width > 1:
-        try:
-            float(rows[0][0])
-        except ValueError:
-            drop_first = True
-    start_col = 1 if drop_first else 0
-    if width - start_col < 1:
-        raise DataError(f"{path}: no numeric value columns")
-
-    values = np.empty((len(rows), width - start_col))
-    for i, row in enumerate(rows):
-        for j in range(start_col, width):
-            try:
-                values[i, j - start_col] = float(row[j])
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric cell at row {i + 2}, column {j + 1}: {row[j]!r}"
-                ) from None
-    import os
-
     return Dataset(
-        values=values,
+        values=np.frombuffer(values).reshape(-1, width - start_col),
         name=name or os.path.splitext(os.path.basename(str(path)))[0],
         frequency=frequency,
         split_fractions=tuple(split_fractions),
         columns=header[start_col:],
     )
+
+
+def _is_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def make_windows(dataset: Dataset, L: int, P: int, split: str, stride: int = 1) -> WindowBatch:

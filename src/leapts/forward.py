@@ -39,9 +39,10 @@ def _batch_from_rows(rows: np.ndarray, b: int, n: int) -> np.ndarray:
 
 def _trace_rows(inputs: np.ndarray, first_window: int):
     """(window ids from ``first_window``, variate ids, volatilities: the std
-    of the look-back's first differences) of a batch [B x L x N]'s rows."""
-    b, _, n = inputs.shape
-    vols = np.diff(inputs, axis=1).std(axis=1)
+    of the look-back's first differences, 0 when a one-point look-back has
+    none) of a batch [B x L x N]'s rows."""
+    b, look_back, n = inputs.shape
+    vols = np.diff(inputs, axis=1).std(axis=1) if look_back > 1 else np.zeros((b, n))
     return (np.repeat(np.arange(first_window, first_window + b), n), np.tile(np.arange(n), b),
             vols.reshape(-1))
 

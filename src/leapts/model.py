@@ -75,9 +75,9 @@ class ModelConfig:
             *((getattr(self, f) >= 1, f"{f} >= 1")
               for f in ("hidden_dim", "latent_dim", "summary_dim", "control_dim", "field_hidden")),
             (1 <= self.n_clusters <= self.n_variates, "1 <= n_clusters <= n_variates"),
-            (self.mask_temp > 0, "mask_temp > 0"),
-            (self.gumbel_temp > 0, "gumbel_temp > 0"),
-            (0 < self.dt_min <= self.dt_max, "0 < dt_min <= dt_max"),
+            (0 < self.mask_temp < np.inf, "0 < mask_temp < inf"),
+            (0 < self.gumbel_temp < np.inf, "0 < gumbel_temp < inf"),
+            (0 < self.dt_min <= self.dt_max < np.inf, "0 < dt_min <= dt_max < inf"),
             (self.max_steps >= 1, "max_steps >= 1"),
             (self.seed >= 0, "seed >= 0"),
             (all(w >= 1 for w in self.enc_hidden), "encoder widths >= 1"),

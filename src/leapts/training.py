@@ -61,8 +61,10 @@ class TrainConfig:
             raise ConfigError(f"huber_delta must be positive and finite, got {self.huber_delta}")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
-        if self.gumbel_tau_end is not None and not self.gumbel_tau_end > 0:
-            raise ConfigError(f"gumbel_tau_end must be positive, got {self.gumbel_tau_end}")
+        if self.gumbel_tau_end is not None and not 0 < self.gumbel_tau_end < np.inf:
+            raise ConfigError(
+                f"gumbel_tau_end must be positive and finite, got {self.gumbel_tau_end}"
+            )
         if self.max_batches_per_epoch is not None and self.max_batches_per_epoch < 1:
             raise ConfigError(
                 f"max_batches_per_epoch must be >= 1, got {self.max_batches_per_epoch}"

@@ -446,11 +446,12 @@ def test_config_file_unknown_key_rejected(tiny_csv, capsys, tmp_path):
         ({"train": {"batch_size": 8.5}}, "batch_size has the wrong type (8.5)"),
         ({"train": {"stride": 1.5}}, "stride has the wrong type (1.5)"),
         ({"train": {"normalize": "no"}}, "normalize has the wrong type ('no')"),
+        ({"model": {"mask_temp": float("inf")}}, "requires 0 < mask_temp < inf"),
     ],
     ids=["look_back", "horizon", "n_variates", "model_value_type", "encoder_width_type",
          "train_value_type", "section_not_object", "control_dim_zero", "width_float",
          "max_steps_float", "encoder_width_float", "seed_bool", "batch_size_float",
-         "stride_float", "normalize_str"],
+         "stride_float", "normalize_str", "mask_temp_infinity"],
 )
 def test_config_file_rejected(tiny_csv, capsys, tmp_path, cfg, fragment):
     """Flags and the data set look_back, horizon and n_variates; a file
@@ -471,7 +472,8 @@ def test_config_file_rejected(tiny_csv, capsys, tmp_path, cfg, fragment):
     [
         (["--max-batches", "-1"], None, "max_batches_per_epoch must be >= 1, got -1"),
         (["--max-batches", "0"], None, "max_batches_per_epoch must be >= 1, got 0"),
-        ([], {"train": {"gumbel_tau_end": -0.5}}, "gumbel_tau_end must be positive, got -0.5"),
+        ([], {"train": {"gumbel_tau_end": -0.5}},
+         "gumbel_tau_end must be positive and finite, got -0.5"),
     ],
     ids=["max_batches_negative", "max_batches_zero", "gumbel_tau_end_negative"],
 )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from leapts.data import Dataset, load_csv, make_windows, zscore_stats
 from leapts.errors import DataError
+from leapts.synth import ScenarioSpec, generate, write_csv
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -44,6 +47,61 @@ def test_ragged_rows_report_row(tmp_path):
 def test_non_numeric_cell_reports_position(tmp_path):
     with pytest.raises(DataError, match="row 3, column 2"):
         load_csv(write(tmp_path, "a,b\n1,2\n3,oops\n"))
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("a,b\n1,2\n3\n4,5\n", "row 3 has 1 cells, expected 2"),
+        ("a,b\n1,2\n3,oops\n4,5\n", "non-numeric cell at row 3, column 2: 'oops'"),
+        ("", "empty file"),
+        ("a,b\n", "no data rows"),
+        ("t\n0.0\n0.5\n", "no numeric value columns"),
+        (b"a,b\n1,2\n3,4\n\xff,5\n", "not UTF-8 text (invalid start byte)"),
+        ("a,b\n1,2\n3,x\n4,5\n6\n", "non-numeric cell at row 3, column 2: 'x'"),
+        ("a,b\n1,2\n3\n4,x\n", "row 3 has 1 cells, expected 2"),
+    ],
+    ids=["ragged", "non_numeric", "empty", "header_only", "no_value_columns", "non_utf8",
+         "non_numeric_before_ragged", "ragged_before_non_numeric"],
+)
+def test_malformed_file_reports_its_first_fault(tmp_path, body, message):
+    """Each fault has its own message and row; in a file with two, the
+    earlier row in file order is the one reported."""
+    path = tmp_path / "bad.csv"
+    if isinstance(body, bytes):
+        path.write_bytes(body)
+    else:
+        path.write_text(body)
+    with pytest.raises(DataError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("scenario, steps", [(1, 2400), (2, 300), (3, 2000)])
+def test_generated_csv_round_trips_bit_for_bit(tmp_path, scenario, steps):
+    batch = generate(ScenarioSpec(scenario, total_steps=steps, seed=3))
+    write_csv(batch, tmp_path / "s.csv")
+    ds = load_csv(tmp_path / "s.csv")
+    assert ds.columns == batch.columns
+    assert ds.values.shape == batch.values.shape
+    assert np.array_equal(ds.values, batch.values)
+    assert ds.values.dtype == np.float64
+    assert ds.values.flags.writeable and ds.values.flags.c_contiguous
+
+
+def test_load_csv_streams_rows_into_one_buffer(tmp_path):
+    """Reading a 2,400 x 30 scenario-1 file holds about one copy of its
+    values (576 kB), not every row's cells as strings."""
+    path = tmp_path / "s1.csv"
+    write_csv(generate(ScenarioSpec(1, total_steps=2400, seed=0)), path)
+    load_csv(path)  # the first call pays for imports and caches
+    tracemalloc.start()
+    try:
+        load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6
 
 
 def test_dataset_validation():

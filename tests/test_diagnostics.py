@@ -1,5 +1,6 @@
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +287,27 @@ def test_trace_jsonl_bytes_are_pinned(tmp_path):
     ]
     assert read_trace_jsonl(path) == [tr]
 
+
+
+def test_one_point_look_back_traces_have_zero_volatility(tmp_path):
+    """A one-point look-back has no first differences: its volatility is
+    0.0, with no warning, and the written lines are strict JSON."""
+    from leapts.forward import predict_batch
+
+    def no_constant(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    model = LeapTS(toy_config(look_back=1, horizon=4))
+    x = np.random.default_rng(0).normal(size=(3, 1, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, traces = predict_batch(model, x, traces_from=0)
+    assert len(traces) == 6 and all(tr.volatility == 0.0 for tr in traces)
+    path = tmp_path / "l1.jsonl"
+    write_trace_jsonl(traces, path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == sum(tr.n_steps for tr in traces)
+    assert all(json.loads(line, parse_constant=no_constant)["volatility"] == 0.0 for line in lines)
 
 def test_trace_records_are_the_text_json_dumps_writes(tmp_path):
     """The writer builds each line itself; the bytes equal ``json.dumps`` of

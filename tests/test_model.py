@@ -50,6 +50,27 @@ def test_config_validation():
     assert TrainConfig(batch_size=np.int64(4)).batch_size == 4
 
 
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ModelConfig(look_back=8, horizon=8, n_variates=1, mask_temp=np.inf),
+         "requires 0 < mask_temp < inf$"),
+        (lambda: ModelConfig(look_back=8, horizon=8, n_variates=1, gumbel_temp=np.inf),
+         "requires 0 < gumbel_temp < inf$"),
+        (lambda: ModelConfig(look_back=8, horizon=8, n_variates=1, dt_max=np.inf),
+         "requires 0 < dt_min <= dt_max < inf$"),
+        (lambda: ModelConfig(look_back=8, horizon=8, n_variates=1, dt_min=np.inf, dt_max=np.inf),
+         "requires 0 < dt_min <= dt_max < inf$"),
+        (lambda: TrainConfig(gumbel_tau_end=np.inf),
+         "gumbel_tau_end must be positive and finite, got inf$"),
+    ],
+    ids=["mask_temp", "gumbel_temp", "dt_max", "dt_min_and_dt_max", "gumbel_tau_end"],
+)
+def test_infinite_float_settings_are_config_errors(make, message):
+    with pytest.raises(ConfigError, match=message):
+        make()
+
 def encode(model, window):
     """Latents [N x latent_dim] of one window [L x N], one row per variate."""
     return model.encode_rows(window.T)[-1]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -7,6 +8,8 @@ import pytest
 from leapts.errors import ConfigError, NumericError
 from leapts.synth import (
     ScenarioSpec,
+    _lorenz,
+    _rk4_floats,
     gen_scenario1,
     gen_scenario2,
     gen_scenario3,
@@ -14,6 +17,13 @@ from leapts.synth import (
     integrate_ode,
     write_csv,
 )
+
+
+def lorenz_array(t, x, sigma=10.0, rho=28.0, beta=8.0 / 3.0):
+    """The Lorenz field on arrays, for `integrate_ode`: the oracle of the
+    scenario-3 generator, which integrates the same field on floats."""
+    lx, ly, lz = x[..., 0], x[..., 1], x[..., 2]
+    return np.stack([sigma * (ly - lx), lx * (rho - lz) - ly, lx * ly - beta * lz], axis=-1)
 
 
 # -- RK4 ----------------------------------------------------------------------
@@ -158,11 +168,53 @@ def test_lorenz_sensitivity_to_initial_conditions():
     spec = small_spec(3, steps=20000)
     rng = np.random.default_rng(spec.seed)
     x0 = rng.uniform(-2.0, 2.0, size=3)
-    from leapts.synth import _lorenz
-
-    a = integrate_ode(_lorenz, x0, spec.total_steps, spec.dt)
-    b = integrate_ode(_lorenz, x0 + np.array([1e-8, 0.0, 0.0]), spec.total_steps, spec.dt)
+    a = integrate_ode(lorenz_array, x0, spec.total_steps, spec.dt)
+    b = integrate_ode(lorenz_array, x0 + np.array([1e-8, 0.0, 0.0]), spec.total_steps, spec.dt)
     assert np.abs(a[:, 2] - b[:, 2]).max() > 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_float_rk4_equals_integrate_ode_bit_for_bit(seed):
+    """Scenario 3 integrates on Python floats; every state, hidden x and y
+    included, equals `integrate_ode` on the array field. Row i of
+    `integrate_ode` does not depend on ``n_steps``, so one 20,000-step
+    oracle covers the shorter generators too."""
+    x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, size=3)
+    want = integrate_ode(lorenz_array, x0, 20000, 0.02)
+    assert np.array_equal(_rk4_floats(_lorenz, x0, 20000, 0.02), want)
+    for steps in (1, 2, 4000, 20000):
+        batch = gen_scenario3(ScenarioSpec(3, total_steps=steps, seed=seed))
+        assert batch.values.shape == (steps, 1)
+        assert np.array_equal(batch.values[:, 0], want[:steps, 2])
+        assert batch.metadata["initial_state"] == x0.tolist()
+
+
+def test_float_rk4_overflow_names_the_step():
+    """A state that overflows at its fourth step raises where the array
+    oracle does, naming that step."""
+    x0 = [1e3, -1e3, 1e3]
+    message = "^integrate_ode: non-finite state at step 4$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=message):
+            integrate_ode(lorenz_array, np.array(x0), 50, 0.02)
+    with pytest.raises(NumericError, match=message):
+        _rk4_floats(_lorenz, x0, 50, 0.02)
+
+
+@pytest.mark.parametrize(
+    "scenario, steps, digest",
+    [
+        (1, 2400, "daf586b4a53618e54a84da99c89f09b5e46ca46076bdd11064660c753653f090"),
+        (2, 600, "273e2312317a00fb686238d9e6d5d237d8d58bee94914bc6e1ae060d5187936e"),
+        (3, 4000, "d3986947dd448d3bb6e1199eff84e66194ea53c2dbea2f8a75f74a5033bf82d7"),
+    ],
+)
+def test_generated_values_are_pinned(scenario, steps, digest):
+    """SHA-256 of each scenario's little-endian float64 values at seed 0.
+    Scenario 1 passes its first cluster-C reset at step 2000."""
+    values = generate(ScenarioSpec(scenario, total_steps=steps, seed=0)).values
+    assert values.dtype == np.float64 and values.shape[0] == steps
+    assert hashlib.sha256(values.astype("<f8").tobytes()).hexdigest() == digest
 
 
 # -- CSV output -------------------------------------------------------------------
@@ -190,3 +242,16 @@ def test_write_csv_deterministic_bytes(tmp_path):
     for name in ("a.csv", "b.csv"):
         write_csv(gen_scenario2(small_spec(2, steps=100)), tmp_path / name)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_scenario3_csv_and_sidecar_bytes_are_pinned(tmp_path):
+    sidecar = write_csv(gen_scenario3(ScenarioSpec(3, total_steps=4, seed=0)), tmp_path / "s3.csv")
+    assert (tmp_path / "s3.csv").read_bytes() == (
+        b"t,z\n"
+        b"0.0,-1.8361059042552212\n"
+        b"0.02,-1.7471708473360068\n"
+        b"0.04,-1.65896469714246\n"
+        b"0.06,-1.5736407774099301\n"
+    )
+    digest = hashlib.sha256(open(sidecar, "rb").read()).hexdigest()
+    assert digest == "46471980cd1e6b98843d1c79f1c78043846e2fa0e838bef9db647385680c2ed7"
