@@ -6,53 +6,38 @@ soft-masked segment into the horizon, and evolves its controller state
 through cluster-shared controlled dynamics. The model is float64 numpy
 array code with one hand-written reverse pass, which a small tape
 (``autodiff``) records as one node next to the Huber loss.
+
+The package namespace is lazy (PEP 562): each exported name is imported
+from its home module on first access, so ``import leapts`` and the CLI's
+light commands do not load numpy.
 """
 
-from .autodiff import Tape, Tensor, huber_loss
-from .bounds import BoundInstance, bound_direct, bound_leapts_optimal, bound_recursive
-from .controller import ScaleAnchors, scale_anchors
-from .data import Dataset, WindowBatch, load_csv, make_windows
-from .engine import cluster_variates
-from .forward import forecast, predict_batch
-from .metrics import MetricReport
-from .model import ForecastPair, LeapTS, ModelConfig
-from .optim import ParamStore, adam_step
-from .synth import ScenarioSpec, generate, integrate_ode, write_csv
-from .training import TrainConfig, TrainReport, ablate, evaluate, train
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Tape",
-    "Tensor",
-    "huber_loss",
-    "BoundInstance",
-    "bound_direct",
-    "bound_recursive",
-    "bound_leapts_optimal",
-    "ScaleAnchors",
-    "scale_anchors",
-    "Dataset",
-    "WindowBatch",
-    "load_csv",
-    "make_windows",
-    "cluster_variates",
-    "forecast",
-    "predict_batch",
-    "MetricReport",
-    "ForecastPair",
-    "LeapTS",
-    "ModelConfig",
-    "ParamStore",
-    "adam_step",
-    "ScenarioSpec",
-    "generate",
-    "integrate_ode",
-    "write_csv",
-    "TrainConfig",
-    "TrainReport",
-    "ablate",
-    "evaluate",
-    "train",
-    "__version__",
-]
+_HOME = {
+    "autodiff": ("Tape", "Tensor", "huber_loss"),
+    "bounds": ("BoundInstance", "bound_direct", "bound_recursive", "bound_leapts_optimal"),
+    "anchors": ("ScaleAnchors", "scale_anchors"),
+    "data": ("Dataset", "WindowBatch", "load_csv", "make_windows"),
+    "engine": ("cluster_variates",),
+    "forward": ("forecast", "predict_batch"),
+    "metrics": ("MetricReport",),
+    "model": ("ForecastPair", "LeapTS", "ModelConfig"),
+    "optim": ("ParamStore", "adam_step"),
+    "synth": ("ScenarioSpec", "generate", "integrate_ode", "write_csv"),
+    "training": ("TrainConfig", "TrainReport", "ablate", "evaluate", "train"),
+}
+_MODULE_OF = {name: module for module, names in _HOME.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -14,17 +14,11 @@ import os
 import sys
 from dataclasses import asdict, fields
 
-import numpy as np
-
-from .bounds import BoundInstance, bound_direct, bound_leapts_optimal, bound_recursive
-from .controller import scale_anchors
-from .data import WindowBatch, load_csv, make_windows
-from .diagnostics import bin_by_volatility, category_stats, ratio_summary, trace_override
+# Only the standard library, `errors` and `anchors` load at start; each
+# command imports the rest when it runs, so parsing, usage errors, refused
+# flag combinations and `anchors` finish without loading numpy.
+from .anchors import scale_anchors
 from .errors import ConfigError, DataError, NumericError
-from .model import LeapTS, ModelConfig
-from .synth import ScenarioSpec, generate, write_csv
-from .traces import write_trace_jsonl
-from .training import TrainConfig, ablate, apply_data_norm, evaluate, evaluate_full, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,6 +54,8 @@ def _load_config_file(path) -> dict:
 
 
 def cmd_gen(args) -> int:
+    from .synth import ScenarioSpec, generate, write_csv
+
     spec = ScenarioSpec(
         scenario=args.scenario,
         total_steps=args.steps,
@@ -85,6 +81,9 @@ def cmd_gen(args) -> int:
 
 
 def _build_configs(args, n_variates):
+    from .model import ModelConfig
+    from .training import TrainConfig
+
     file_cfg = _load_config_file(args.config)
     for key, section in file_cfg.items():
         if key not in ("model", "train"):
@@ -132,6 +131,10 @@ def _build_configs(args, n_variates):
 
 
 def cmd_train(args) -> int:
+    from .data import load_csv
+    from .model import LeapTS
+    from .training import train
+
     dataset = load_csv(args.data, split_fractions=_parse_splits(args.splits))
     mcfg, tcfg = _build_configs(args, dataset.n_variates)
     model = LeapTS(mcfg, ablation=tcfg.ablation)
@@ -161,6 +164,10 @@ def _parse_splits(text):
 
 
 def _load_for_eval(args):
+    from .data import load_csv, make_windows
+    from .model import LeapTS
+    from .training import apply_data_norm
+
     model = LeapTS.load(args.ckpt)
     dataset = load_csv(args.data, split_fractions=_parse_splits(args.splits))
     cfg = model.config
@@ -185,22 +192,37 @@ def _parse_override(text):
 
 
 def cmd_eval(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     for flag, given in (("--trace", args.trace), ("--full-metrics", args.full_metrics)):
         if args.override and given:  # an override run reports neither
             raise ConfigError(f"--override cannot be combined with {flag}")
+    for flag, value, needs, present in (
+        ("--seed", args.seed, "--override", args.override),
+        ("--s", args.s, "--full-metrics", args.full_metrics),
+        ("--smape-ref", args.smape_ref, "--full-metrics", args.full_metrics),
+        ("--mase-ref", args.mase_ref, "--full-metrics", args.full_metrics),
+    ):
+        if value is not None and not present:  # the run would never read it
+            raise ConfigError(f"{flag} has no effect without {needs}")
+    seed = 0 if args.seed is None else args.seed
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    import numpy as np
+
+    from .diagnostics import trace_override
+    from .traces import write_trace_jsonl
+    from .training import evaluate, evaluate_full
+
     model, _, windows = _load_for_eval(args)
     if args.override:
         kind, val = _parse_override(args.override)
-        report = trace_override(model, windows, kind, val, rng=np.random.default_rng(args.seed))
+        report = trace_override(model, windows, kind, val, rng=np.random.default_rng(seed))
         _emit({"override": args.override, "report": asdict(report)})
         return EXIT_OK
     traces = [] if args.trace else None
     if args.full_metrics:
         report = evaluate_full(
-            model, windows, s=args.s, smape_ref=args.smape_ref, mase_ref=args.mase_ref,
-            traces=traces,
+            model, windows, s=1 if args.s is None else args.s, smape_ref=args.smape_ref,
+            mase_ref=args.mase_ref, traces=traces,
         )
     else:
         report, traces = evaluate(model, windows, collect_traces=traces is not None)
@@ -216,6 +238,11 @@ def cmd_eval(args) -> int:
 def cmd_trace(args) -> int:
     if args.limit is not None and args.limit < 1:
         raise DataError(f"--limit must be at least 1, got {args.limit}")
+    from .data import WindowBatch
+    from .diagnostics import bin_by_volatility, category_stats, ratio_summary
+    from .traces import write_trace_jsonl
+    from .training import evaluate
+
     model, _, windows = _load_for_eval(args)
     if args.limit is not None and args.limit < windows.n_windows:
         windows = WindowBatch(
@@ -254,6 +281,10 @@ def cmd_ablate(args) -> int:
     scheduling branch from the trained model (gate forced shut, shared
     weights kept); ``no_high_level`` is retrained from scratch because its
     single-level heads are new parameters."""
+    from .data import load_csv, make_windows
+    from .model import LeapTS
+    from .training import ablate, apply_data_norm, evaluate, train
+
     dataset = load_csv(args.data, split_fractions=_parse_splits(args.splits))
     flags = [args.flag] if args.flag != "all" else ["no_sched", "no_high_level"]
     mcfg, tcfg = _build_configs(args, dataset.n_variates)
@@ -299,6 +330,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import BoundInstance, bound_direct, bound_leapts_optimal, bound_recursive
+
     lams, eas, eps_, ps = (
         _number_list("--lambda", args.lam),
         _number_list("--eps-a", args.eps_a),
@@ -405,9 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--trace", default=None, help="write schedule trace JSONL here")
     p.add_argument("--override", default=None, help="monte_carlo:N or fixed:K")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="override sampling seed (default 0)")
     p.add_argument("--full-metrics", action="store_true", help="add SMAPE/MAPE/MASE (and OWA)")
-    p.add_argument("--s", type=int, default=1, help="seasonality for MASE")
+    p.add_argument("--s", type=int, default=None, help="seasonality for MASE (default 1)")
     p.add_argument("--smape-ref", type=float, default=None, help="reference SMAPE for OWA")
     p.add_argument("--mase-ref", type=float, default=None, help="reference MASE for OWA")
     p.set_defaults(func=cmd_eval)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import ScaleAnchors
+from .anchors import ScaleAnchors
 from .data import WindowBatch
 from .errors import DataError
 from .forward import predict_batch  # noqa: F401  (benchmarks/tracer.py wraps this name)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field-type check
+that the configuration dataclasses share."""
+
+import numbers
 
 
 class ShapeError(ValueError):
@@ -19,3 +22,18 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Malformed dataset, window request, or file contents."""
+
+
+def check_types(cfg, ints=(), bools=(), floats=()):
+    """`ConfigError` naming the field unless the ``ints`` fields hold
+    integers (for ``enc_hidden`` a sequence of them), made Python ints; the
+    ``bools`` fields bools; and the ``floats`` fields real numbers. A bool
+    is neither an integer nor a float setting."""
+    for name in (*ints, *bools, *floats):
+        v = getattr(cfg, name)
+        vs = tuple(v) if name == "enc_hidden" else (v,)
+        kind = bool if name in bools else numbers.Integral if name in ints else numbers.Real
+        if not all(isinstance(x, kind) and (kind is bool or not isinstance(x, bool)) for x in vs):
+            raise ConfigError(f"invalid {type(cfg).__name__}: {name} has the wrong type ({v!r})")
+        if name in ints:
+            setattr(cfg, name, tuple(map(int, vs)) if name == "enc_hidden" else int(v))

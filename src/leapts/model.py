@@ -15,27 +15,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import _stable_sigmoid
-from .controller import ScaleAnchors, scale_anchors
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .anchors import ScaleAnchors, scale_anchors
+from .errors import ConfigError, DataError, NumericError, ShapeError, check_types
 from .optim import ParamStore
 
 __all__ = ["ModelConfig", "ForecastPair", "LeapTS", "ABLATIONS"]
 
 CHECKPOINT_MAGIC = "LEAPTS1"
 ABLATIONS = ("none", "no_sched", "no_high_level")
-
-
-def _check_types(cfg, ints, bools=()):
-    """`ConfigError` unless the ``ints`` fields hold integers, not bools (for
-    ``enc_hidden`` a sequence of them), made Python ints; ``bools``, bools."""
-    for name in (*ints, *bools):
-        v = getattr(cfg, name)
-        vs = tuple(v) if name == "enc_hidden" else (v,)
-        if not all(isinstance(x, bool) == (name in bools) and isinstance(x, (int, np.integer))
-                   for x in vs):
-            raise ConfigError(f"invalid {type(cfg).__name__}: {name} has the wrong type ({v!r})")
-        if name in ints:
-            setattr(cfg, name, tuple(map(int, vs)) if name == "enc_hidden" else int(v))
 
 
 @dataclass
@@ -65,9 +52,10 @@ class ModelConfig:
             self.dt_min = 1.0 / self.horizon
         if self.max_steps is None:
             self.max_steps = self.horizon
-        _check_types(self, ("look_back", "horizon", "n_variates", "hidden_dim", "latent_dim",
-                            "summary_dim", "control_dim", "enc_hidden", "field_hidden",
-                            "n_clusters", "max_steps", "seed"), ("window_norm",))
+        check_types(self, ("look_back", "horizon", "n_variates", "hidden_dim", "latent_dim",
+                           "summary_dim", "control_dim", "enc_hidden", "field_hidden",
+                           "n_clusters", "max_steps", "seed"), ("window_norm",),
+                    ("mask_temp", "gumbel_temp", "dt_min", "dt_max"))
         checks = [
             (self.look_back >= 1, "look_back >= 1"),
             (self.horizon >= 1, "horizon >= 1"),

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_types
 
 __all__ = [
     "ScenarioSpec",
@@ -59,6 +59,7 @@ class ScenarioSpec:
             raise ConfigError(f"unknown scenario {self.scenario}; expected 1, 2, or 3")
         if self.dt is None:
             self.dt = SCENARIO_DT[self.scenario]
+        check_types(self, floats=("dt",))
         if self.total_steps < 1:
             raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}")
         if not 0 < self.dt < np.inf:

@@ -15,10 +15,10 @@ import numpy as np
 from .autodiff import Tape
 from .data import Dataset, WindowBatch, make_windows, zscore_stats
 from .engine import cluster_variates
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, check_types
 from .forward import forward_loss, predict_batch
 from .metrics import MetricReport
-from .model import ABLATIONS, LeapTS, _check_types
+from .model import ABLATIONS, LeapTS
 from .optim import adam_step
 
 __all__ = [
@@ -48,7 +48,9 @@ class TrainConfig:
 
     def __post_init__(self):
         ints = ("batch_size", "max_epochs", "patience", "seed", "stride", "max_batches_per_epoch")
-        _check_types(self, ints[:-1] if self.max_batches_per_epoch is None else ints, ("normalize",))
+        floats = ("lr", "huber_delta", "gumbel_tau_end")
+        check_types(self, ints[:-1] if self.max_batches_per_epoch is None else ints, ("normalize",),
+                    floats[:-1] if self.gumbel_tau_end is None else floats)
         if not 0 < self.lr < np.inf:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.seed < 0:

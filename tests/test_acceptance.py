@@ -14,7 +14,8 @@ import pytest
 import tape_ops as ops
 from leapts.autodiff import Tape, Tensor
 from leapts.bounds import BoundInstance, bound_direct, bound_leapts_optimal, bound_recursive
-from leapts.controller import gumbel_softmax_select, scale_anchors
+from leapts.anchors import scale_anchors
+from leapts.controller import gumbel_softmax_select
 from leapts.data import Dataset, make_windows
 from leapts.diagnostics import trace_override
 from leapts.engine import soft_mask

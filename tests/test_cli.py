@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import leapts
-import leapts.cli as cli
 import leapts.training as training
 from leapts.cli import main
 from leapts.model import ModelConfig
@@ -86,6 +85,50 @@ def test_gen_bad_scenario_usage_error(capsys):
 def test_unknown_flag_rejected(capsys):
     code, _, err = run_cli(capsys, "anchors", "--L", "96", "--P", "60", "--bogus", "1")
     assert code == 1
+
+
+# -- light paths: the package namespace and commands that need no numpy -------
+
+
+_PROBE = ("import sys; from leapts.cli import main; code = main(sys.argv[1:]); "
+          "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy')); "
+          "sys.exit(code)")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["anchors", "--L", "96", "--P", "60"], 0), (["--help"], 0),
+     (["eval", "--ckpt", "m.ckpt"], 1),
+     (["eval", "--ckpt", "m.ckpt", "--data", "d.csv", "--s", "4"], 2)],
+    ids=["anchors", "help", "eval-usage-error", "eval-refused-flag"],
+)
+def test_light_commands_do_not_import_numpy(tmp_path, argv, code):
+    """Parsing, help, usage errors, refused flags and `anchors` finish in a
+    fresh interpreter without importing any numpy module."""
+    src = pathlib.Path(leapts.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv], cwd=tmp_path, capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == code and "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_every_exported_name_resolves_to_its_home_module():
+    namespace = {}
+    exec("from leapts import *", namespace)
+    for name in leapts.__all__:
+        value = getattr(leapts, name)
+        assert namespace[name] is value
+        if name != "__version__":
+            home = sys.modules[value.__module__]
+            assert home.__name__.startswith("leapts.") and getattr(home, name) is value
+    assert namespace["__version__"] == "0.1.0"
+
+
+def test_an_unknown_package_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'leapts' has no attribute 'nope'"):
+        leapts.nope  # noqa: B018
 
 
 def test_anchors_output_format(capsys):
@@ -287,6 +330,23 @@ def test_eval_override_refuses_trace_and_full_metrics(tiny_csv, tiny_ckpt, capsy
     assert out == "" and not (tmp_path / "t.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "given, needs",
+    [(("--seed", "3"), "--override"), (("--s", "4"), "--full-metrics"),
+     (("--smape-ref", "20"), "--full-metrics"), (("--mase-ref", "2"), "--full-metrics")],
+    ids=["seed", "s", "smape-ref", "mase-ref"],
+)
+def test_eval_refuses_a_flag_without_the_flag_it_needs(tiny_csv, tiny_ckpt, capsys, given, needs):
+    """``--seed`` is read only by an override run, and ``--s``,
+    ``--smape-ref`` and ``--mase-ref`` only with full metrics; given alone,
+    each is a config error (exit 2) naming the pair."""
+    code, out, err = run_cli(
+        capsys, "eval", "--ckpt", str(tiny_ckpt), "--data", str(tiny_csv), *given,
+    )
+    assert code == 2 and out == ""
+    assert f"error: {given[0]} has no effect without {needs}" in err and "Traceback" not in err
+
+
 def test_eval_trace_writes_schema_records(tiny_csv, tiny_ckpt, capsys, tmp_path):
     trace_path = tmp_path / "steps.jsonl"
     code, out, _ = run_cli(
@@ -372,7 +432,7 @@ def test_out_of_memory_exits_2_with_a_hint(tiny_csv, capsys, tmp_path, monkeypat
     def no_memory(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "train", no_memory)
+    monkeypatch.setattr(training, "train", no_memory)  # cmd_train imports it when it runs
     code, out, err = run_cli(
         capsys, "train", "--data", str(tiny_csv), "--L", "24", "--P", "6",
         "--out", str(tmp_path / "m.ckpt"),
@@ -447,11 +507,12 @@ def test_config_file_unknown_key_rejected(tiny_csv, capsys, tmp_path):
         ({"train": {"stride": 1.5}}, "stride has the wrong type (1.5)"),
         ({"train": {"normalize": "no"}}, "normalize has the wrong type ('no')"),
         ({"model": {"mask_temp": float("inf")}}, "requires 0 < mask_temp < inf"),
+        ({"train": {"lr": True}}, "lr has the wrong type (True)"),
     ],
     ids=["look_back", "horizon", "n_variates", "model_value_type", "encoder_width_type",
          "train_value_type", "section_not_object", "control_dim_zero", "width_float",
          "max_steps_float", "encoder_width_float", "seed_bool", "batch_size_float",
-         "stride_float", "normalize_str", "mask_temp_infinity"],
+         "stride_float", "normalize_str", "mask_temp_infinity", "lr_bool"],
 )
 def test_config_file_rejected(tiny_csv, capsys, tmp_path, cfg, fragment):
     """Flags and the data set look_back, horizon and n_variates; a file

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tape_ops as ops
+from leapts.anchors import scale_anchors
 from leapts.autodiff import Tape, Tensor
 from leapts.controller import (
     gumbel_softmax_select,
     length_candidates,
     round_and_clip_rows,
     route_lengths,
-    scale_anchors,
 )
 from leapts.errors import ConfigError
 

@@ -186,7 +186,7 @@ def test_monte_carlo_reaches_all_compositions(rng):
 
 
 def test_partition_to_steps_category_containment():
-    from leapts.controller import scale_anchors
+    from leapts.anchors import scale_anchors
 
     anchors = scale_anchors(96, 60)
     steps = partition_to_steps([1, 24, 25, 10], anchors)

@@ -13,6 +13,7 @@ from leapts.errors import ConfigError, DataError, NumericError, ShapeError
 from leapts.autodiff import Tape
 from leapts.forward import forecast, forward_rows, predict_batch
 from leapts.model import LeapTS, ModelConfig
+from leapts.synth import ScenarioSpec
 from leapts.training import TrainConfig
 
 from conftest import toy_config
@@ -70,6 +71,35 @@ def test_config_validation():
 def test_infinite_float_settings_are_config_errors(make, message):
     with pytest.raises(ConfigError, match=message):
         make()
+
+
+_DESK = {"look_back": 8, "horizon": 8, "n_variates": 1}
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        *((lambda f=f: ModelConfig(**_DESK, **{f: True}), f)
+          for f in ("mask_temp", "gumbel_temp", "dt_min", "dt_max")),
+        *((lambda f=f: TrainConfig(**{f: True}), f) for f in ("lr", "huber_delta", "gumbel_tau_end")),
+        (lambda: ScenarioSpec(3, dt=True), "dt"),
+        (lambda: TrainConfig(lr=np.bool_(False)), "lr"),
+        (lambda: ModelConfig(**_DESK, mask_temp="0.1"), "mask_temp"),
+    ],
+    ids=["mask_temp", "gumbel_temp", "dt_min", "dt_max", "lr", "huber_delta", "gumbel_tau_end",
+         "scenario_dt", "lr_numpy_bool", "mask_temp_str"],
+)
+def test_float_settings_refuse_booleans(make, field):
+    """A bool (or any non-number) in a float setting is a `ConfigError`
+    naming the field; it used to run as 1.0 or 0.0."""
+    with pytest.raises(ConfigError, match=rf"{field} has the wrong type \("):
+        make()
+
+
+def test_float_settings_keep_numbers_as_given():
+    cfg = TrainConfig(lr=1, huber_delta=np.float32(0.5), gumbel_tau_end=np.float64(0.2))
+    assert (type(cfg.lr), type(cfg.huber_delta)) == (int, np.float32)
+    assert ScenarioSpec(3, dt=np.float64(0.01)).dt == 0.01
 
 def encode(model, window):
     """Latents [N x latent_dim] of one window [L x N], one row per variate."""
