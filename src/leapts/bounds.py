@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_types
 
 __all__ = [
     "BoundInstance",
@@ -40,6 +40,7 @@ class BoundInstance:
     P: int
 
     def __post_init__(self):
+        check_types(self, ints=("P",), floats=("lam", "eps_a", "eps_p"))
         for name in ("lam", "eps_a", "eps_p"):  # NaN terms stall the partition walk
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")

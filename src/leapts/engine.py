@@ -11,9 +11,10 @@ schedules its own path: a row leaves the batch at the end of the step
 that carries its cursor past the horizon, so every row in a step is still
 running. Each row runs only its own cluster's field MLPs and, under hard
 routing, only the segment head its routing chose. A tape changes no
-value: it only decides what `step` saves. Tape-free, each step writes
-into [rows x horizon] work arrays the loop makes once per call; under a
-tape each step makes its own, as it saves them.
+value: it only decides what `step` saves. Each step writes its mask,
+segment and masked write into [rows x horizon] work arrays the loop makes
+once per call, on and off the tape; a taped step saves none of them, and
+`step_vjp` recomputes them from the cursor, ``sel`` and the route it saves.
 
 `run_schedule_rows` composes `step` in every mode and, under a tape,
 returns the saved steps; `schedule_vjp` walks them in reverse through
@@ -250,7 +251,7 @@ def step(model: LeapTS, state: tuple, mode: str, tau: float, noise=None, decisio
     ``work`` are valid until the next step.
 
     Returns (next state, the step's columns (category, soft, sel, len_int, mask,
-    segment, ctrl_delta, time_delta), saved arrays or None).
+    segment, ctrl_delta, time_delta), saved arrays or None: no [n x P] one).
     """
     h, accum, cursor, prev_u, prev_soft, prev_summary, prev_len_norm, row_clusters = state
     cfg, store, anchors = model.config, model.store, model.anchors
@@ -305,14 +306,15 @@ def step(model: LeapTS, state: tuple, mode: str, tau: float, noise=None, decisio
 
     saved = None
     if taped:
-        saved = (tau, decision is None, h, soft, route, lengths, sig, segment, mask, masked,
-                 summary, ctx, u, fields)  # what step_vjp reads
+        saved = (tau, decision is None, h, soft, route, lengths, sig, cursor, sel,
+                 cat_idx if hard_route else None, summary, ctx, u, fields)  # what step_vjp reads
     next_state = (h_next, accum_next, cursor + len_int, u, soft, summary,
                   (len_int / P)[:, None].astype(np.float64), row_clusters)
     return next_state, (cat_idx, soft, sel, len_int, mask, segment, d_ctrl, d_time), saved
 
 
-def step_vjp(model: LeapTS, saved: tuple, g_accum: np.ndarray, g_next: tuple, grads: dict):
+def step_vjp(model: LeapTS, saved: tuple, g_accum: np.ndarray, g_next: tuple, grads: dict,
+             work: tuple):
     """Reverse pass of one `step` from its ``saved`` arrays.
 
     ``g_accum`` is the cotangent of the step's accumulated forecast rows and
@@ -321,16 +323,23 @@ def step_vjp(model: LeapTS, saved: tuple, g_accum: np.ndarray, g_next: tuple, gr
     cotangents are added into ``grads`` (name -> array). Returns the
     cotangents of (h, prev_u, prev_soft, prev_summary).
 
+    The segment, mask and masked write are recomputed, bit for bit, by the
+    forward's calls into ``work`` = (started, mask, segment, masked).
+
     The route's cotangent passes to ``soft`` under soft and hard routing
     alike (straight through for the hard one-hot). Its segment part for
     category c, g_segment · seg_head_c(h), is computed from the head's
     weights, as hard routing runs only each row's chosen head.
     """
-    tau, learned, h, soft, route, lengths, sig, segment, mask, masked, summary, ctx, u, fields = saved
+    tau, learned, h, soft, route, lengths, sig, cursor, sel, chosen, summary, ctx, u, fields = saved
     cfg, store, anchors = model.config, model.store, model.anchors
     C, H = anchors.n_categories, cfg.hidden_dim
     g_hn, g_un, g_softn, g_sumn = g_next
     n = h.shape[0]
+    started, mask, segment, masked = work
+    segment = routed_segment(model, h, route, chosen, segment, masked)
+    mask = soft_mask(sel, cursor, cfg.horizon, cfg.mask_temp, mask, masked, started)
+    masked = np.multiply(segment, mask, out=masked)
 
     # controlled-Euler update, control signal and summary: read by the rest
     # of the loop only
@@ -563,9 +572,8 @@ def run_schedule_rows(
     noise_record: list = []
     live = np.arange(R)  # original row of each row still in the batch
     steps = []  # under a tape: (live rows, rows kept after the step or None, saved)
-    # tape-free, each step writes into the first rows of these (the floats
-    # one block); under a tape each step makes its own, as it saves them
-    work = None if taped else (np.empty((R, P), dtype=bool), *np.empty((3, R, P)))
+    # each step writes into the first rows of these (the floats one block)
+    work = (np.empty((R, P), dtype=bool), *np.empty((3, R, P)))
 
     k = 0
     while len(live):
@@ -600,7 +608,7 @@ def run_schedule_rows(
         try:
             state, cols, saved = step(model, state, mode, tau,
                                       None if noise is None else noise[live], decision, taped,
-                                      None if work is None else tuple(a[:n] for a in work))
+                                      tuple(a[:n] for a in work))
         except NumericError as exc:
             raise NumericError(f"schedule step {k}: {exc}") from None
         if records is not None:
@@ -634,8 +642,10 @@ def schedule_vjp(model: LeapTS, steps: list, g_out: np.ndarray, grads: dict) -> 
     # the last step's rows all leave it, so these zero rows widen to its rows
     g_next = tuple(np.zeros((0, w)) for w in (cfg.hidden_dim, cfg.control_dim, C,
                                                cfg.summary_dim))
+    work = (np.empty(g_out.shape, dtype=bool), *np.empty((3, *g_out.shape)))  # as in the loop
     for rows, keep, saved in reversed(steps):
         if keep is not None:
             g_next = tuple(_rows_to([(keep, g)], len(rows), g.shape[1]) for g in g_next)
-        g_next = step_vjp(model, saved, g_out[rows], g_next, grads)
+        g_next = step_vjp(model, saved, g_out[rows], g_next, grads,
+                          tuple(a[: len(rows)] for a in work))
     return g_next[0]

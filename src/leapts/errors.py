@@ -26,9 +26,9 @@ class DataError(ValueError):
 
 def check_types(cfg, ints=(), bools=(), floats=()):
     """`ConfigError` naming the field unless the ``ints`` fields hold
-    integers (for ``enc_hidden`` a sequence of them), made Python ints; the
-    ``bools`` fields bools; and the ``floats`` fields real numbers. A bool
-    is neither an integer nor a float setting."""
+    integers (for ``enc_hidden`` a sequence of them), made Python ints (also
+    on a frozen dataclass); the ``bools`` fields bools; and the ``floats``
+    fields real numbers. A bool is neither an integer nor a float setting."""
     for name in (*ints, *bools, *floats):
         v = getattr(cfg, name)
         vs = tuple(v) if name == "enc_hidden" else (v,)
@@ -36,4 +36,4 @@ def check_types(cfg, ints=(), bools=(), floats=()):
         if not all(isinstance(x, kind) and (kind is bool or not isinstance(x, bool)) for x in vs):
             raise ConfigError(f"invalid {type(cfg).__name__}: {name} has the wrong type ({v!r})")
         if name in ints:
-            setattr(cfg, name, tuple(map(int, vs)) if name == "enc_hidden" else int(v))
+            object.__setattr__(cfg, name, tuple(map(int, vs)) if name == "enc_hidden" else int(v))

@@ -55,6 +55,7 @@ class ScenarioSpec:
     hide_driver: bool = False
 
     def __post_init__(self):
+        check_types(self, ints=("scenario", "total_steps", "seed"))
         if self.scenario not in (1, 2, 3):
             raise ConfigError(f"unknown scenario {self.scenario}; expected 1, 2, or 3")
         if self.dt is None:

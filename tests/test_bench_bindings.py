@@ -11,10 +11,19 @@ import types
 
 import numpy as np
 
-import leapts.cli  # noqa: F401  (loads every module the tracer wraps)
+# every module the tracer wraps, loaded before it runs: a module it first
+# imports itself would show up as a binding it added
+import leapts.autodiff  # noqa: F401
+import leapts.bounds  # noqa: F401
+import leapts.data  # noqa: F401
 import leapts.diagnostics as diagnostics
+import leapts.engine  # noqa: F401
 import leapts.forward as forward
+import leapts.metrics  # noqa: F401
+import leapts.model  # noqa: F401
 import leapts.optim as optim
+import leapts.synth  # noqa: F401
+import leapts.traces  # noqa: F401
 import leapts.training as training
 from leapts.autodiff import Tape
 from leapts.data import Dataset, make_windows

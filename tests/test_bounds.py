@@ -74,6 +74,18 @@ def test_non_finite_parameters_rejected(field, value):
         BoundInstance(**kw)
 
 
+@pytest.mark.parametrize("field, value", [("P", 2.5), ("P", True), ("lam", True),
+                                          ("eps_a", "1.0"), ("eps_p", None)])
+def test_wrong_typed_parameters_rejected(field, value):
+    """A float or boolean horizon, a boolean or non-numeric term: a
+    `ConfigError` naming the field, not a bare TypeError from the bound. The
+    frozen instance still turns a numpy horizon into a Python int."""
+    kw = {"lam": 1.1, "eps_a": 1.0, "eps_p": 2.0, "P": 4, field: value}
+    with pytest.raises(ConfigError, match=f"{field} has the wrong type"):
+        BoundInstance(**kw)
+    assert type(BoundInstance(lam=1.1, eps_a=1.0, eps_p=2.0, P=np.int64(4)).P) is int
+
+
 def exhaustive_optimum(inst):
     """Oracle: the first composition (in enumeration order) with the least
     term, and min(direct, that term)."""

@@ -4,7 +4,10 @@ import copy
 import dataclasses
 import functools
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -683,6 +686,7 @@ def _assert_close(got, want, what):
     seed=st.integers(0, 10_000),
 )
 @example(n_clusters=3, degenerate=True, case="soft", window_norm=False, seed=100)
+@example(n_clusters=1, degenerate=False, case="monte_carlo", window_norm=True, seed=8006)
 def test_batched_run_matches_each_row_run_alone(n_clusters, degenerate, case, window_norm, seed):
     """Rows leaving the batch change no output: each row run alone is the
     oracle for the forecasts and schedules of a batched run, with and
@@ -691,7 +695,9 @@ def test_batched_run_matches_each_row_run_alone(n_clusters, degenerate, case, wi
     The two runs add the rows' cotangents in different orders, and a sum
     that cancels keeps the rounding of its parts: each entry of a loop
     parameter's gradient is held within 1e-12 of the larger of the sum of
-    the rows' absolute contributions to it and the largest entry."""
+    the rows' absolute contributions to it and the largest entry. The
+    fusion gate's logit is such a sum, over every row and horizon step of
+    g·sched times gate·(1 - gate)."""
     horizon = 4 if degenerate else 12  # L=16: single level iff P <= 5
     cfg = toy_config(look_back=16, horizon=horizon, n_variates=3, n_clusters=n_clusters,
                      window_norm=window_norm, seed=seed, max_steps=2 if case == "capped" else None)
@@ -733,6 +739,8 @@ def test_batched_run_matches_each_row_run_alone(n_clusters, degenerate, case, wi
         mp.setattr(forward, "run_schedule_rows", _each_row_alone)
         mp.setattr(forward, "schedule_vjp", functools.partial(_each_row_alone_vjp, spread=spread))
         alone, alone_grads = run(tape=True, frozen_noise=kw.get("frozen_noise", free["noise"]))
+    gate = 1.0 / (1.0 + np.exp(-model.store["fuse_logit"].data))
+    spread["fuse_logit"] = np.abs(weight * alone["sched"].data).sum() * gate * (1.0 - gate)
     assert free["fused"].data.shape == (rows, horizon)
     for out in (free, taped):
         for name in ("sched", "fused"):
@@ -744,7 +752,7 @@ def test_batched_run_matches_each_row_run_alone(n_clusters, degenerate, case, wi
     assert len(free["noise"]) == max(tr.n_steps for tr in free["traces"])
     assert grads.keys() == alone_grads.keys()
     for name in grads:
-        if name in spread:  # a loop parameter
+        if name in spread:  # a loop parameter, or the gate's logit
             want = alone_grads[name]
             err = np.abs(grads[name] - want)
             assert np.all(err <= 1e-12 * np.maximum(spread[name], np.abs(want).max())), name
@@ -989,6 +997,70 @@ def test_tape_changes_no_forecast_bit_in_any_variant(shape):
             assert _schedule(taped["traces"]) == _schedule(free["traces"]), mode
 
 
+def _arrays(obj):
+    """Every numpy array in a nest of tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for o in obj:
+            yield from _arrays(o)
+
+
+def test_taped_loop_saves_no_horizon_wide_array():
+    """Under a tape the loop keeps no [rows x horizon] array: a step saves
+    its cursor, ``sel`` and chosen category, and `step_vjp` recomputes the
+    segment, mask and masked write from them. The horizon, 13, is no other
+    width of the model and more than the batch's rows."""
+    model = LeapTS(toy_config(look_back=16, horizon=13, n_variates=3, n_clusters=3))
+    C = model.anchors.n_categories
+    h = model.init_state_rows(model.encode_rows(np.random.default_rng(0).normal(size=(6, 16)))[-1])
+    noise = [np.random.default_rng(1).gumbel(size=(6, C)) for _ in range(14)]
+    for kw in ({"mode": "train", "rng": np.random.default_rng(2)}, {"mode": "eval"},
+               {"mode": "soft", "frozen_noise": noise}):
+        with Tape():
+            _, steps, _ = run_schedule_rows(model, h, np.arange(6) % 3, **kw)
+        shapes = {a.shape for a in _arrays(steps)}
+        assert len(steps) > 1 and shapes, kw["mode"]
+        assert not any(13 in shape for shape in shapes), (kw["mode"], shapes)
+
+
+_BLAS_DIGEST = """
+import hashlib
+import numpy as np
+from leapts.autodiff import Tape, Tensor, huber_loss
+from leapts.forward import _rows_from_batch, forward_rows, predict_batch
+from leapts.model import LeapTS, ModelConfig
+model = LeapTS(ModelConfig(look_back=96, horizon=96, n_variates=30, hidden_dim=16,
+                           enc_hidden=(32,), n_clusters=3, seed=0))
+model.cluster_of_variate = np.arange(30) % 3
+x, y = np.random.default_rng(0).normal(size=(2, 8, 96, 30))
+digest = hashlib.sha256(predict_batch(model, x)[0].tobytes())
+with Tape() as tape:
+    out = forward_rows(model, x, mode="train", rng=np.random.default_rng(1))
+    loss = huber_loss(out["fused"], Tensor(_rows_from_batch(y)))
+    tape.backward(loss)
+for a in (loss.data, *(g for _, g in sorted(model.store.grads().items()))):
+    digest.update(a.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_blas_thread_count_changes_no_bit():
+    """Tape-free forecasts and one taped batch's loss and gradients, at
+    forecast-clustered's widths (8 windows, 240 rows), have the same
+    SHA-256 at ``OPENBLAS_NUM_THREADS`` 1 and 2: the README tells users to
+    set it, and it may not change a result."""
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    digests = [
+        subprocess.run([sys.executable, "-c", _BLAS_DIGEST], capture_output=True, text=True,
+                       check=True, timeout=120,
+                       env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+                       ).stdout
+        for threads in ("1", "2")
+    ]
+    assert len(digests[0].strip()) == 64 and digests[0] == digests[1]
+
+
 def test_tape_free_calls_and_debug_records_share_no_work_array(monkeypatch):
     """The tape-free loop writes each step's mask and segment into work
     arrays it makes once per call. A second `predict_batch` call on other
@@ -1013,7 +1085,7 @@ def test_tape_free_calls_and_debug_records_share_no_work_array(monkeypatch):
 
             def stepping(*args):
                 work.extend(args[7])  # the [n x P] views this step may write into
-                return step(*args[:7]) if fresh else step(*args)  # fresh: as under a tape
+                return step(*args[:7]) if fresh else step(*args)  # fresh: as a direct call
 
             records = []
             with monkeypatch.context() as mp:
