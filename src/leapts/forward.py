@@ -167,15 +167,12 @@ def forward_loss(
 def forecast(
     model: LeapTS,
     window: np.ndarray,
-    mode: str = "eval",
-    rng=None,
     collect_traces: bool = False,
     window_id: int = 0,
 ) -> tuple[ForecastPair, list | None]:
-    """Forecast one window [L x N]; returns ([P x N] pair, traces)."""
+    """Forecast one window [L x N] in eval mode; returns ([P x N] pair, traces)."""
     window = np.asarray(window, dtype=np.float64)
-    out = forward_rows(model, window[None], mode=mode, rng=rng,
-                       traces_from=window_id if collect_traces else None)
+    out = forward_rows(model, window[None], traces_from=window_id if collect_traces else None)
 
     def unbatch(t):
         return _batch_from_rows(t.data, 1, model.config.n_variates)[0]
@@ -192,14 +189,12 @@ def forecast(
 def predict_batch(
     model: LeapTS,
     inputs: np.ndarray,
-    mode: str = "eval",
-    rng=None,
     override=None,
     traces_from: int | None = None,
 ) -> tuple[np.ndarray, list | None]:
-    """Fused forecasts [B x P x N] for a window batch (no tape needed), and
-    its schedule traces when ``traces_from`` gives the first window's id."""
-    out = forward_rows(model, inputs, mode=mode, rng=rng, override=override,
-                       traces_from=traces_from)
+    """Fused eval-mode forecasts [B x P x N] for a window batch (no tape
+    needed), and its schedule traces when ``traces_from`` gives the first
+    window's id."""
+    out = forward_rows(model, inputs, override=override, traces_from=traces_from)
     b, n = inputs.shape[0], model.config.n_variates
     return _batch_from_rows(out["fused"].data, b, n), out["traces"]

@@ -46,22 +46,23 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # The defaults below derive from horizon and hidden_dim: check those first.
+        check_types(self, ("horizon", "hidden_dim"))
+        _require((self.horizon >= 1, "horizon >= 1"), (self.hidden_dim >= 1, "hidden_dim >= 1"))
         if self.latent_dim is None:
             self.latent_dim = self.hidden_dim
         if self.dt_min is None:
             self.dt_min = 1.0 / self.horizon
         if self.max_steps is None:
             self.max_steps = self.horizon
-        check_types(self, ("look_back", "horizon", "n_variates", "hidden_dim", "latent_dim",
-                           "summary_dim", "control_dim", "enc_hidden", "field_hidden",
-                           "n_clusters", "max_steps", "seed"), ("window_norm",),
-                    ("mask_temp", "gumbel_temp", "dt_min", "dt_max"))
-        checks = [
+        check_types(self, ("look_back", "n_variates", "latent_dim", "summary_dim", "control_dim",
+                           "enc_hidden", "field_hidden", "n_clusters", "max_steps", "seed"),
+                    ("window_norm",), ("mask_temp", "gumbel_temp", "dt_min", "dt_max"))
+        _require(
             (self.look_back >= 1, "look_back >= 1"),
-            (self.horizon >= 1, "horizon >= 1"),
             (self.n_variates >= 1, "n_variates >= 1"),
             *((getattr(self, f) >= 1, f"{f} >= 1")
-              for f in ("hidden_dim", "latent_dim", "summary_dim", "control_dim", "field_hidden")),
+              for f in ("latent_dim", "summary_dim", "control_dim", "field_hidden")),
             (1 <= self.n_clusters <= self.n_variates, "1 <= n_clusters <= n_variates"),
             (0 < self.mask_temp < np.inf, "0 < mask_temp < inf"),
             (0 < self.gumbel_temp < np.inf, "0 < gumbel_temp < inf"),
@@ -69,10 +70,14 @@ class ModelConfig:
             (self.max_steps >= 1, "max_steps >= 1"),
             (self.seed >= 0, "seed >= 0"),
             (all(w >= 1 for w in self.enc_hidden), "encoder widths >= 1"),
-        ]
-        for ok, msg in checks:
-            if not ok:
-                raise ConfigError(f"invalid ModelConfig: requires {msg}")
+        )
+
+
+def _require(*checks):
+    """`ConfigError` naming the first unmet (ok, requirement) pair."""
+    for ok, msg in checks:
+        if not ok:
+            raise ConfigError(f"invalid ModelConfig: requires {msg}")
 
 
 @dataclass

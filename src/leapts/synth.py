@@ -55,7 +55,8 @@ class ScenarioSpec:
     hide_driver: bool = False
 
     def __post_init__(self):
-        check_types(self, ints=("scenario", "total_steps", "seed"))
+        check_types(self, ints=("scenario", "total_steps", "seed"),
+                    bools=("observation_noise", "hide_driver"))
         if self.scenario not in (1, 2, 3):
             raise ConfigError(f"unknown scenario {self.scenario}; expected 1, 2, or 3")
         if self.dt is None:

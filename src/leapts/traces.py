@@ -3,12 +3,13 @@
 Each trace covers one (window, variate) pair; `build_traces` makes them
 from the scheduling loop's step records (``engine.StepRecord``) after the
 loop. Serialization is JSON Lines, one record per scheduling step, schema
-``leapts-trace-v1``.
+``leapts-trace-v1``: the standard library's JSON encoder writes every
+record, and the `TraceStep` and `ScheduleTrace` annotations are the types
+the reader checks each field against.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field, fields
 
@@ -111,48 +112,19 @@ _FIELD_TYPES = {
 }
 
 
-_STEP_FIELDS = tuple(f.name for f in fields(TraceStep))
-_name_text = functools.lru_cache(maxsize=16)(json.dumps)  # category names: a handful
-_STEP_TYPES = (int, int, str, list, float, int, int, int, float, float, float, float, bool)
-
-
-def _step_text(record: dict) -> str:
-    """``json.dumps(record)`` of a step record without its opening brace: by
-    one format string when every field has its annotated builtin type and
-    every float is finite (Python's float ``repr`` is what ``json`` writes),
-    else by ``json.dumps``."""
-    if tuple(record) == _STEP_FIELDS and tuple(map(type, record.values())) == _STEP_TYPES:
-        step, cat, name, soft, lc, li, cb, ca, cm, tm, cr, tr, forced = record.values()
-        if all(type(x) is float for x in soft):
-            total = lc + cm + tm + cr + tr + sum(soft)
-            if total - total == 0.0:  # NaN or an infinity gives NaN here
-                r = float.__repr__
-                return (
-                    f'"step": {step}, "category": {cat}, "category_name": {_name_text(name)}, '
-                    f'"soft": [{", ".join(map(r, soft))}], "len_cont": {r(lc)}, '
-                    f'"len_int": {li}, "cursor_before": {cb}, "cursor_after": {ca}, '
-                    f'"ctrl_mag": {r(cm)}, "time_mag": {r(tm)}, "ctrl_ratio": {r(cr)}, '
-                    f'"time_ratio": {r(tr)}, "forced": {"true" if forced else "false"}}}'
-                )
-    return json.dumps(record)[1:]
-
-
-def _head_text(tr: ScheduleTrace) -> str:
-    """``json.dumps`` of a trace's head without its closing brace."""
-    w, v, vol = tr.window, tr.variate, tr.volatility
-    if (type(w), type(v), type(vol)) == (int, int, float) and vol - vol == 0.0:
-        return f'{{"schema": "{TRACE_SCHEMA}", "window": {w}, "variate": {v}, ' \
-               f'"volatility": {float.__repr__(vol)}'
-    return json.dumps({"schema": TRACE_SCHEMA, "window": w, "variate": v, "volatility": vol})[:-1]
+# ``json.dumps``'s own encoder, without the cycle check a flat record never needs.
+_encode = json.JSONEncoder(check_circular=False).encode
 
 
 def write_trace_jsonl(traces, path):
-    """One JSON line per step: the trace's head, then the step's fields; the
-    text is what ``json.dumps`` writes for the record."""
+    """One JSON line per step, ``json.dumps({**head, **vars(step)})`` with the
+    trace's head (schema, window, variate, volatility): the head is encoded
+    once per trace and joined to each step's encoded fields."""
     with open(path, "w", encoding="utf-8") as fh:
         for tr in traces:
-            head = _head_text(tr)
-            fh.writelines(f"{head}, {_step_text(vars(st))}\n" for st in tr.steps)
+            head = _encode({"schema": TRACE_SCHEMA, "window": tr.window, "variate": tr.variate,
+                            "volatility": tr.volatility})[:-1]
+            fh.writelines(f"{head}, {_encode(vars(st))[1:]}\n" for st in tr.steps)
 
 
 def read_trace_jsonl(path) -> list[ScheduleTrace]:

@@ -146,7 +146,7 @@ def _forecast_pass(model: LeapTS, windows: WindowBatch, batch: int, traces: list
     for lo in range(0, windows.n_windows, batch):
         hi = min(lo + batch, windows.n_windows)
         preds, tr = predict_batch(
-            model, windows.inputs[lo:hi], mode="eval",
+            model, windows.inputs[lo:hi],
             override=None if override is None else override[lo * n : hi * n],
             traces_from=None if traces is None else lo,
         )

@@ -23,10 +23,10 @@ import leapts.metrics  # noqa: F401
 import leapts.model  # noqa: F401
 import leapts.optim as optim
 import leapts.synth  # noqa: F401
-import leapts.traces  # noqa: F401
+import leapts.traces
 import leapts.training as training
 from leapts.autodiff import Tape
-from leapts.data import Dataset, make_windows
+from leapts.data import Dataset, WindowBatch, make_windows
 from leapts.model import LeapTS
 
 from conftest import toy_config
@@ -104,17 +104,20 @@ class _Checks:
         self.checks.append((name, bool(ok), detail))
 
 
+def _workloads(*names):
+    sys.path.insert(0, str(BENCHMARKS))
+    try:
+        return [importlib.import_module(name) for name in names]
+    finally:
+        sys.path.remove(str(BENCHMARKS))
+
+
 def test_workloads_import_and_run_the_calls_train_desk_makes():
     """The three workloads import, and train-desk's warm-up (Tape,
     ``forward_loss``, backward) and gradient check (``store.grads()``, the
     ``.data`` of the forecasts, the loss's ``.item()``) run on a few random
     desk windows."""
-    sys.path.insert(0, str(BENCHMARKS))
-    try:
-        train_desk, *_ = (importlib.import_module(name)
-                          for name in ("train_desk", "forecast_clustered", "synth_bounds"))
-    finally:
-        sys.path.remove(str(BENCHMARKS))
+    train_desk, *_ = _workloads("train_desk", "forecast_clustered", "synth_bounds")
     rng = np.random.default_rng(0)
     desk = train_desk.DESK
     x = rng.normal(size=(6, desk["look_back"], 1))
@@ -124,6 +127,42 @@ def test_workloads_import_and_run_the_calls_train_desk_makes():
     train_desk._gradcheck(run, x, y, 1)
     assert len(run.checks) > 5
     assert [c for c in run.checks if not c[1]] == []
+
+
+def test_forecast_clustered_diagnose_and_probes_run_on_a_toy_model(tmp_path):
+    """forecast-clustered's diagnose phase (traced `evaluate`,
+    `write_trace_jsonl`, the trace statistics, a Monte Carlo override,
+    `evaluate_full`) and its forecast probes run on a toy model with the
+    workload's L, P, three scales and three clusters. ``Run.op`` counts a
+    call that raises as failed instead of raising, so the count is checked."""
+    harness, forecast_clustered = _workloads("harness", "forecast_clustered")
+    L, P = forecast_clustered.L, forecast_clustered.P
+
+    class TmpRun(harness.Run):
+        def __init__(self):  # what `op` counts, without the benchmark's output directory
+            self.attempted = self.failed = 0
+
+        def out_path(self, name):
+            return str(tmp_path / name)
+
+    model = LeapTS(toy_config(look_back=L, horizon=P, n_variates=3, n_clusters=3))
+    model.cluster_of_variate = np.arange(3)  # training's clustering would assign them
+    assert model.n_categories == 3
+    rng = np.random.default_rng(0)
+    sub = WindowBatch(inputs=rng.normal(size=(4, L, 3)), targets=rng.normal(size=(4, P, 3)),
+                      starts=np.arange(4))
+    run, times = TmpRun(), []
+    out = forecast_clustered._diagnose(run, model, sub, 1, None, times)
+    assert run.failed == 0 and run.attempted == len(times) == 7
+    trs = out["traces"]
+    assert len(trs) == 4 * 3 and all(map(forecast_clustered._tiles_horizon, trs))
+    assert leapts.traces.read_trace_jsonl(run.out_path("trace.jsonl")) == trs
+
+    batched, _ = forward.predict_batch(model, sub.inputs)
+    assert np.abs(forward.forecast(model, sub.inputs[1])[0].fused - batched[1]).max() <= 1e-9
+    rows = forward.forward_rows(model, sub.inputs)
+    for k in ("coarse", "sched", "fused"):
+        assert rows[k].data.shape == (4 * 3, P)
 
 
 def test_schedule_span_and_step_records_keep_what_the_benchmark_reads():

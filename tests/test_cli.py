@@ -556,6 +556,18 @@ def test_train_rejects_invalid_train_config(tiny_csv, capsys, tmp_path, argv, cf
     assert out == "" and not ckpt.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_zero_horizon_exits_2(tiny_csv, capsys, tmp_path, command):
+    """``--P 0`` is a config error naming the horizon, not a division by zero
+    while the model config fills in its defaults."""
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, command, "--data", str(tiny_csv), "--L", "24", "--P", "0",
+                                "--out", str(out), "--epochs", "1", "--max-batches", "1")
+    assert code == 2
+    assert "horizon >= 1" in err and "Traceback" not in err
+    assert stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("entry", ["gen", "train", "eval", "config_file"])
 def test_negative_seed_exits_2(tiny_csv, tiny_ckpt, capsys, tmp_path, entry):
     """A negative seed is a config error (exit 2), not a traceback from the

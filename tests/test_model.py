@@ -43,6 +43,10 @@ def test_config_validation():
             TrainConfig(**{name: value})
     with pytest.raises(ConfigError, match="requires seed >= 0$"):
         ModelConfig(look_back=8, horizon=8, n_variates=1, seed=-1)
+    # dt_min and max_steps default from horizon: a bad one is named, not a division error
+    for horizon, match in ((0, "requires horizon >= 1$"), ("8", r"horizon has the wrong type \(")):
+        with pytest.raises(ConfigError, match=match):
+            ModelConfig(look_back=8, horizon=horizon, n_variates=1)
     with pytest.raises(ConfigError, match="seed must be >= 0, got -1$"):
         TrainConfig(seed=-1)
     cfg = ModelConfig(look_back=np.int64(8), horizon=8, n_variates=1, enc_hidden=[np.int32(4)])

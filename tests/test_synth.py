@@ -106,11 +106,13 @@ def test_scenario_guards():
 
 @pytest.mark.parametrize("field, value", [("scenario", True), ("scenario", 3.0),
                                           ("total_steps", 2.5), ("total_steps", True),
-                                          ("seed", True), ("seed", 0.5)])
+                                          ("seed", True), ("seed", 0.5),
+                                          ("observation_noise", 1), ("hide_driver", "no")])
 def test_integer_fields_refuse_booleans_and_floats(field, value):
     """``ScenarioSpec(True)`` ran as scenario 1 and a float step count ended
-    in a bare TypeError; each now names its field. Numpy integers become
-    Python ints."""
+    in a bare TypeError; each now names its field. The two switches take
+    only bools: ``hide_driver="no"`` dropped the driver column. Numpy
+    integers become Python ints."""
     with pytest.raises(ConfigError, match=f"{field} has the wrong type"):
         ScenarioSpec(**{"scenario": 3, field: value})
     spec = ScenarioSpec(np.int64(3), total_steps=np.int64(5), seed=np.int32(1))
