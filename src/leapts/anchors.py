@@ -3,13 +3,14 @@ scheduling category, derived from (look-back, horizon).
 
 Categories are indexed 0=short, 1=mid, 2=long; a degenerate single-level
 mode (one category spanning [1, P]) applies when the horizon is too short
-relative to the look-back to support three scales. Pure Python, so
-`leapts anchors` runs without loading numpy.
+relative to the look-back to support three scales. Pure Python on
+modules the interpreter loads anyway, so `leapts anchors` runs without
+loading numpy or `dataclasses`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConfigError
 
@@ -19,13 +20,12 @@ CATEGORY_NAMES = ("short", "mid", "long")
 SINGLE_CATEGORY_NAME = "single"
 
 
-@dataclass(frozen=True)
-class ScaleAnchors:
-    """Admissible advancement-length interval per category."""
+class ScaleAnchors(namedtuple("ScaleAnchors", "mins maxs degenerate")):
+    """Admissible advancement-length interval per category: ``mins`` and
+    ``maxs`` (tuples of int, one entry per category) and ``degenerate``
+    (the single-interval mode). Immutable."""
 
-    mins: tuple[int, ...]
-    maxs: tuple[int, ...]
-    degenerate: bool
+    __slots__ = ()
 
     @property
     def n_categories(self) -> int:

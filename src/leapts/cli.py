@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields
 
 # Only the standard library, `errors` and `anchors` load at start; each
 # command imports the rest when it runs, so parsing, usage errors, refused
@@ -81,6 +80,8 @@ def cmd_gen(args) -> int:
 
 
 def _build_configs(args, n_variates):
+    from dataclasses import fields
+
     from .model import ModelConfig
     from .training import TrainConfig
 
@@ -131,6 +132,8 @@ def _build_configs(args, n_variates):
 
 
 def cmd_train(args) -> int:
+    from dataclasses import asdict
+
     from .data import load_csv
     from .model import LeapTS
     from .training import train
@@ -206,6 +209,8 @@ def cmd_eval(args) -> int:
     seed = 0 if args.seed is None else args.seed
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
+    from dataclasses import asdict
+
     import numpy as np
 
     from .diagnostics import trace_override
@@ -238,6 +243,8 @@ def cmd_eval(args) -> int:
 def cmd_trace(args) -> int:
     if args.limit is not None and args.limit < 1:
         raise DataError(f"--limit must be at least 1, got {args.limit}")
+    from dataclasses import asdict
+
     from .data import WindowBatch
     from .diagnostics import bin_by_volatility, category_stats, ratio_summary
     from .traces import write_trace_jsonl
@@ -281,6 +288,8 @@ def cmd_ablate(args) -> int:
     scheduling branch from the trained model (gate forced shut, shared
     weights kept); ``no_high_level`` is retrained from scratch because its
     single-level heads are new parameters."""
+    from dataclasses import asdict
+
     from .data import load_csv, make_windows
     from .model import LeapTS
     from .training import ablate, apply_data_norm, evaluate, train

@@ -72,7 +72,7 @@ def load_csv(path, name: str = "", frequency: str = "", split_fractions=(0.6, 0.
     as they stream into one float64 buffer, so the first malformed row in
     file order is the one reported."""
     values, start_col = array("d"), None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
         rows = csv.reader(fh)
         try:
             header = next(rows, None)

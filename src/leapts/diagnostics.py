@@ -25,7 +25,7 @@ __all__ = [
     "ratio_summary",
     "sample_partition",
     "fixed_partition",
-    "partition_to_steps",
+    "partitions_to_override",
     "trace_override",
 ]
 
@@ -116,10 +116,17 @@ def fixed_partition(P: int, step: int) -> list[int]:
     return out
 
 
-def partition_to_steps(partition, anchors: ScaleAnchors) -> list[tuple[int, float, int]]:
-    """(category, continuous length, integer length) per forced step; the
-    category is the one whose interval contains the length."""
-    return [(anchors.category_of_length(l), float(l), l) for l in partition]
+def partitions_to_override(partitions, anchors: ScaleAnchors) -> tuple[np.ndarray, ...]:
+    """One forced schedule per partition of the horizon: the loop's (category,
+    len_cont, len_int) [rows x S] arrays, each row zero-padded. A length's
+    category is the one whose interval contains it; a length outside 1..P is
+    left for the loop's entry check (`engine.check_override`) to refuse."""
+    lens = np.zeros((len(partitions), max(map(len, partitions), default=0)), dtype=np.int64)
+    for r, p in enumerate(partitions):
+        lens[r, : len(p)] = p
+    P = anchors.maxs[-1]  # the last interval ends at the horizon
+    categories = np.array([0, *map(anchors.category_of_length, range(1, P + 1))])
+    return categories[np.clip(lens, 0, P)], lens.astype(np.float64), lens
 
 
 def trace_override(
@@ -142,8 +149,9 @@ def trace_override(
     b, n = windows.n_windows, model.config.n_variates
 
     if mode == "fixed":
-        steps = partition_to_steps(fixed_partition(P, int(value)), model.anchors)
-        pooled = _forecast_pass(model, windows, _OVERRIDE_BATCH, override=[steps] * (b * n))
+        one = partitions_to_override([fixed_partition(P, int(value))], model.anchors)
+        override = tuple(np.broadcast_to(a, (b * n, a.shape[1])) for a in one)
+        pooled = _forecast_pass(model, windows, _OVERRIDE_BATCH, override=override)
         return MetricReport(mse=pooled.mse, mae=pooled.mae)
 
     if mode == "monte_carlo":
@@ -154,8 +162,9 @@ def trace_override(
             rng = np.random.default_rng(0)
         runs = []
         for _ in range(n_draws):
-            forced = [partition_to_steps(sample_partition(P, rng), model.anchors) for _ in range(b)]
-            override = [steps for steps in forced for _ in range(n)]
+            draw = partitions_to_override([sample_partition(P, rng) for _ in range(b)],
+                                          model.anchors)
+            override = tuple(np.repeat(a, n, axis=0) for a in draw)  # each window's variates
             runs.append(_forecast_pass(model, windows, _OVERRIDE_BATCH, override=override))
         return MetricReport(mse=float(np.mean([r.mse for r in runs])),
                             mae=float(np.mean([r.mae for r in runs])))

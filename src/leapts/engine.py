@@ -58,6 +58,7 @@ __all__ = [
     "series_features",
     "cluster_variates",
     "StepRecord",
+    "check_override",
     "run_schedule_rows",
     "schedule_vjp",
 ]
@@ -483,55 +484,41 @@ class StepRecord(NamedTuple):
     forced: bool
 
 
-def _is_triple(step) -> bool:
-    try:
-        return np.asarray(step, dtype=np.float64).shape == (3,)
-    except (TypeError, ValueError):
-        return False
-
-
-def _pack_override(override: list, R: int, C: int) -> tuple[np.ndarray, ...]:
-    """Per-row (category, len_cont, len_int) sequences as [R x S+1] arrays
-    plus the row lengths; the padding column keeps step S addressable. A
-    step must hold an integral category in 0..C-1, a finite len_cont and an
-    integral len_int, or `DataError` names its row and step."""
-    if len(override) != R:
-        raise DataError(f"override has {len(override)} rows, expected {R}")
-    n_steps = np.array([len(seq) for seq in override], dtype=np.int64)
-    steps = [step for seq in override for step in seq]
-    rows = np.repeat(np.arange(R), n_steps)
-    cols = np.arange(len(steps)) - np.repeat(np.cumsum(n_steps) - n_steps, n_steps)
-    try:
-        flat = np.asarray(steps or np.zeros((0, 3)), dtype=np.float64)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        flat = np.zeros(0)
-    if flat.shape[1:] != (3,):
-        bad = np.array([not _is_triple(s) for s in steps])
-    else:
-        cat, cont, n = flat.T
-        bad = ~np.isin(cat, np.arange(C)) | ~np.isfinite(cont) | ~np.isfinite(n) | (n != np.floor(n))
+def check_override(override, R: int, P: int, C: int) -> tuple[np.ndarray, ...]:
+    """Forced schedules, checked where they enter the loop: three [R x S]
+    arrays (category, len_cont, len_int), returned as int64, float64, int64.
+    Row r's schedule ends at its first len_int of 0; its cursor before step
+    k is 1 + the sum of its earlier len_int. So every step the loop will
+    read is checked here, and the first bad one by step, then row, raises
+    the `DataError` the loop would meet first."""
+    arrays = [np.asarray(a) for a in override] if len(override) == 3 else []
+    if ([a.dtype.kind for a in arrays] != ["i", "f", "i"] or arrays[0].ndim != 2
+            or {a.shape for a in arrays} != {(R, arrays[0].shape[1])}):
+        got = ", ".join(f"{a.dtype} {a.shape}" for a in arrays) or f"{len(override)} items"
+        raise DataError(f"override must be three [{R} x S] arrays, (signed int, float, signed "
+                        f"int) category, len_cont and len_int; got {got}")
+    cat, cont, n = arrays
+    lens = np.concatenate([n, np.zeros((R, 1), n.dtype)], axis=1)  # reaching step S: exhausted
+    rem = P - (np.cumsum(lens, axis=1) - lens)  # P - cursor + 1 before each step
+    live = np.logical_and.accumulate(rem >= 1, axis=1)
+    bad = live & ((lens < 1) | (lens > rem))
+    bad[:, :-1] |= live[:, :-1] & ((cat < 0) | (cat >= C) | ~np.isfinite(cont))
     if bad.any():
-        i = int(np.argmax(bad))
-        raise DataError(f"override step {steps[i]!r} is not a (category in 0..{C - 1}, finite "
-                        f"len_cont, integral len_int) triple (row {rows[i]}, step {cols[i]})")
-    width = int(n_steps.max(initial=0)) + 1
-    table = np.zeros((R, width, 3))
-    table[rows, cols] = flat
-    cats, lens = table[:, :, 0].astype(np.int64), table[:, :, 2].astype(np.int64)
-    return cats, table[:, :, 1], lens, n_steps
+        k = int(bad.any(axis=0).argmax())
+        r = int(bad[:, k].argmax())
+        if lens[r, k] == 0:
+            raise DataError(f"override for row {r} exhausted at step {k}")
+        if lens[r, k] < 1 or lens[r, k] > rem[r, k]:
+            raise DataError(f"override length {n[r, k]} outside 1..{rem[r, k]} (row {r}, step {k})")
+        raise DataError(f"override step {(int(cat[r, k]), float(cont[r, k]), int(n[r, k]))} needs "
+                        f"a category in 0..{C - 1} and a finite len_cont (row {r}, step {k})")
+    return tuple(a.astype(t, copy=False) for a, t in zip(arrays, (np.int64, np.float64, np.int64)))
 
 
-def run_schedule_rows(
-    model: LeapTS,
-    h: np.ndarray,
-    row_clusters: np.ndarray,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-    frozen_noise: list | None = None,
-    override: list | None = None,
-    records: list | None = None,
-    gumbel_temp: float | None = None,
-):
+def run_schedule_rows(model: LeapTS, h: np.ndarray, row_clusters: np.ndarray, mode: str = "eval",
+                      rng: np.random.Generator | None = None, frozen_noise: list | None = None,
+                      override: tuple | None = None, records: list | None = None,
+                      gumbel_temp: float | None = None):
     """Run the scheduling loop for R rows, one `step` at a time. A row leaves
     the batch once its cursor passes the horizon; outputs are in the
     original row order. ``h`` is the initial state [R x hidden_dim].
@@ -541,8 +528,9 @@ def run_schedule_rows(
     soft routing; the cursor still advances by rounded integers).
     ``gumbel_temp`` is the Gumbel softmax temperature (None: the config's).
 
-    ``override`` forces decisions: per row, a list of
-    (category, len_cont, len_int) tuples consumed one per step.
+    ``override`` forces decisions: three [R x S] arrays (category,
+    len_cont, len_int), row r's step k at [r, k], its schedule ending at its
+    first len_int of 0; `check_override` checks them before the first step.
     ``records``: a list that receives one `StepRecord` per step, over the
     rows that ran it (``traces.build_traces`` makes the schedule traces
     from them).
@@ -562,7 +550,7 @@ def run_schedule_rows(
     taped = ad._active_tape() is not None
     R = h.shape[0]
     if override is not None:
-        o_cat, o_cont, o_int, o_steps = _pack_override(override, R, C)
+        o_cat, o_cont, o_int = check_override(override, R, P, C)
 
     out = np.zeros((R, P))  # accumulates until rows leave; each writes its own as it leaves
     state = (h, out, np.ones(R, dtype=np.int64), np.zeros((R, cfg.control_dim)),
@@ -590,17 +578,7 @@ def run_schedule_rows(
 
         decision = None
         if override is not None:
-            cat_idx, len_cont, len_int = o_cat[live, k], o_cont[live, k], o_int[live, k]
-            rem = P - cursor + 1
-            bad = (o_steps[live] <= k) | (len_int < 1) | (len_int > rem)
-            if np.any(bad):
-                r = int(np.argmax(bad))
-                if o_steps[live[r]] <= k:
-                    raise DataError(f"override for row {live[r]} exhausted at step {k}")
-                raise DataError(
-                    f"override length {len_int[r]} outside 1..{rem[r]} (row {live[r]}, step {k})"
-                )
-            decision = (cat_idx, len_cont, len_int)
+            decision = (o_cat[live, k], o_cont[live, k], o_int[live, k])
         elif forced:
             len_int = P - cursor + 1
             decision = (np.full(n, C - 1, dtype=np.int64), len_int.astype(np.float64), len_int)

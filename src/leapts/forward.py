@@ -59,7 +59,9 @@ def forward_rows(
     gumbel_temp=None,
 ):
     """Run the full model on a window batch [B x L x N]; ``gumbel_temp`` is
-    the Gumbel softmax temperature (None: the config's).
+    the Gumbel softmax temperature (None: the config's). ``override`` forces
+    the schedules: three [B*N x S] arrays (category, len_cont, len_int), one
+    row per batch row, as `engine.run_schedule_rows` takes them.
 
     ``traces_from``, the id of the batch's first window, asks for one
     schedule trace per row. ``debug``: a list that receives the scheduling
@@ -99,16 +101,8 @@ def forward_rows(
         row_clusters = np.tile(model.cluster_of_variate, b)
         records = [] if debug is None and traces_from is not None else debug
         sched, steps, noise = run_schedule_rows(
-            model,
-            h1,
-            row_clusters,
-            mode=mode,
-            rng=rng,
-            frozen_noise=frozen_noise,
-            override=override,
-            records=records,
-            gumbel_temp=gumbel_temp,
-        )
+            model, h1, row_clusters, mode=mode, rng=rng, frozen_noise=frozen_noise,
+            override=override, records=records, gumbel_temp=gumbel_temp)
         if traces_from is not None:
             traces = build_traces(records, _trace_rows(inputs, traces_from),
                                   model.anchors.category_names())
@@ -194,7 +188,9 @@ def predict_batch(
 ) -> tuple[np.ndarray, list | None]:
     """Fused eval-mode forecasts [B x P x N] for a window batch (no tape
     needed), and its schedule traces when ``traces_from`` gives the first
-    window's id."""
+    window's id. ``override``: the schedules to force, as in `forward_rows`;
+    a trace's steps replay as its row's ``category``, ``len_cont`` and
+    ``len_int``."""
     out = forward_rows(model, inputs, override=override, traces_from=traces_from)
     b, n = inputs.shape[0], model.config.n_variates
     return _batch_from_rows(out["fused"].data, b, n), out["traces"]

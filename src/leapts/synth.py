@@ -59,6 +59,12 @@ class ScenarioSpec:
                     bools=("observation_noise", "hide_driver"))
         if self.scenario not in (1, 2, 3):
             raise ConfigError(f"unknown scenario {self.scenario}; expected 1, 2, or 3")
+        # scenario 2 alone has a driver to hide, scenario 1 alone adds noise
+        for setting, given, only in (("hide_driver", self.hide_driver, 2),
+                                     ("observation_noise=False", not self.observation_noise, 1)):
+            if given and self.scenario != only:
+                raise ConfigError(f"{setting} has no effect outside scenario {only} "
+                                  f"(scenario {self.scenario})")
         if self.dt is None:
             self.dt = SCENARIO_DT[self.scenario]
         check_types(self, floats=("dt",))

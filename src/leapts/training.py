@@ -137,7 +137,8 @@ def _forecast_pass(model: LeapTS, windows: WindowBatch, batch: int, traces: list
     """The one evaluation pass: forecast ``windows`` in batches of ``batch``
     through ``predict_batch`` and pool MSE/MAE and their per-horizon curves.
     ``traces``: a list that receives each row's schedule trace. ``override``:
-    one forced schedule per row, window-major. ``each_batch(lo, preds)``
+    the three [rows x S] arrays of `engine.run_schedule_rows`, one forced
+    schedule per row, window-major, sliced by rows. ``each_batch(lo, preds)``
     sees each batch's forecasts [b x P x N], ``lo`` its first window."""
     if traces is not None and model.ablation == "no_sched":
         raise DataError("traces: the no_sched variant has no scheduling branch")
@@ -147,7 +148,7 @@ def _forecast_pass(model: LeapTS, windows: WindowBatch, batch: int, traces: list
         hi = min(lo + batch, windows.n_windows)
         preds, tr = predict_batch(
             model, windows.inputs[lo:hi],
-            override=None if override is None else override[lo * n : hi * n],
+            override=None if override is None else tuple(a[lo * n : hi * n] for a in override),
             traces_from=None if traces is None else lo,
         )
         err = preds - windows.targets[lo:hi]

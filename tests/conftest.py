@@ -20,6 +20,15 @@ def toy_config(**kw) -> ModelConfig:
     return ModelConfig(**base)
 
 
+def override_of(rows) -> tuple[np.ndarray, ...]:
+    """Per-row lists of (category, len_cont, len_int) steps as the loop's
+    three [R x S] override arrays, each row zero-padded to the longest."""
+    table = np.zeros((len(rows), max(map(len, rows), default=0), 3))
+    for r, steps in enumerate(rows):
+        table[r, : len(steps)] = np.reshape(steps, (-1, 3))
+    return table[..., 0].astype(np.int64), table[..., 1].copy(), table[..., 2].astype(np.int64)
+
+
 @pytest.fixture
 def toy_model() -> LeapTS:
     return LeapTS(toy_config())

@@ -17,8 +17,8 @@ import numpy as np
 from leapts.autodiff import Tensor, _record, _stable_sigmoid, huber_loss
 from leapts.controller import round_and_clip_rows
 from leapts.data import zscore_stats
-from leapts.engine import StepRecord, _pack_override
-from leapts.errors import ConfigError, DataError, NumericError, ShapeError
+from leapts.engine import StepRecord, check_override
+from leapts.errors import ConfigError, NumericError, ShapeError
 from leapts.forward import _rows_from_batch, _trace_rows
 from leapts.model import LeapTS
 from leapts.traces import build_traces
@@ -476,7 +476,7 @@ def run_schedule_rows(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
     frozen_noise: list | None = None,
-    override: list | None = None,
+    override: tuple | None = None,
     records: list | None = None,
     gumbel_temp: float | None = None,
 ):
@@ -488,9 +488,9 @@ def run_schedule_rows(
     hard routing), "soft" (noiseless or frozen-noise, fully differentiable
     soft routing; the cursor still advances by rounded integers).
 
-    ``override`` forces decisions: per row, a list of
-    (category, len_cont, len_int) tuples consumed one per step.
-    ``records``: a list that receives one `engine.StepRecord` per step.
+    ``override`` forces decisions: three [R x S] arrays (category,
+    len_cont, len_int), checked by `engine.check_override` before the first
+    step. ``records``: a list that receives one `engine.StepRecord` per step.
 
     Returns (accumulated forecast rows [R x P], recorded noise list usable
     as ``frozen_noise``: one [R x C] draw per step).
@@ -507,7 +507,7 @@ def run_schedule_rows(
     cat_names = anchors.category_names()
     heads = [(store[f"len_head_{n}_w"], store[f"len_head_{n}_b"]) for n in cat_names]
     if override is not None:
-        o_cat, o_cont, o_int, o_steps = _pack_override(override, R, C)
+        o_cat, o_cont, o_int = check_override(override, R, P, C)
 
     accum = Tensor(np.zeros((R, P)))
     cursor = np.ones(R, dtype=np.int64)
@@ -549,16 +549,6 @@ def run_schedule_rows(
         if override is not None or forced:
             if override is not None:
                 cat_idx, len_cont, len_int = o_cat[live, k], o_cont[live, k], o_int[live, k]
-                rem = P - cursor + 1
-                bad = (o_steps[live] <= k) | (len_int < 1) | (len_int > rem)
-                if np.any(bad):
-                    r = int(np.argmax(bad))
-                    if o_steps[live[r]] <= k:
-                        raise DataError(f"override for row {live[r]} exhausted at step {k}")
-                    raise DataError(
-                        f"override length {len_int[r]} outside 1..{rem[r]}"
-                        f" (row {live[r]}, step {k})"
-                    )
             else:
                 cat_idx = np.full(n, C - 1, dtype=np.int64)
                 len_int = P - cursor + 1

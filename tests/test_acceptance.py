@@ -20,6 +20,7 @@ from leapts.data import Dataset, make_windows
 from leapts.diagnostics import trace_override
 from leapts.engine import soft_mask
 from leapts.forward import forward_rows, _rows_from_batch
+from conftest import override_of
 from gradcheck import finite_difference_grads, max_relative_error
 from step_records import debug_run
 from leapts.metrics import metrics
@@ -114,7 +115,7 @@ def test_criterion_2_soft_mask_hard_limit():
             summary_dim=4, control_dim=4, enc_hidden=(16,), field_hidden=8, seed=4,
         )
         model = LeapTS(cfg)
-        forced = [[(0, 3.0, 3), (1, 4.0, 4), (0, 1.0, 1)]] * 2
+        forced = override_of([[(0, 3.0, 3), (1, 4.0, 4), (0, 1.0, 1)]] * 2)
         x = np.random.default_rng(0).normal(size=(1, 16, 2))
         out, debug = debug_run(forward_rows, model, x, override=forced)
         paste = np.zeros((2, 8))

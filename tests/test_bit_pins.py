@@ -28,7 +28,7 @@ import pytest
 
 from leapts.autodiff import Tape
 from leapts.data import Dataset, WindowBatch
-from leapts.diagnostics import partition_to_steps, sample_partition, trace_override
+from leapts.diagnostics import partitions_to_override, sample_partition, trace_override
 from leapts.forward import forward_loss, forward_rows
 from leapts.model import LeapTS, ModelConfig
 from leapts.synth import ScenarioSpec, gen_scenario3
@@ -80,8 +80,8 @@ def _windows(name: str) -> WindowBatch:
 def _override(model: LeapTS, rows: int):
     """Random partitions, one per row, as forced schedules."""
     rng = np.random.default_rng(3)
-    return [partition_to_steps(sample_partition(model.config.horizon, rng), model.anchors)
-            for _ in range(rows)]
+    return partitions_to_override([sample_partition(model.config.horizon, rng)
+                                   for _ in range(rows)], model.anchors)
 
 
 def _forecasts(out) -> str:

@@ -77,6 +77,20 @@ def test_gen_hide_driver(tmp_path, capsys):
     assert p.read_text().splitlines()[0] == "t,X,Y"
 
 
+@pytest.mark.parametrize("scenario, flag", [("1", "--hide-driver"), ("3", "--hide-driver"),
+                                            ("2", "--no-noise"), ("3", "--no-noise")])
+def test_gen_refuses_a_flag_without_an_effect(tmp_path, capsys, scenario, flag):
+    """``--hide-driver`` outside scenario 2 and ``--no-noise`` outside
+    scenario 1 wrote the same CSV as without the flag; both exit 2 and
+    write nothing."""
+    p = tmp_path / "s.csv"
+    code, _, err = run_cli(capsys, "gen", "--scenario", scenario, "--steps", "50", flag,
+                           "--out", str(p))
+    assert code == 2
+    assert "has no effect outside scenario" in err and f"(scenario {scenario})" in err
+    assert not p.exists()
+
+
 def test_gen_bad_scenario_usage_error(capsys):
     code, _, err = run_cli(capsys, "gen", "--scenario", "9", "--out", "/tmp/x.csv")
     assert code == 1
@@ -91,8 +105,8 @@ def test_unknown_flag_rejected(capsys):
 
 
 _PROBE = ("import sys; from leapts.cli import main; code = main(sys.argv[1:]); "
-          "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy')); "
-          "sys.exit(code)")
+          "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'), "
+          "'dataclasses' in sys.modules); sys.exit(code)")
 
 
 @pytest.mark.parametrize(
@@ -104,14 +118,15 @@ _PROBE = ("import sys; from leapts.cli import main; code = main(sys.argv[1:]); "
 )
 def test_light_commands_do_not_import_numpy(tmp_path, argv, code):
     """Parsing, help, usage errors, refused flags and `anchors` finish in a
-    fresh interpreter without importing any numpy module."""
+    fresh interpreter without importing any numpy module or `dataclasses`
+    (which imports `inspect`)."""
     src = pathlib.Path(leapts.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv], cwd=tmp_path, capture_output=True, text=True,
         timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == code and "Traceback" not in proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-1] == "[] False"
 
 
 def test_every_exported_name_resolves_to_its_home_module():

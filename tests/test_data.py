@@ -29,6 +29,15 @@ def test_date_column_dropped(tmp_path):
     assert ds.values.shape == (2, 1)
 
 
+def test_byte_order_mark_keeps_the_time_column_name(tmp_path):
+    """A UTF-8 byte-order mark before the header is not part of its first
+    name, so a ``t`` column is still dropped as the time column."""
+    for text in ("t,v1,v2\n0,1,2\n1,3,4\n", "\ufefft,v1,v2\n0,1,2\n1,3,4\n"):
+        ds = load_csv(write(tmp_path, text))
+        assert ds.columns == ["v1", "v2"]
+        assert ds.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 def test_non_numeric_first_column_detected(tmp_path):
     ds = load_csv(write(tmp_path, "idx,a\nx1,1\nx2,2\n"))
     assert ds.values.shape == (2, 1)

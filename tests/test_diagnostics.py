@@ -13,12 +13,12 @@ from leapts.diagnostics import (
     bin_by_volatility,
     category_stats,
     fixed_partition,
-    partition_to_steps,
+    partitions_to_override,
     ratio_summary,
     sample_partition,
     trace_override,
 )
-from leapts.engine import StepRecord
+from leapts.engine import StepRecord, check_override
 from leapts.errors import DataError
 from leapts.model import LeapTS
 from leapts.synth import ScenarioSpec, gen_scenario3
@@ -32,7 +32,7 @@ from leapts.traces import (
 )
 from leapts.training import evaluate
 
-from conftest import toy_config
+from conftest import override_of, toy_config
 from step_records import per_step_traces
 
 
@@ -189,9 +189,16 @@ def test_partition_to_steps_category_containment():
     from leapts.anchors import scale_anchors
 
     anchors = scale_anchors(96, 60)
-    steps = partition_to_steps([1, 24, 25, 10], anchors)
-    assert [s[0] for s in steps] == [0, 0, 1, 0]
-    assert [s[2] for s in steps] == [1, 24, 25, 10]
+    cat, cont, lens = partitions_to_override([[1, 24, 25, 10], [60], [30, 30]], anchors)
+    assert cat.tolist() == [[0, 0, 1, 0], [2, 0, 0, 0], [1, 1, 0, 0]]
+    assert lens.tolist() == [[1, 24, 25, 10], [60, 0, 0, 0], [30, 30, 0, 0]]
+    assert cont.dtype == np.float64 and np.array_equal(cont, lens)
+    for c in range(3):  # each interval's ends, categorized as the anchors define them
+        ends = [anchors.mins[c], anchors.maxs[c]]
+        assert partitions_to_override([ends], anchors)[0].tolist() == [[c, c]]
+    beyond = partitions_to_override([[61]], anchors)  # refused where the loop takes it
+    with pytest.raises(DataError, match=r"^override length 61 outside 1\.\.60 \(row 0, step 0\)$"):
+        check_override(beyond, 1, 60, 3)
 
 
 @pytest.fixture(scope="module")
@@ -211,10 +218,11 @@ def test_fixed_full_horizon_single_step(small_model, small_windows):
 
     report = trace_override(small_model, small_windows, "fixed", 8)
     assert np.isfinite(report.mse)
-    steps = partition_to_steps(fixed_partition(8, 8), small_model.anchors)
+    one = partitions_to_override([fixed_partition(8, 8)], small_model.anchors)
     n_w = small_windows.n_windows
     _, traces = predict_batch(
-        small_model, small_windows.inputs, override=[steps] * n_w, traces_from=0
+        small_model, small_windows.inputs, override=tuple(np.repeat(a, n_w, 0) for a in one),
+        traces_from=0,
     )
     assert all(tr.n_steps == 1 for tr in traces)
 
@@ -222,10 +230,11 @@ def test_fixed_full_horizon_single_step(small_model, small_windows):
 def test_fixed_step_trace_lengths(small_model, small_windows):
     from leapts.forward import predict_batch
 
-    steps = partition_to_steps(fixed_partition(8, 3), small_model.anchors)
+    one = partitions_to_override([fixed_partition(8, 3)], small_model.anchors)
     n_w = small_windows.n_windows
     _, traces = predict_batch(
-        small_model, small_windows.inputs, override=[steps] * n_w, traces_from=0
+        small_model, small_windows.inputs, override=tuple(np.repeat(a, n_w, 0) for a in one),
+        traces_from=0,
     )
     for tr in traces:
         lens = [s.len_int for s in tr.steps]
@@ -240,7 +249,8 @@ def natural_and_replay_preds(model, windows, traces):
     from leapts.training import _forecast_pass
 
     natural, _ = predict_batch(model, windows.inputs)
-    override = [[(s.category, s.len_cont, s.len_int) for s in tr.steps] for tr in traces]
+    override = override_of([[(s.category, s.len_cont, s.len_int) for s in tr.steps]
+                            for tr in traces])
     replayed = []
     _forecast_pass(model, windows, _OVERRIDE_BATCH, override=override,
                    each_batch=lambda lo, preds: replayed.append(preds))

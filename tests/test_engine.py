@@ -18,7 +18,7 @@ import leapts.engine as engine
 import tape_ops as ops
 import leapts.forward as forward
 from leapts.autodiff import Tape, Tensor
-from leapts.diagnostics import fixed_partition, partition_to_steps, sample_partition
+from leapts.diagnostics import fixed_partition, partitions_to_override, sample_partition
 from leapts.engine import (
     build_control_signal,
     cluster_variates,
@@ -36,7 +36,7 @@ from leapts.forward import forward_rows, predict_batch
 from leapts.model import LeapTS, ModelConfig
 from leapts.traces import build_traces
 
-from conftest import toy_config
+from conftest import override_of, toy_config
 from step_records import StepDebug, debug_run
 
 
@@ -395,7 +395,7 @@ def run_rows(model, n_windows=1, mode="eval", rng=None, seed=0, fwd=forward_rows
 
 def test_forced_lengths_two_steps():
     model = LeapTS(toy_config(horizon=4, look_back=8))  # non-degenerate: 8//4+1=3 < 4
-    forced = [[(0, 2.0, 2), (0, 2.0, 2)]] * 2
+    forced = override_of([[(0, 2.0, 2), (0, 2.0, 2)]] * 2)
     out = run_rows(model, override=forced)
     for tr in out["traces"]:
         assert tr.n_steps == 2
@@ -416,7 +416,7 @@ def test_trace_fields_have_builtin_types(case, tape):
     assert not model.anchors.degenerate
     kw = {}
     if case == "override":
-        kw["override"] = [[(c % 3, 4.0, 4)] * 3 for c in range(6)]
+        kw["override"] = override_of([[(c % 3, 4.0, 4)] * 3 for c in range(6)])
     with Tape() if tape else contextlib.nullcontext():
         traces = run_rows(model, n_windows=2, **kw)["traces"]
     steps = [s for tr in traces for s in tr.steps]
@@ -432,24 +432,96 @@ def test_trace_fields_have_builtin_types(case, tape):
 
 def test_override_errors_name_row_and_step():
     model = LeapTS(toy_config(horizon=4, look_back=8))
+
+    def run(rows):
+        return run_rows(model, override=override_of(rows))
+
     with pytest.raises(DataError, match=r"override for row 1 exhausted at step 1$"):
-        run_rows(model, override=[[(0, 4.0, 4)], [(0, 2.0, 2)]])
+        run([[(0, 4.0, 4)], [(0, 2.0, 2)]])
     with pytest.raises(DataError, match=r"override length 5 outside 1\.\.3 \(row 0, step 1\)$"):
-        run_rows(model, override=[[(0, 1.0, 1), (0, 5.0, 5)], [(0, 4.0, 4)]])
-    with pytest.raises(DataError, match=r"override length 0 outside 1\.\.4 \(row 1, step 0\)$"):
-        run_rows(model, override=[[(0, 4.0, 4)], [(0, 0.0, 0)]])
-    malformed = [  # (override, row, step): category -1, C and 1.5; a pair; a NaN len_cont
+        run([[(0, 1.0, 1), (0, 5.0, 5)], [(0, 4.0, 4)]])
+    with pytest.raises(DataError, match=r"override length -1 outside 1\.\.4 \(row 1, step 0\)$"):
+        run([[(0, 4.0, 4)], [(0, -1.0, -1)]])
+    with pytest.raises(DataError, match=r"override for row 1 exhausted at step 0$"):
+        run([[(0, 4.0, 4)], [(0, 0.0, 0)]])  # a len_int of 0 ends the row's schedule
+    malformed = [  # (rows, row, step): category -1 and C; a NaN len_cont
         ([[(0, 4.0, 4)], [(-1, 4.0, 4)]], 1, 0),
         ([[(0, 1.0, 1), (3, 3.0, 3)], [(0, 4.0, 4)]], 0, 1),
-        ([[(1.5, 4.0, 4)], [(0, 4.0, 4)]], 0, 0),
-        ([[(0, 4.0, 4)], [(0, 4.0)]], 1, 0),
         ([[(0, 2.0, 2), (0, np.nan, 2)], [(0, 4.0, 4)]], 0, 1),
     ]
-    for override, r, k in malformed:
-        message = (rf"^override step {re.escape(repr(override[r][k]))} is not a \(category in "
-                   rf"0\.\.2, finite len_cont, integral len_int\) triple \(row {r}, step {k}\)$")
+    for rows, r, k in malformed:
+        message = (rf"^override step {re.escape(repr(rows[r][k]))} needs a category in 0\.\.2 "
+                   rf"and a finite len_cont \(row {r}, step {k}\)$")
+        with pytest.raises(DataError, match=message):
+            run(rows)
+    cat, cont, lens = override_of([[(0, 4.0, 4)], [(0, 4.0, 4)]])
+    wrong = [  # (override, what it got): a float category, mismatched shapes, too few rows
+        ((cat.astype(np.float64), cont, lens), "float64 (2, 1), float64 (2, 1), int64 (2, 1)"),
+        ((cat, np.zeros((2, 2)), lens), "int64 (2, 1), float64 (2, 2), int64 (2, 1)"),
+        (tuple(a[:1] for a in (cat, cont, lens)), "int64 (1, 1), float64 (1, 1), int64 (1, 1)"),
+        ([[(0, 4.0, 4)], [(0, 4.0, 4)]], "2 items"),
+    ]
+    for override, got in wrong:
+        message = (r"^override must be three \[2 x S\] arrays, \(signed int, float, signed int\) "
+                   rf"category, len_cont and len_int; got {re.escape(got)}$")
         with pytest.raises(DataError, match=message):
             run_rows(model, override=override)
+
+
+@st.composite
+def _corrupted_schedules(draw, P=12):
+    """Random partitions of ``P``, one per row, with one or two corruptions:
+    a length set to a value in -2..P+2, or a row cut short."""
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        cuts = sorted(draw(st.sets(st.integers(1, P - 1))))
+        rows.append([b - a for a, b in zip([0, *cuts], [*cuts, P])])
+    for _ in range(draw(st.integers(1, 2))):
+        r = draw(st.integers(0, len(rows) - 1))
+        if rows[r] and draw(st.booleans()):
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(st.integers(-2, P + 2))
+        else:
+            rows[r] = rows[r][: draw(st.integers(0, max(len(rows[r]) - 1, 0)))]
+    return rows
+
+
+def _walk_override(rows, P):
+    """The loop's error for per-row lengths ``rows``, or None: each step
+    visits the rows whose cursor has not passed P, the lowest row first; a
+    row's schedule ends at its first 0."""
+    cursors, k = [1] * len(rows), 0
+    while any(c <= P for c in cursors):
+        live = [r for r, c in enumerate(cursors) if c <= P]
+        for r in live:
+            n = rows[r][k] if k < len(rows[r]) else 0
+            if n == 0:
+                return f"override for row {r} exhausted at step {k}"
+            if not 1 <= n <= P - cursors[r] + 1:
+                return f"override length {n} outside 1..{P - cursors[r] + 1} (row {r}, step {k})"
+        for r in live:
+            cursors[r] += rows[r][k]
+        k += 1
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_corrupted_schedules())
+def test_override_check_matches_a_step_by_step_walk(rows):
+    """The model's forward raises, through `engine.check_override`, the
+    error a step-by-step walk of the rows' cursors meets first; a schedule
+    it accepts runs to the horizon with exactly its lengths."""
+    model = LeapTS(toy_config(horizon=12, look_back=16, n_variates=1))
+    want = _walk_override(rows, 12)
+    override = override_of([[(0, float(n), n) for n in seq] for seq in rows])
+    if want is None:
+        traces = run_rows(model, n_windows=len(rows), override=override)["traces"]
+        assert [[s.len_int for s in tr.steps] for tr in traces] == [
+            seq[: len(tr.steps)] for seq, tr in zip(rows, traces)]
+        assert all(tr.total_int_length() == 12 for tr in traces)
+    else:
+        with pytest.raises(DataError) as err:
+            run_rows(model, n_windows=len(rows), override=override)
+        assert str(err.value) == want
 
 
 def test_bad_loop_mode_and_train_mode_without_noise_are_config_errors():
@@ -470,10 +542,14 @@ def test_nonfinite_noise_names_its_loop_step():
     model = LeapTS(toy_config(horizon=12, look_back=16, n_variates=3, n_clusters=3))
     noise = [np.zeros((6, 3)) for _ in range(4)]
     noise[2][:, 1] = np.inf
-    override = [[(0, 4.0, 4)] * 3] * 6
+    override = override_of([[(0, 4.0, 4)] * 3] * 6)
     message = r"^schedule step 2: non-finite values in scale distribution$"
     with pytest.raises(NumericError, match=message), np.errstate(invalid="ignore"):
         run_rows(model, n_windows=2, mode="soft", frozen_noise=noise, override=override)
+    # an override is checked before the first step: its error comes first
+    short = override_of([[(0, 4.0, 4)] * 3] * 5 + [[(0, 4.0, 4)] * 2])
+    with pytest.raises(DataError, match=r"^override for row 5 exhausted at step 2$"):
+        run_rows(model, n_windows=2, mode="soft", frozen_noise=noise, override=short)
 
 
 def test_horizon_one_single_step():
@@ -540,7 +616,7 @@ def test_hard_limit_equivalence_with_paste_oracle():
     accumulation equals hard-pasting each segment at [q, q+len)."""
     cfg = toy_config(horizon=8, look_back=16, mask_temp=1e-3, seed=4)
     model = LeapTS(cfg)
-    forced = [[(0, 3.0, 3), (1, 4.0, 4), (0, 1.0, 1)]] * 2
+    forced = override_of([[(0, 3.0, 3), (1, 4.0, 4), (0, 1.0, 1)]] * 2)
     out, debug = debug_run(run_rows, model, override=forced)
     sched = out["sched"].data
     oracle = hard_paste_oracle(debug, n_rows=2, horizon=8)
@@ -553,10 +629,10 @@ def test_hard_limit_equivalence_natural_schedule():
     cfg = toy_config(horizon=8, look_back=16, mask_temp=1e-3, seed=21)
     model = LeapTS(cfg)
     probe = run_rows(model)
-    forced = [
+    forced = override_of([
         [(s.category, float(s.len_int), s.len_int) for s in tr.steps]
         for tr in probe["traces"]
-    ]
+    ])
     out, debug = debug_run(run_rows, model, override=forced)
     oracle = hard_paste_oracle(debug, n_rows=2, horizon=8)
     assert np.abs(oracle - out["sched"].data).max() < 1e-5
@@ -647,7 +723,7 @@ def _each_row_alone(model, h, row_clusters, mode="eval", rng=None, frozen_noise=
             model, h[[r]], row_clusters[[r]], mode=mode,
             frozen_noise=None if frozen_noise is None else [
                 None if n is None else n[[r]] for n in frozen_noise],
-            override=None if override is None else [override[r]],
+            override=None if override is None else tuple(a[[r]] for a in override),
             records=row_records, gumbel_temp=gumbel_temp,
         )
         records += [rec._replace(rows=np.full(1, r)) for rec in row_records]
@@ -715,12 +791,12 @@ def test_batched_run_matches_each_row_run_alone(n_clusters, degenerate, case, wi
         kw = {"mode": "soft", "frozen_noise": [data_rng.gumbel(size=(rows, c))
                                                for _ in range(horizon + 1)]}
     elif case == "fixed":
-        steps = partition_to_steps(fixed_partition(horizon, int(data_rng.integers(1, 5))),
-                                   model.anchors)
-        kw["override"] = [steps] * rows
+        one = partitions_to_override([fixed_partition(horizon, int(data_rng.integers(1, 5)))],
+                                     model.anchors)
+        kw["override"] = tuple(np.broadcast_to(a, (rows, a.shape[1])) for a in one)
     elif case == "monte_carlo":
-        kw["override"] = [partition_to_steps(sample_partition(horizon, data_rng), model.anchors)
-                          for _ in range(rows)]
+        kw["override"] = partitions_to_override(
+            [sample_partition(horizon, data_rng) for _ in range(rows)], model.anchors)
     weight = data_rng.normal(size=(rows, horizon))
 
     def run(tape, **extra):
@@ -776,7 +852,7 @@ def _staggered_run(override, tape, **kw):
     """A 4-window single-level run with per-row lengths ``override``."""
     model = LeapTS(toy_config(look_back=48, horizon=12, n_variates=1))
     assert model.anchors.degenerate
-    override = [[(0, float(n), n) for n in seq] for seq in override]
+    override = override_of([[(0, float(n), n) for n in seq] for seq in override])
     with Tape() if tape else contextlib.nullcontext():
         return run_rows(model, n_windows=4, override=override, **kw)
 
@@ -816,15 +892,15 @@ def test_tape_free_loop_drops_finished_rows(monkeypatch):
 
 
 def test_override_errors_name_the_original_row_after_rows_have_left(monkeypatch):
-    """Row 3 fails at step 3, when it is the only row left in the batch."""
+    """Row 3 fails at step 3, when it would be the only row left in the
+    batch; the error is raised before the first loop step."""
     rows = _count_rows(monkeypatch)
     with pytest.raises(DataError, match=r"override for row 3 exhausted at step 3$"):
         _staggered_run([[12], [6, 6], [4, 4, 4], [2, 2, 2]], tape=False)
-    assert rows == [4, 3, 2]
-    rows.clear()
+    assert rows == []
     with pytest.raises(DataError, match=r"override length 9 outside 1\.\.6 \(row 3, step 3\)$"):
         _staggered_run([[12], [6, 6], [4, 4, 4], [2, 2, 2, 9]], tape=False)
-    assert rows == [4, 3, 2]
+    assert rows == []
 
 
 def test_tape_free_step_runs_only_the_routed_head_and_own_cluster_fields(monkeypatch):
@@ -910,9 +986,8 @@ def _loop_case(shape, mode):
     if mode == "soft":
         kw["frozen_noise"] = [data_rng.gumbel(size=(rows, C)) for _ in range(cfg.horizon + 1)]
     elif mode == "override":
-        kw = {"mode": "eval", "override": [
-            partition_to_steps(sample_partition(cfg.horizon, data_rng), model.anchors)
-            for _ in range(rows)]}
+        kw = {"mode": "eval", "override": partitions_to_override(
+            [sample_partition(cfg.horizon, data_rng) for _ in range(rows)], model.anchors)}
     elif mode == "forced":
         kw["mode"] = "eval"
         for name in model.anchors.category_names() if shape != "no_sched" else ():

@@ -119,6 +119,18 @@ def test_integer_fields_refuse_booleans_and_floats(field, value):
     assert [type(v) for v in (spec.scenario, spec.total_steps, spec.seed)] == [int] * 3
 
 
+@pytest.mark.parametrize("scenario, field, value", [
+    (1, "hide_driver", True), (3, "hide_driver", True),
+    (2, "observation_noise", False), (3, "observation_noise", False),
+])
+def test_switches_without_an_effect_are_refused(scenario, field, value):
+    """Only scenario 2 has a driver to hide and only scenario 1 adds
+    observation noise; elsewhere either switch wrote the same series."""
+    with pytest.raises(ConfigError, match=rf"^{field}(=False)? has no effect outside scenario "
+                                          rf"\d \(scenario {scenario}\)$"):
+        ScenarioSpec(scenario, **{field: value})
+
+
 # -- scenario 1 -------------------------------------------------------------------
 
 
